@@ -6,18 +6,21 @@ closed family of subsets (ideal).  Three rule schemata are instantiated on
 the space's generator: a subset is covered by its traces on the generator;
 by everything strongly rather below it; and the empty subset by nothing.
 Meets are intersections, joins are closures of unions, and points are the
-join-prime elements.
+join-prime elements.  The frame is built as the closure of the basic opens
+(the ideals generated by one subset) under joins: every ideal is the join
+of the basic opens of its members.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import cauchy, coverspace
 from .finkernel import (
-    COVER_ENUM_LIMIT,
+    IDEAL_ENUM_LIMIT,
     Carrier,
     Cover,
     FiniteCoverSpace,
@@ -48,6 +51,12 @@ class CoveragePresentation:
     generator rule implies closure under the rule for every distinguished
     cover, since traces on a coarser cover contain traces on the
     generator.  The tests cross-check this against the all-covers rules.
+
+    V is strongly rather below U when {X \\ V, U} is refined by the
+    generator, that is when V misses every generator member not inside U.
+    So the subsets strongly rather below U are the submasks of one largest
+    mask, ``srb_max[U]``.  ``traces[U]`` holds the traces of U on the
+    generator.
     """
 
     def __init__(self, space: FiniteCoverSpace):
@@ -55,42 +64,21 @@ class CoveragePresentation:
         self.n = space.size
         self.full = space.carrier.full_mask
         self.gen_masks = tuple(sorted(m.mask for m in space.generator.members))
-        carrier = space.carrier
-        self._srb_below: list[tuple[int, ...]] = []
+        srb_max = []
         for u in range(self.full + 1):
-            us = Subset(carrier, u)
-            self._srb_below.append(
-                tuple(
-                    v
-                    for v in range(self.full + 1)
-                    if coverspace.strongly_rather_below(
-                        space, Subset(carrier, v), us
-                    )
-                )
-            )
+            outside = 0
+            for w in self.gen_masks:
+                if w & ~u:
+                    outside |= w
+            srb_max.append(self.full & ~outside)
+        self.srb_max: tuple[int, ...] = tuple(srb_max)
+        self.traces = tuple(
+            frozenset(u & w for w in self.gen_masks) for u in range(self.full + 1)
+        )
 
     def srb_below(self, u_mask: int) -> tuple[int, ...]:
         """Masks strongly rather below the given subset."""
-        return self._srb_below[u_mask]
-
-    def is_ideal(self, masks: frozenset[int]) -> bool:
-        if 0 not in masks:
-            return False
-        for m in masks:
-            for sub in _submasks(m):
-                if sub not in masks:
-                    return False
-        return self._rules_closed(masks)
-
-    def _rules_closed(self, masks) -> bool:
-        for u in range(self.full + 1):
-            if u in masks:
-                continue
-            if all(u & w in masks for w in self.gen_masks):
-                return False
-            if all(v in masks for v in self._srb_below[u]):
-                return False
-        return True
+        return tuple(sorted(_submasks(self.srb_max[u_mask])))
 
 
 @dataclass(frozen=True)
@@ -117,26 +105,26 @@ class LocalePoint:
 def ideal_closure(
     p: CoveragePresentation, seed: Iterable[Subset | int]
 ) -> FrameElement:
-    """The smallest ideal containing the seed: saturate downward closure
-    and the two covering rules until a fixed point."""
+    """The smallest ideal containing the seed: saturate the two covering
+    rules until a fixed point.
+
+    Every mask enters together with its submasks, so the family stays
+    downward closed and holds everything strongly rather below u exactly
+    when it holds ``srb_max[u]``.
+    """
     masks = {0}
-    for s in seed:
-        masks.add(s.mask if isinstance(s, Subset) else int(s))
+    seed_masks = {s.mask if isinstance(s, Subset) else int(s) for s in seed}
+    for m in sorted(seed_masks, reverse=True):  # supersets before subsets
+        if m not in masks:
+            masks.update(_submasks(m))
     changed = True
     while changed:
         changed = False
-        for m in list(masks):
-            for sub in _submasks(m):
-                if sub not in masks:
-                    masks.add(sub)
-                    changed = True
         for u in range(p.full + 1):
             if u in masks:
                 continue
-            if all(u & w in masks for w in p.gen_masks) or all(
-                v in masks for v in p.srb_below(u)
-            ):
-                masks.add(u)
+            if p.srb_max[u] in masks or masks.issuperset(p.traces[u]):
+                masks.update(_submasks(u))
                 changed = True
     return FrameElement(p.space.carrier, frozenset(masks))
 
@@ -214,6 +202,10 @@ class FiniteLocale:
             for a in self.elements
         )
 
+    @cached_property
+    def _primes(self) -> tuple[FrameElement, ...]:
+        return self.join_primes()
+
     def join_primes(self) -> tuple[FrameElement, ...]:
         """Elements that are not the join of everything strictly below."""
         out = []
@@ -229,37 +221,36 @@ class FiniteLocale:
 def locale_of_space(
     s: FiniteCoverSpace, max_carrier: int | None = None
 ) -> FiniteLocale:
-    """Enumerate every ideal of the coverage presentation of s.
+    """Every ideal of the coverage presentation of s, as the closure of
+    the basic opens under joins.
 
-    Downward-closed families are generated from antichains of masks, then
-    filtered by rule closure.  Doubly exponential; guarded.
+    Every ideal is the closure of the union of the basic opens of its
+    members, so a worklist from bottom that joins in one basic open at a
+    time reaches each of them, at about |frame| * 2^n closures.
     """
-    _check_size(s.size, max_carrier or COVER_ENUM_LIMIT, "ideal")
+    _check_size(s.size, max_carrier or IDEAL_ENUM_LIMIT, "ideal")
     pres = CoveragePresentation(s)
-    masks = list(range(pres.full + 1))
-    elements = []
-    seen = set()
-    for bits in range(1 << len(masks)):
-        antichain = [m for k, m in enumerate(masks) if bits >> k & 1]
-        if any(
-            a != b and a & ~b == 0 for a in antichain for b in antichain
-        ):
-            continue
-        down: set[int] = set()
-        for m in antichain:
-            down.update(_submasks(m))
-        fam = frozenset(down)
-        if fam in seen:
-            continue
-        seen.add(fam)
-        if pres.is_ideal(fam):
-            elements.append(FrameElement(s.carrier, fam))
-    return FiniteLocale(elements, presentation=pres)
+    bottom = ideal_closure(pres, ()).ideal
+    basics = {ideal_closure(pres, [u]).ideal for u in range(pres.full + 1)}
+    seen = {bottom}
+    todo = [bottom]
+    while todo:
+        e = todo.pop()
+        for b in basics:
+            if b <= e:
+                continue
+            joined = ideal_closure(pres, e | b).ideal
+            if joined not in seen:
+                seen.add(joined)
+                todo.append(joined)
+    return FiniteLocale(
+        [FrameElement(s.carrier, e) for e in seen], presentation=pres
+    )
 
 
 def locale_points(m: FiniteLocale) -> tuple[LocalePoint, ...]:
     """All points, via the join-prime characterization."""
-    return tuple(LocalePoint(p) for p in m.join_primes())
+    return tuple(LocalePoint(p) for p in m._primes)
 
 
 def locale_points_oracle(
@@ -300,7 +291,7 @@ def _completely_prime(m, p, filt, exhaustive_limit) -> bool:
 def points_of_open(m: FiniteLocale, a: FrameElement) -> tuple[LocalePoint, ...]:
     """Points whose filter contains the open: primes below it."""
     return tuple(
-        LocalePoint(p) for p in m.join_primes() if m.leq(p, a)
+        LocalePoint(p) for p in m._primes if m.leq(p, a)
     )
 
 
@@ -310,7 +301,7 @@ def largest_open_within(
     """Right adjoint of the extent map: the join of every open whose
     points all lie in the given set."""
     allowed = {p.prime for p in pts}
-    primes = m.join_primes()
+    primes = m._primes
     return m.join(
         a
         for a in m.elements
@@ -324,7 +315,7 @@ def locale_is_proper(m: FiniteLocale) -> bool:
 
 
 def _point_list(m: FiniteLocale) -> list[FrameElement]:
-    return list(m.join_primes())
+    return list(m._primes)
 
 
 def point_space(m: FiniteLocale) -> FiniteCoverSpace:
@@ -466,19 +457,15 @@ def verify_equivalence(s: FiniteCoverSpace) -> EquivalenceReport:
     carrier = s.carrier
     eta: list[int] = []
     eta_ok = True
+    basics = [
+        basic_open(pres, Subset(carrier, u)) for u in range(carrier.full_mask + 1)
+    ]
     for x in carrier.elements():
-        filt = set()
-        for a in m.elements:
-            hit = False
-            for u_mask in range(carrier.full_mask + 1):
-                u = Subset(carrier, u_mask)
-                if coverspace.is_neighborhood(s, u, x) and m.leq(
-                    basic_open(pres, u), a
-                ):
-                    hit = True
-                    break
-            if hit:
-                filt.add(a)
+        around = [
+            b for u, b in enumerate(basics)
+            if coverspace.is_neighborhood(s, Subset(carrier, u), x)
+        ]
+        filt = {a for a in m.elements if any(m.leq(b, a) for b in around)}
         minimum = None
         for a in filt:
             minimum = a.ideal if minimum is None else minimum & a.ideal

@@ -85,6 +85,83 @@ def all_cauchy_covers(s: FiniteCoverSpace) -> list[frozenset[Subset]]:
     ]
 
 
+def _submasks(m: int) -> list[int]:
+    out, sub = [m], m
+    while sub:
+        sub = (sub - 1) & m
+        out.append(sub)
+    return out
+
+
+def _rules_closed(
+    masks: frozenset[int], gen_masks, srb_below: list[list[int]]
+) -> bool:
+    for u in range(len(srb_below)):
+        if u in masks:
+            continue
+        if all(u & w in masks for w in gen_masks):
+            return False
+        if all(v in masks for v in srb_below[u]):
+            return False
+    return True
+
+
+def is_ideal(
+    masks: frozenset[int], gen_masks, srb_below: list[list[int]]
+) -> bool:
+    """Definition-level ideal test: contains the empty subset, downward
+    closed, and closed under the generator-trace and strong rather-below
+    rules."""
+    if 0 not in masks:
+        return False
+    for m in masks:
+        for sub in _submasks(m):
+            if sub not in masks:
+                return False
+    return _rules_closed(masks, gen_masks, srb_below)
+
+
+def locale_of_space_oracle(s: FiniteCoverSpace) -> set[frozenset[int]]:
+    """Every ideal of the coverage presentation of s, by brute force.
+
+    Downward-closed families are generated from antichains of masks, then
+    filtered by rule closure; strong rather-below is tabulated from its
+    definition.  Doubly exponential: 2^(2^n) candidates.
+    """
+    carrier = s.carrier
+    full = carrier.full_mask
+    gen_masks = [m.mask for m in s.generator.members]
+    srb_below = [
+        [
+            v
+            for v in range(full + 1)
+            if coverspace.strongly_rather_below(
+                s, Subset(carrier, v), Subset(carrier, u)
+            )
+        ]
+        for u in range(full + 1)
+    ]
+    masks = list(range(full + 1))
+    ideals = set()
+    seen = set()
+    for bits in range(1 << len(masks)):
+        antichain = [m for k, m in enumerate(masks) if bits >> k & 1]
+        if any(
+            a != b and a & ~b == 0 for a in antichain for b in antichain
+        ):
+            continue
+        down: set[int] = set()
+        for m in antichain:
+            down.update(_submasks(m))
+        fam = frozenset(down)
+        if fam in seen:
+            continue
+        seen.add(fam)
+        if is_ideal(fam, gen_masks, srb_below):
+            ideals.add(fam)
+    return ideals
+
+
 def partitions_are_the_cover_spaces(n: int) -> bool:
     """Sanity predicate used by a few tests: on a finite carrier the
     regular structures are exactly the partition-generated ones."""

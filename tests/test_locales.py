@@ -33,7 +33,13 @@ from coverlab.locales import (
     points_of_open,
     verify_equivalence,
 )
-from helpers import all_precovers_up_to, all_spaces_up_to, random_partition_space
+from helpers import (
+    all_precovers_up_to,
+    all_spaces_up_to,
+    locale_of_space_oracle,
+    random_partition_space,
+    random_precover_space,
+)
 
 
 def ideal_of(m, masks):
@@ -151,6 +157,67 @@ class TestLocaleConstruction:
     def test_every_locale_of_a_space_is_regular(self):
         for s in all_precovers_up_to(3):
             assert locale_of_space(s).is_regular()
+
+
+class TestStrongRatherBelowClosedForm:
+    def test_matches_definition_up_to_four_points(self):
+        for s in all_precovers_up_to(4):
+            pres = CoveragePresentation(s)
+            for u in all_subsets(s.carrier):
+                expected = tuple(
+                    v.mask
+                    for v in all_subsets(s.carrier)
+                    if coverspace.strongly_rather_below(s, v, u)
+                )
+                assert pres.srb_below(u.mask) == expected
+                assert pres.srb_max[u.mask] == max(expected)
+
+
+class TestJoinClosureBuild:
+    def test_matches_antichain_walk_up_to_four_points(self):
+        for s in all_precovers_up_to(4):
+            built = {e.ideal for e in locale_of_space(s).elements}
+            assert built == locale_of_space_oracle(s), s
+
+    def test_random_partitions_have_boolean_frames(self):
+        rng = random.Random(20)
+        for _ in range(12):
+            s = random_partition_space(rng, rng.choice((5, 6)))
+            k = len(s.generator.members)
+            m = locale_of_space(s)
+            assert len(m) == 2 ** k
+            assert len(locale_points(m)) == k
+
+    def test_random_precovers_give_closed_tables(self):
+        rng = random.Random(21)
+        for _ in range(12):
+            s = random_precover_space(rng, rng.choice((5, 6)))
+            m = locale_of_space(s)
+            pres = m.presentation
+            table = set(m.elements)
+            for e in m.elements:
+                assert ideal_closure(pres, e.ideal) == e
+            for u in range(pres.full + 1):
+                assert ideal_closure(pres, [u]) in table
+            for a, b in itertools.product(m.elements, repeat=2):
+                assert FrameElement(a.carrier, a.ideal & b.ideal) in table
+                assert ideal_closure(pres, a.ideal | b.ideal) in table
+
+    def test_join_primes_computed_once_per_locale(self, monkeypatch):
+        m = locale_of_space(discrete(3))
+        calls = []
+        original = FiniteLocale.join_primes
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(FiniteLocale, "join_primes", counted)
+        locale_points(m)
+        points_of_open(m, m.top)
+        largest_open_within(m, ())
+        point_space(m)
+        assert calls == [m]
 
 
 class TestPoints:

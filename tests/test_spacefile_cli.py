@@ -185,6 +185,19 @@ class TestCliLocale:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["isomorphism"] is True
 
+    def test_roundtrip_discrete_five_points(self, tmp_path, capsys):
+        doc = {"format": 1, "carrier": 5, "covers": [[[x] for x in range(5)]]}
+        code = cli.main(["locale", "roundtrip", write(tmp_path, "d5.json", doc)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["isomorphism"] is True
+        assert out["point_count"] == 5
+
+    def test_seven_points_exceed_ideal_guard(self, tmp_path, capsys):
+        doc = {"format": 1, "carrier": 7, "covers": [[[x] for x in range(7)]]}
+        code = cli.main(["locale", "build", write(tmp_path, "d7.json", doc)])
+        assert code == 1
+        assert "enumeration limit" in capsys.readouterr().err
+
     def test_roundtrip_precondition_failure(self, tmp_path, capsys):
         code = cli.main(["locale", "roundtrip", write(tmp_path, "p.json", PRECOVER)])
         out = json.loads(capsys.readouterr().out)
