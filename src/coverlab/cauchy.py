@@ -1,10 +1,19 @@
 """Cauchy filters on finite cover spaces and the completion construction.
 
 On a finite carrier every filter is principal, so filters are stored by
-their smallest member.  Regular representatives have a closed form (the
-union of the generator members containing the base), completion is the
-deduplicated list of representatives, and extensions along dense
-embeddings are computed pointwise by filter transport.
+their smallest member, and the constructions have closed forms over the
+generator's members:
+
+- a regular representative is the union of the generator members
+  containing the base;
+- a filter is (strongly) regular exactly when its base is (strongly)
+  rather below itself;
+- a space is complete exactly when it is separated;
+- the completion of a regular space is its set of blocks.
+
+Extensions along dense embeddings are computed pointwise by filter
+transport.  The tests compare each closed form with a definition-level
+enumeration.
 """
 
 from __future__ import annotations
@@ -15,13 +24,15 @@ from typing import Sequence
 
 from . import coverspace
 from .finkernel import (
+    SUBSET_ENUM_LIMIT,
     Carrier,
     CarrierMismatchError,
     Cover,
     FiniteCoverSpace,
     Subset,
+    _check_size,
     all_subsets,
-    canonicalize,
+    discrete,
 )
 
 
@@ -117,27 +128,20 @@ def regular_representative_oracle(
     return PrincipalFilter(s.carrier, Subset(s.carrier, mask))
 
 
-def is_filter_regular(
-    s: FiniteCoverSpace, f: PrincipalFilter, max_carrier: int | None = None
-) -> bool:
-    """Every member contains a member rather below it."""
-    return _filter_refinable(s, f, coverspace.rather_below, max_carrier)
+def is_filter_regular(s: FiniteCoverSpace, f: PrincipalFilter) -> bool:
+    """Every member contains a member rather below it.
+
+    Rather-below gets easier as its left side shrinks and its right side
+    grows, so some member is rather below U exactly when the base is, and
+    that holds for every U exactly when the base is rather below itself.
+    """
+    return coverspace.rather_below(s, f.base, f.base)
 
 
-def is_filter_strongly_regular(
-    s: FiniteCoverSpace, f: PrincipalFilter, max_carrier: int | None = None
-) -> bool:
-    """Every member contains a member strongly rather below it."""
-    return _filter_refinable(s, f, coverspace.strongly_rather_below, max_carrier)
-
-
-def _filter_refinable(s, f, below, max_carrier=None) -> bool:
-    supersets = [
-        u
-        for u in all_subsets(s.carrier, max_carrier=max_carrier)
-        if f.base.issubset(u)
-    ]
-    return all(any(below(s, v, u) for v in supersets) for u in supersets)
+def is_filter_strongly_regular(s: FiniteCoverSpace, f: PrincipalFilter) -> bool:
+    """Every member contains a member strongly rather below it; by the
+    same monotonicity, the base strongly rather below itself."""
+    return coverspace.strongly_rather_below(s, f.base, f.base)
 
 
 def point_equiv(s: FiniteCoverSpace, x: int, y: int) -> bool:
@@ -176,18 +180,16 @@ def is_separated(s: FiniteCoverSpace) -> bool:
 
 
 def is_complete(s: FiniteCoverSpace, max_carrier: int | None = None) -> bool:
-    """Separated, and every Cauchy filter is equivalent to a point filter."""
+    """Separated, and every Cauchy filter is equivalent to a point filter.
+
+    On a finite carrier this is separation alone: separated means every
+    generator member is a singleton, so the Cauchy bases are the
+    singletons, each its own point filter.  Separated carriers above the
+    subset guard are still refused.
+    """
     if not is_separated(s):
         return False
-    for a in all_subsets(s.carrier, max_carrier=max_carrier):
-        f = PrincipalFilter(s.carrier, a)
-        if not is_cauchy_filter(s, f):
-            continue
-        if not any(
-            filters_equivalent(s, f, point_filter(s, x))
-            for x in s.carrier.elements()
-        ):
-            return False
+    _check_size(s.size, max_carrier or SUBSET_ENUM_LIMIT, "subset")
     return True
 
 
@@ -210,39 +212,27 @@ class CompletionSpace:
         return len(self.points)
 
 
-def _filters_containing(points: Sequence[Subset], u: Subset, carrier: Carrier) -> Subset:
-    mask = 0
-    for i, base in enumerate(points):
-        if base.issubset(u):
-            mask |= 1 << i
-    return Subset(carrier, mask)
-
-
 def _build_completion(
-    s: FiniteCoverSpace, representative, regular_check, max_carrier=None
+    s: FiniteCoverSpace, regular_check, max_carrier=None
 ) -> CompletionSpace:
-    bases = set()
-    for a in all_subsets(s.carrier, max_carrier=max_carrier):
-        f = PrincipalFilter(s.carrier, a)
-        if is_cauchy_filter(s, f):
-            bases.add(representative(s, f).base)
-    points = tuple(sorted(bases, key=lambda b: b.mask))
-    for b in points:
+    """The completion of a space whose generator is a partition.
+
+    The callers check (strong) regularity, which on a finite carrier means
+    the generator is a partition (``coverspace.satisfies_cr``).  A Cauchy
+    base then lies in exactly one block, and its regular representative,
+    the union of the members containing it, is that block.  So the points
+    are the blocks, the unit sends x to its block, and the structure is
+    discrete on the blocks.
+    """
+    _check_size(s.size, max_carrier or SUBSET_ENUM_LIMIT, "subset")
+    points = s.generator.sorted_members()
+    unit = [0] * s.size
+    for i, b in enumerate(points):
         if not regular_check(s, PrincipalFilter(s.carrier, b)):
             raise FilterError(f"representative {b!r} fails its regularity condition")
-    point_carrier = Carrier(len(points))
-    generator = canonicalize(
-        Cover.of(
-            point_carrier,
-            {_filters_containing(points, u, point_carrier) for u in s.generator.members},
-        )
-    )
-    structure = FiniteCoverSpace(point_carrier, generator)
-    index = {b: i for i, b in enumerate(points)}
-    unit = tuple(
-        index[representative(s, point_filter(s, x)).base] for x in s.carrier.elements()
-    )
-    return CompletionSpace(points, structure, unit)
+        for x in b.members():
+            unit[x] = i
+    return CompletionSpace(points, discrete(len(points)), tuple(unit))
 
 
 def completion(
@@ -257,12 +247,7 @@ def completion(
         raise coverspace.RegularityError(
             "completion requires the regularity axiom; reflect first"
         )
-    return _build_completion(
-        s,
-        regular_representative,
-        lambda sp, f: is_filter_regular(sp, f, max_carrier),
-        max_carrier,
-    )
+    return _build_completion(s, is_filter_regular, max_carrier)
 
 
 def strong_completion(
@@ -279,18 +264,7 @@ def strong_completion(
         raise coverspace.RegularityError(
             "strong completion requires strong regularity"
         )
-    return _build_completion(
-        s,
-        _strongly_regular_representative,
-        lambda sp, f: is_filter_strongly_regular(sp, f, max_carrier),
-        max_carrier,
-    )
-
-
-def _strongly_regular_representative(s, f):
-    # Intersection of all weakly Cauchy subfilters; for principal filters
-    # weak properness is properness, so the closed form is unchanged.
-    return regular_representative(s, f)
+    return _build_completion(s, is_filter_strongly_regular, max_carrier)
 
 
 def finite_subcover(s: FiniteCoverSpace, c: Cover) -> list[Subset]:

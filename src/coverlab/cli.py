@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import cauchy, coverspace, locales, realexpr, spacefile, xreal
-from .finkernel import Subset
+from .finkernel import Subset, maximal_masks
 
 
 def _report(check: str, ok: bool, witness=None, started: float | None = None) -> dict:
@@ -63,7 +63,7 @@ def cmd_axioms(args) -> int:
     t0 = time.perf_counter()
     comp = cauchy.is_complete(s, max_carrier=args.max_carrier)
     reports.append(
-        _report("complete", comp, _completeness_witness(s, args.max_carrier), t0)
+        _report("complete", comp, _completeness_witness(s), t0)
     )
 
     t0 = time.perf_counter()
@@ -86,19 +86,10 @@ def _separation_witness(s):
     return None
 
 
-def _completeness_witness(s, max_carrier=None):
-    if not cauchy.is_separated(s):
-        return {"reason": "not separated", **(_separation_witness(s) or {})}
-    from .finkernel import all_subsets
-
-    for a in all_subsets(s.carrier, max_carrier=max_carrier):
-        f = cauchy.PrincipalFilter(s.carrier, a)
-        if cauchy.is_cauchy_filter(s, f) and not any(
-            cauchy.filters_equivalent(s, f, cauchy.point_filter(s, x))
-            for x in s.carrier.elements()
-        ):
-            return {"filter_base": list(a.members())}
-    return None
+def _completeness_witness(s):
+    # on a finite carrier complete means separated (cauchy.is_complete)
+    pair = _separation_witness(s)
+    return None if pair is None else {"reason": "not separated", **pair}
 
 
 def cmd_complete(args) -> int:
@@ -107,7 +98,7 @@ def cmd_complete(args) -> int:
     reports = []
     reflected = False
     if not coverspace.satisfies_cr(s):
-        s = coverspace.regular_reflection(s, max_carrier=args.max_carrier)
+        s = coverspace.regular_reflection(s)
         reflected = True
     t0 = time.perf_counter()
     comp = cauchy.completion(s, max_carrier=args.max_carrier)
@@ -135,7 +126,7 @@ def cmd_reflect(args) -> int:
     sf = _load_space(args.file)
     s = spacefile.to_space(sf)
     t0 = time.perf_counter()
-    r = coverspace.regular_reflection(s, max_carrier=args.max_carrier)
+    r = coverspace.regular_reflection(s)
     reports = [_report("reflection_regular", coverspace.satisfies_cr(r), {}, t0)]
     doc = {
         "space": json.loads(spacefile.emit_spacefile(spacefile.of_space(r))),
@@ -170,7 +161,7 @@ def cmd_locale(args) -> int:
             "reports": [_report("points_enumerated", True)],
         }
         return _emit(doc)
-    report = locales.verify_equivalence(s)
+    report = locales.verify_equivalence(s, max_carrier=args.max_carrier)
     reports = [
         _report(name, ok, {"detail": detail} if detail else {})
         for name, ok, detail in report.checks
@@ -185,12 +176,7 @@ def cmd_locale(args) -> int:
 
 
 def _maximal(element: locales.FrameElement):
-    masks = element.ideal
-    return [
-        Subset(element.carrier, m)
-        for m in sorted(masks)
-        if not any(other != m and m & ~other == 0 for other in masks)
-    ]
+    return [Subset(element.carrier, m) for m in maximal_masks(element.ideal)]
 
 
 def _parse_eps(text: str) -> Fraction:

@@ -188,11 +188,15 @@ def canonicalize(c: Cover) -> Cover:
     The result and c refine each other, so they generate the same
     structure; antichains make that representative unique.
     """
-    masks = {m.mask for m in c.members}
-    maximal = {
-        m for m in masks if not any(other != m and m & ~other == 0 for other in masks)
-    }
-    return Cover.of_masks(c.carrier, maximal)
+    return Cover.of_masks(c.carrier, maximal_masks(m.mask for m in c.members))
+
+
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal masks of a family, ascending."""
+    family = set(masks)
+    return sorted(
+        m for m in family if not any(other != m and m & ~other == 0 for other in family)
+    )
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,7 @@ def product(
     from . import coverspace  # late import: reflection lives upstream
 
     if not coverspace.satisfies_cr(result):
-        result = coverspace.regular_reflection(result, max_carrier=max_carrier)
+        result = coverspace.regular_reflection(result)
     return result
 
 
@@ -297,14 +301,15 @@ def transfer(f: Sequence[int], y: FiniteCoverSpace) -> FiniteCoverSpace:
     for v in f:
         if not 0 <= v < y.size:
             raise ValueError(f"table value {v} outside target carrier")
-    preimages = set()
-    for w in y.generator.members:
-        mask = 0
-        for i, v in enumerate(f):
-            if w.contains(v):
-                mask |= 1 << i
-        preimages.add(mask)
-    return space_from_cover(Cover.of_masks(carrier, preimages))
+    return space_from_cover(Cover.of_masks(carrier, preimage_masks(f, y)))
+
+
+def preimage_masks(f: Sequence[int], y: FiniteCoverSpace) -> list[int]:
+    """The mask of f^{-1}(W) for each member W of y's generator."""
+    return [
+        sum(1 << i for i, v in enumerate(f) if w.mask >> v & 1)
+        for w in y.generator.members
+    ]
 
 
 def all_subsets(carrier: Carrier, max_carrier: int | None = None) -> list[Subset]:

@@ -425,13 +425,16 @@ class EquivalenceReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def verify_equivalence(s: FiniteCoverSpace) -> EquivalenceReport:
+def verify_equivalence(
+    s: FiniteCoverSpace, max_carrier: int | None = None
+) -> EquivalenceReport:
     """Check that the unit from a proper strongly complete space to the
     points of its frame is a structure isomorphism.
 
     The unit sends a carrier point to the filter of frame elements lying
     above some basic open it is a neighborhood of.  Every verified
     condition is listed in the report; precondition failures short-circuit.
+    ``max_carrier`` overrides the frame's size guard.
     """
     checks: list[tuple[str, bool, str]] = []
     proper = coverspace.is_proper(s)
@@ -444,7 +447,7 @@ def verify_equivalence(s: FiniteCoverSpace) -> EquivalenceReport:
     if not (proper and strongly_complete):
         return EquivalenceReport(tuple(checks), None, None)
 
-    m = locale_of_space(s)
+    m = locale_of_space(s, max_carrier=max_carrier)
     checks.append(("locale_regular", m.is_regular(), ""))
     checks.append(("locale_proper", locale_is_proper(m), ""))
     primes = _point_list(m)

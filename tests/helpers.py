@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from coverlab import coverspace
+from coverlab import cauchy, coverspace
 from coverlab.finkernel import (
     Carrier,
     Cover,
@@ -12,6 +13,10 @@ from coverlab.finkernel import (
     Subset,
     all_canonical_covers,
     all_partitions,
+    all_subsets,
+    canonicalize,
+    meet,
+    refines,
     space_from_cover,
 )
 
@@ -50,12 +55,17 @@ def random_subset(rng: random.Random, carrier: Carrier) -> Subset:
     return Subset(carrier, rng.randrange(0, carrier.full_mask + 1))
 
 
+@lru_cache(maxsize=None)
+def _canonical_covers(n: int) -> tuple[Cover, ...]:
+    return tuple(all_canonical_covers(Carrier(n)))
+
+
 def cover_space_generators(n: int) -> list[Cover]:
     """Every canonical generator on n points whose structure satisfies the
     regularity axiom, i.e. every cover space on that carrier."""
     return [
         c
-        for c in all_canonical_covers(Carrier(n))
+        for c in _canonical_covers(n)
         if coverspace.satisfies_cr(space_from_cover(c))
     ]
 
@@ -72,7 +82,7 @@ def all_precovers_up_to(n: int) -> list[FiniteCoverSpace]:
     """Every structure (regular or not) with carrier size at most n."""
     out = []
     for k in range(1, n + 1):
-        out.extend(space_from_cover(c) for c in all_canonical_covers(Carrier(k)))
+        out.extend(space_from_cover(c) for c in _canonical_covers(k))
     return out
 
 
@@ -170,3 +180,78 @@ def partitions_are_the_cover_spaces(n: int) -> bool:
         frozenset(m.mask for m in c.members) for c in cover_space_generators(n)
     }
     return part == regs
+
+
+def regular_reflection_oracle(s: FiniteCoverSpace) -> FiniteCoverSpace:
+    """The finest regular structure coarser than s, by brute force: the
+    meet of every canonical cover refined by the generator whose structure
+    satisfies the regularity axiom.  Carriers of at most 4 points."""
+    acc = Cover.of_masks(s.carrier, {s.carrier.full_mask})
+    for e in _canonical_covers(s.size):
+        if refines(s.generator, e) and coverspace.satisfies_cr(space_from_cover(e)):
+            acc = meet(acc, e)
+    return space_from_cover(acc)
+
+
+def filter_refinable_oracle(s: FiniteCoverSpace, f, below) -> bool:
+    """Every member of the principal filter f contains a member ``below``
+    it, checked over every pair of supersets of the base."""
+    supersets = [u for u in all_subsets(s.carrier) if f.base.issubset(u)]
+    return all(any(below(s, v, u) for v in supersets) for u in supersets)
+
+
+def is_complete_oracle(s: FiniteCoverSpace) -> bool:
+    """Separated, and every Cauchy filter (one per subset of the carrier)
+    is equivalent to some point filter."""
+    if not cauchy.is_separated(s):
+        return False
+    for a in all_subsets(s.carrier):
+        f = cauchy.PrincipalFilter(s.carrier, a)
+        if not cauchy.is_cauchy_filter(s, f):
+            continue
+        if not any(
+            cauchy.filters_equivalent(s, f, cauchy.point_filter(s, x))
+            for x in s.carrier.elements()
+        ):
+            return False
+    return True
+
+
+def completion_oracle(s: FiniteCoverSpace, strong: bool = False):
+    """The completion from its definition: the regular representatives of
+    every Cauchy filter, deduplicated and checked for filter regularity
+    over all supersets, with the generator and unit read off them.
+    ``strong`` runs the strong conditions.  Raises like the library when
+    the space fails its regularity precondition."""
+    if strong:
+        regular, below = coverspace.is_strongly_regular, coverspace.strongly_rather_below
+    else:
+        regular, below = coverspace.satisfies_cr, coverspace.rather_below
+    if not regular(s):
+        raise coverspace.RegularityError("regularity precondition fails")
+    bases = set()
+    for a in all_subsets(s.carrier):
+        f = cauchy.PrincipalFilter(s.carrier, a)
+        if cauchy.is_cauchy_filter(s, f):
+            bases.add(cauchy.regular_representative(s, f).base)
+    points = tuple(sorted(bases, key=lambda b: b.mask))
+    for b in points:
+        if not filter_refinable_oracle(s, cauchy.PrincipalFilter(s.carrier, b), below):
+            raise cauchy.FilterError(f"representative {b!r} fails its regularity condition")
+    point_carrier = Carrier(len(points))
+    images = set()
+    for u in s.generator.members:
+        mask = 0
+        for i, base in enumerate(points):
+            if base.issubset(u):
+                mask |= 1 << i
+        images.add(Subset(point_carrier, mask))
+    generator = canonicalize(Cover.of(point_carrier, images))
+    index = {b: i for i, b in enumerate(points)}
+    unit = tuple(
+        index[cauchy.regular_representative(s, cauchy.point_filter(s, x)).base]
+        for x in s.carrier.elements()
+    )
+    return cauchy.CompletionSpace(
+        points, FiniteCoverSpace(point_carrier, generator), unit
+    )

@@ -1,0 +1,204 @@
+"""The closed forms of the finite kernel against their definition-level
+oracles: filter regularity, completeness, completion and the regular
+reflection.  Exhaustive up to carrier size 4, seeded random cases above."""
+
+import json
+import random
+import sys
+
+import pytest
+
+from coverlab import cli, coverspace, finkernel
+from coverlab.cauchy import (
+    PrincipalFilter,
+    completion,
+    is_complete,
+    is_filter_regular,
+    is_filter_strongly_regular,
+    strong_completion,
+)
+from coverlab.coverspace import RegularityError, regular_reflection, satisfies_cr
+from coverlab.finkernel import (
+    Cover,
+    Subset,
+    all_subsets,
+    canonicalize,
+    discrete,
+    maximal_masks,
+    refines,
+)
+from helpers import (
+    all_precovers_up_to,
+    all_spaces_up_to,
+    completion_oracle,
+    filter_refinable_oracle,
+    is_complete_oracle,
+    random_partition_space,
+    random_precover_space,
+    regular_reflection_oracle,
+)
+
+PRECOVERS_4 = all_precovers_up_to(4)
+
+
+def _random_cases(seed, count=40):
+    """Seeded partitions and precovers on 5-10 points, plus discrete(n)
+    so that separated spaces occur."""
+    rng = random.Random(seed)
+    cases = [discrete(n) for n in range(5, 11)]
+    for _ in range(count):
+        n = rng.randint(5, 10)
+        make = random_partition_space if rng.random() < 0.5 else random_precover_space
+        cases.append(make(rng, n))
+    return cases
+
+
+def _completion_or_error(build, s):
+    try:
+        return build(s)
+    except RegularityError:
+        return RegularityError
+
+
+class TestFilterRegularity:
+    def test_every_base_exhaustive(self):
+        for s in PRECOVERS_4:
+            for base in all_subsets(s.carrier):
+                f = PrincipalFilter(s.carrier, base)
+                assert is_filter_regular(s, f) == filter_refinable_oracle(
+                    s, f, coverspace.rather_below
+                )
+                assert is_filter_strongly_regular(s, f) == filter_refinable_oracle(
+                    s, f, coverspace.strongly_rather_below
+                )
+
+
+class TestCompleteness:
+    def test_exhaustive(self):
+        for s in PRECOVERS_4:
+            assert is_complete(s) == is_complete_oracle(s)
+
+    def test_seeded_five_to_ten(self):
+        for s in _random_cases(seed=301):
+            assert is_complete(s) == is_complete_oracle(s)
+
+    def test_subset_guard_kept_for_separated_carriers(self):
+        with pytest.raises(finkernel.CarrierSizeError):
+            is_complete(discrete(13))
+        assert is_complete(discrete(13), max_carrier=13)
+        assert not is_complete(finkernel.indiscrete(13))
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_exhaustive(self, strong):
+        build = strong_completion if strong else completion
+        for s in all_spaces_up_to(4):
+            assert build(s) == completion_oracle(s, strong=strong)
+
+    def test_seeded_five_to_ten(self):
+        for s in _random_cases(seed=302):
+            got = _completion_or_error(completion, s)
+            assert got == _completion_or_error(completion_oracle, s)
+
+
+class TestRegularReflection:
+    def test_exhaustive(self):
+        for s in PRECOVERS_4:
+            assert regular_reflection(s) == regular_reflection_oracle(s)
+
+    def test_seeded_properties_five_to_ten(self):
+        rng = random.Random(303)
+        for _ in range(60):
+            s = random_precover_space(rng, rng.randint(5, 10))
+            r = regular_reflection(s)
+            assert satisfies_cr(r)
+            assert refines(s.generator, r.generator)  # coarser than s
+            for block in r.generator.members:
+                inside = [w.mask for w in s.generator.members if w.mask & ~block.mask == 0]
+                # the members inside a block are connected by overlaps, so
+                # no regular coarsening of s can split the block
+                reached, todo = {inside[0]}, [inside[0]]
+                while todo:
+                    w = todo.pop()
+                    for v in inside:
+                        if v & w and v not in reached:
+                            reached.add(v)
+                            todo.append(v)
+                assert len(reached) == len(inside)
+                union = 0
+                for w in inside:
+                    union |= w
+                assert union == block.mask
+
+
+class TestMaximalMasks:
+    def test_matches_canonicalize(self):
+        rng = random.Random(304)
+        for _ in range(100):
+            masks = {rng.randrange(0, 64) for _ in range(rng.randint(1, 6))} | {63}
+            cover = Cover.of_masks(finkernel.Carrier(6), masks)
+            expected = sorted(m.mask for m in canonicalize(cover).members)
+            assert maximal_masks(masks) == expected
+            assert maximal_masks(sorted(masks) * 2) == expected
+
+
+class TestNoEnumeration:
+    """The CLI's completeness, completion and reflection paths run without
+    enumerating subsets or canonical covers."""
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration on a closed-form path")
+
+        for name, module in list(sys.modules.items()):
+            if name == "coverlab" or name.startswith("coverlab."):
+                for fn in ("all_subsets", "all_canonical_covers"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, refuse)
+
+    def _run(self, tmp_path, capsys, argv, doc):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, json.loads(captured.out)
+
+    def test_axioms_and_complete_on_twelve_points(
+        self, tmp_path, capsys, no_enumeration
+    ):
+        doc = {"format": 1, "carrier": 12, "covers": [[[x] for x in range(12)]]}
+        code, out = self._run(tmp_path, capsys, ["axioms"], doc)
+        assert code == 0
+        assert {r["check"]: r["verdict"] for r in out["reports"]}["complete"] == "pass"
+        code, out = self._run(tmp_path, capsys, ["complete"], doc)
+        assert code == 0
+        assert out["unit"] == list(range(12))
+
+    def test_reflect_non_regular_six_points(self, tmp_path, capsys, no_enumeration):
+        doc = {"format": 1, "carrier": 6, "covers": [[[0, 1], [1, 2], [3, 4], [4, 5]]]}
+        code, out = self._run(tmp_path, capsys, ["reflect"], doc)
+        assert code == 0
+        assert out["space"]["covers"] == [[[0, 1, 2], [3, 4, 5]]]
+        assert out["reports"][0]["verdict"] == "pass"
+
+    def test_guard_is_active(self, no_enumeration):
+        with pytest.raises(AssertionError):
+            finkernel.all_subsets(finkernel.Carrier(2))
+
+
+def test_axioms_witness_unchanged_on_non_separated():
+    s = finkernel.space_from_masks(3, [[0, 1], [2]])
+    assert not is_complete(s) and not is_complete_oracle(s)
+    assert cli._completeness_witness(s) == {"reason": "not separated", "points": [0, 1]}
+    assert cli._completeness_witness(discrete(3)) is None
+
+
+def test_points_are_blocks_by_mask():
+    s = finkernel.space_from_masks(5, [[0, 3], [1], [2, 4]])
+    comp = completion(s)
+    assert comp.points == tuple(Subset.of(s.carrier, b) for b in ([1], [0, 3], [2, 4]))
+    assert comp.unit == (1, 0, 2, 1, 2)
+    assert comp.structure == discrete(3)

@@ -198,6 +198,13 @@ class TestCliLocale:
         assert code == 1
         assert "enumeration limit" in capsys.readouterr().err
 
+    def test_roundtrip_honours_max_carrier(self, tmp_path, capsys):
+        doc = {"format": 1, "carrier": 5, "covers": [[[x] for x in range(5)]]}
+        path = write(tmp_path, "d5.json", doc)
+        code = cli.main(["--max-carrier", "4", "locale", "roundtrip", path])
+        assert code == 1
+        assert "ideal enumeration limit 4" in capsys.readouterr().err
+
     def test_roundtrip_precondition_failure(self, tmp_path, capsys):
         code = cli.main(["locale", "roundtrip", write(tmp_path, "p.json", PRECOVER)])
         out = json.loads(capsys.readouterr().out)
