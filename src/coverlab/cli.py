@@ -50,20 +50,20 @@ def cmd_axioms(args) -> int:
 
     t0 = time.perf_counter()
     cr = coverspace.satisfies_cr(s)
-    reports.append(_report("regularity_cr", cr, _cr_witness(s), t0))
+    reports.append(_report("regularity_cr", cr, None if cr else _cr_witness(s), t0))
 
     t0 = time.perf_counter()
     sr = coverspace.is_strongly_regular(s)
-    reports.append(_report("strong_regularity", sr, _cr_witness(s), t0))
+    reports.append(_report("strong_regularity", sr, None if sr else _cr_witness(s), t0))
 
     t0 = time.perf_counter()
     sep = cauchy.is_separated(s)
-    reports.append(_report("separated", sep, _separation_witness(s), t0))
+    reports.append(_report("separated", sep, None if sep else _separation_witness(s), t0))
 
     t0 = time.perf_counter()
     comp = cauchy.is_complete(s, max_carrier=args.max_carrier)
     reports.append(
-        _report("complete", comp, _completeness_witness(s), t0)
+        _report("complete", comp, None if comp else _completeness_witness(s), t0)
     )
 
     t0 = time.perf_counter()

@@ -24,6 +24,9 @@ from . import xreal
 from .xreal import ConvergentSeq, Real
 
 APARTNESS_FLOOR = Fraction(1, 2**60)
+# The parser, ``evaluate`` and the answers' queries each recurse once per
+# level of nesting, against the interpreter's limit of about 1000 frames.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -63,9 +66,20 @@ def _decimal_to_fraction(text: str) -> Fraction:
 
 
 class Parser:
+    """Recursive descent over the grammar above.  Input nested deeper than
+    MAX_DEPTH is refused, counting both the factors open at once (the
+    parser's own recursion) and the depth of the tree built."""
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        self.open = 0  # factors being parsed, each inside the one before
+        self.depth = 0  # depth of the subtree parsed last
+
+    def _within(self, depth: int, tok) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprError(f"nesting deeper than {MAX_DEPTH} at position {tok[2]}")
+        return depth
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -87,31 +101,42 @@ class Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term(), self.depth
         while self.peek() and self.peek()[1] in "+-":
-            op = self.take()[1]
-            node = (op, node, self.term())
+            op = self.take()
+            node = (op[1], node, self.term())
+            depth = self._within(1 + max(depth, self.depth), op)
+        self.depth = depth
         return node
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor(), self.depth
         while self.peek() and self.peek()[1] in "*/":
-            op = self.take()[1]
-            node = (op, node, self.factor())
+            op = self.take()
+            node = (op[1], node, self.factor())
+            depth = self._within(1 + max(depth, self.depth), op)
+        self.depth = depth
         return node
 
     def factor(self):
-        if self.peek() and self.peek()[1] == "-":
-            self.take()
-            return ("neg", self.factor())
-        return self.atom()
-
-    def atom(self):
         tok = self.peek()
         if tok is None:
             raise ExprError("unexpected end of expression")
+        self.open = self._within(self.open + 1, tok)
+        if tok[1] == "-":
+            self.take()
+            node = ("neg", self.factor())
+            self.depth = self._within(self.depth + 1, tok)
+        else:
+            node = self.atom()
+        self.open -= 1
+        return node
+
+    def atom(self):
+        tok = self.peek()
         if tok[0] == "num":
             self.take()
+            self.depth = 1
             return ("lit", _decimal_to_fraction(tok[1]))
         if tok[1] == "(":
             self.take()
@@ -123,17 +148,20 @@ class Parser:
         raise ExprError(f"unexpected {tok[1]!r} at position {tok[2]}")
 
     def call(self):
-        name = self.take("name")[1]
+        tok = self.take("name")
+        name = tok[1]
         self.take(value="(")
         if name == "inv":
             arg = self.expr()
             self.take(value=";")
             delta = self.number()
             self.take(value=")")
+            self.depth = self._within(self.depth + 1, tok)
             return ("inv", arg, delta)
         if name == "exp":
             arg = self.expr()
             self.take(value=")")
+            self.depth = self._within(self.depth + 1, tok)
             return ("exp", arg)
         if name == "limit":
             form = self.take("name")[1]
@@ -142,6 +170,7 @@ class Parser:
                 self.take()
                 args.append(self.number())
             self.take(value=")")
+            self.depth = 1
             return ("limit", form, tuple(args))
         raise ExprError(f"unknown function {name!r}")
 
@@ -244,10 +273,57 @@ def _ceil(q: Fraction) -> int:
 
 
 def _geometric_index(r: Fraction, eps: Fraction) -> int:
-    n = 0
-    while abs(r) ** (n + 1) / (1 - abs(r)) > eps:
-        n += 1
-    return n
+    """Smallest n >= 0 with |r|^(n+1) / (1 - |r|) <= eps: doubling, then
+    bisection on n + 1 over the exact test, which is monotone in n."""
+    a = abs(r)
+    t = eps * (1 - a)
+    hi = 1
+    while not _power_at_most(a, hi, t):
+        hi *= 2
+    lo = hi // 2  # fails the test, or is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _power_at_most(a, mid, t):
+            hi = mid
+        else:
+            lo = mid
+    return hi - 1
+
+
+def _power_at_most(a: Fraction, n: int, t: Fraction) -> bool:
+    """Exact test of a^n <= t, without forming a^n.
+
+    Bounds on the n-th powers of a's numerator and denominator, carried
+    to p bits, decide it unless the two sides agree to about n * 2^-p;
+    p then doubles, and once the powers fit in p bits the bounds are exact.
+    """
+    p = 64
+    while True:
+        nl, nh, ns = _power_bounds(a.numerator, n, p)
+        dl, dh, ds = _power_bounds(a.denominator, n, p)
+        m = min(ns, ds)
+        # a^n <= t  iff  num^n * t.den <= den^n * t.num
+        left_lo, left_hi = ((x << (ns - m)) * t.denominator for x in (nl, nh))
+        right_lo, right_hi = ((y << (ds - m)) * t.numerator for y in (dl, dh))
+        if left_hi <= right_lo:
+            return True
+        if left_lo > right_hi:
+            return False
+        p *= 2
+
+
+def _power_bounds(b: int, n: int, p: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo * 2^s <= b^n <= hi * 2^s and hi of about p bits,
+    by squaring and multiplying with truncation down for lo, up for hi."""
+    lo = hi = 1
+    s = 0
+    for bit in bin(n)[2:]:
+        lo, hi, s = lo * lo, hi * hi, 2 * s
+        if bit == "1":
+            lo, hi = lo * b, hi * b
+        drop = max(0, hi.bit_length() - p)
+        lo, hi, s = lo >> drop, -(-hi >> drop), s + drop
+    return lo, hi, s
 
 
 def eval_expression(text: str, eps) -> xreal.RInterval:

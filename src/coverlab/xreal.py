@@ -4,10 +4,13 @@ A real is a function from a positive rational precision to an open
 rational interval of width at most that precision; all answers of one real
 pairwise overlap, and the number denoted sits strictly inside every
 answer.  Endpoints are exact fractions throughout; no floating point
-enters this module.  Cut locators, interval arithmetic with explicit
-moduli, limits of sequences with convergence witnesses, series summation,
-a uniform-convergence refuter, rational nets, and the greedy finite
-subcover for closed intervals all live here.
+enters this module.  The constructors answer exactly; the combinators
+round their answers outward onto a dyadic grid no coarser than a quarter
+of the precision asked, so endpoint sizes follow the precision instead of
+growing with the depth of the expression.  Cut locators, interval
+arithmetic with explicit moduli, limits of sequences with convergence
+witnesses, series summation, a uniform-convergence refuter, rational nets,
+and the greedy finite subcover for closed intervals all live here.
 """
 
 from __future__ import annotations
@@ -102,17 +105,31 @@ class Real:
 
     Answers are cached; the cache is guarded by a lock so concurrent
     queries stay invisible.  Each new answer is checked for width and for
-    overlap with the narrowest answer seen so far.
+    overlap with the narrowest answer seen so far.  A name given as a
+    function is built on first read: names of deep expressions and long
+    fractions are costly and are read only in error messages.
     """
 
-    __slots__ = ("_fn", "_cache", "_lock", "_narrowest", "name")
+    __slots__ = ("_fn", "_cache", "_lock", "_narrowest", "_name")
 
-    def __init__(self, fn: Callable[[Fraction], RInterval], name: str = "real"):
+    def __init__(
+        self, fn: Callable[[Fraction], RInterval], name: str | Callable[[], str] = "real"
+    ):
         self._fn = fn
         self._cache: dict[Fraction, RInterval] = {}
         self._lock = threading.Lock()
         self._narrowest: RInterval | None = None
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        if callable(self._name):
+            self._name = self._name()
+        return self._name
+
+    @name.setter
+    def name(self, name: str | Callable[[], str]) -> None:
+        self._name = name
 
     def approx(self, eps) -> RInterval:
         eps = rat(eps)
@@ -143,7 +160,7 @@ class Real:
 
 def real_of_rat(q) -> Real:
     q = rat(q)
-    return Real(lambda eps: RInterval(q - eps / 3, q + eps / 3), name=f"rat({q})")
+    return Real(lambda eps: RInterval(q - eps / 3, q + eps / 3), name=lambda: f"rat({q})")
 
 
 class Side(Enum):
@@ -250,13 +267,27 @@ def astuple(iv: RInterval) -> tuple[Fraction, Fraction]:
     return iv.lo, iv.hi
 
 
+def _round_out(lo: Fraction, hi: Fraction, eps: Fraction) -> RInterval:
+    """Floor lo and ceil hi onto the grid 2^-k, k least with 2^-k <= eps/4.
+
+    The interval keeps everything it held and grows by at most eps/2, so a
+    combinator that spends half its width budget on its arguments may round
+    its answer.
+    """
+    k = (-(-4 * eps.denominator // eps.numerator) - 1).bit_length()
+    return RInterval(
+        Fraction((lo.numerator << k) // lo.denominator, 1 << k),
+        Fraction(-(-(hi.numerator << k) // hi.denominator), 1 << k),
+    )
+
+
 def add(x: Real, y: Real) -> Real:
     def fn(eps: Fraction) -> RInterval:
-        a = x.approx(eps / 2)
-        b = y.approx(eps / 2)
-        return RInterval(a.lo + b.lo, a.hi + b.hi)
+        a = x.approx(eps / 4)
+        b = y.approx(eps / 4)
+        return _round_out(a.lo + b.lo, a.hi + b.hi, eps)
 
-    return Real(fn, name=f"({x.name}+{y.name})")
+    return Real(fn, name=lambda: f"({x.name}+{y.name})")
 
 
 def neg(x: Real) -> Real:
@@ -264,7 +295,7 @@ def neg(x: Real) -> Real:
         a = x.approx(eps)
         return RInterval(-a.hi, -a.lo)
 
-    return Real(fn, name=f"(-{x.name})")
+    return Real(fn, name=lambda: f"(-{x.name})")
 
 
 def sub(x: Real, y: Real) -> Real:
@@ -278,29 +309,29 @@ def scale(x: Real, c) -> Real:
         return real_of_rat(0)
 
     def fn(eps: Fraction) -> RInterval:
-        a = x.approx(eps / abs(c))
+        a = x.approx(eps / (2 * abs(c)))
         lo, hi = sorted((a.lo * c, a.hi * c))
-        return RInterval(lo, hi)
+        return _round_out(lo, hi, eps)
 
-    return Real(fn, name=f"({c}*{x.name})")
+    return Real(fn, name=lambda: f"({c}*{x.name})")
 
 
 def mul(x: Real, y: Real) -> Real:
     """Product via magnitude bounds: a unit-precision answer bounds each
     factor, and the precision split charges each factor with the other's
-    bound plus one."""
+    bound plus one, within half the width; the rounding takes the rest."""
 
     def fn(eps: Fraction) -> RInterval:
         bx = _magnitude_bound(x)
         by = _magnitude_bound(y)
-        ex = min(Fraction(1), eps / (2 * (by + 1)))
-        ey = min(Fraction(1), eps / (2 * (bx + 1)))
+        ex = min(Fraction(1), eps / (4 * (by + 1)))
+        ey = min(Fraction(1), eps / (4 * (bx + 1)))
         a = x.approx(ex)
         b = y.approx(ey)
         products = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
-        return RInterval(min(products), max(products))
+        return _round_out(min(products), max(products), eps)
 
-    return Real(fn, name=f"({x.name}*{y.name})")
+    return Real(fn, name=lambda: f"({x.name}*{y.name})")
 
 
 def _magnitude_bound(x: Real) -> Fraction:
@@ -312,10 +343,10 @@ def inv(x: Real, delta) -> Real:
     """Reciprocal of a real witnessed apart from zero.
 
     The witness query at the apartness radius must land entirely outside
-    the symmetric interval; each answer then queries at eps*delta^2 /
-    (1 + eps*delta), clips to the witnessed side, and inverts endpoints.
-    The clipped endpoints stay at least delta from zero, which bounds the
-    inverted width by eps.
+    the symmetric interval; each answer then queries at e*delta^2 /
+    (1 + e*delta) for e = eps/2, clips to the witnessed side, and inverts
+    endpoints.  The clipped endpoints stay at least delta from zero, which
+    bounds the inverted width by e and leaves the rest for the rounding.
     """
     delta = rat(delta)
     if delta <= 0:
@@ -325,13 +356,13 @@ def inv(x: Real, delta) -> Real:
         raise ApartnessError(witness, delta)
 
     def fn(eps: Fraction) -> RInterval:
-        gamma = eps * delta * delta / (1 + eps * delta)
-        got = x.approx(gamma)
+        e = eps / 2
+        got = x.approx(e * delta * delta / (1 + e * delta))
         lo = max(got.lo, witness.lo)
         hi = min(got.hi, witness.hi)
-        return RInterval(1 / hi, 1 / lo)
+        return _round_out(1 / hi, 1 / lo, eps)
 
-    return Real(fn, name=f"inv({x.name};{delta})")
+    return Real(fn, name=lambda: f"inv({x.name};{delta})")
 
 
 def find_apartness(x: Real, eps_floor) -> Fraction | None:
@@ -372,13 +403,14 @@ def check_cauchy_witness(seq: ConvergentSeq, eps, n: int) -> bool:
 
 
 def limit(seq: ConvergentSeq) -> Real:
-    """The limit: query the term at the modulus index and pad by the
-    convergence slack."""
+    """The limit: query the term at the modulus index, pad by the
+    convergence slack and round; the term and the padding take half the
+    width, the rounding the other half."""
 
     def fn(eps: Fraction) -> RInterval:
-        n = seq.modulus(eps / 2)
-        inner = seq.terms(n).approx(eps / 2)
-        return inner.widen(eps / 4)
+        n = seq.modulus(eps / 4)
+        inner = seq.terms(n).approx(eps / 4)
+        return _round_out(inner.lo - eps / 8, inner.hi + eps / 8, eps)
 
     return Real(fn, name="limit")
 
@@ -393,21 +425,22 @@ def sum_series(
     tail_bound(N) must bound the absolute value of the sum beyond N and
     decrease in N; tail_index(eps) must return an N whose bound is at most
     eps (checked at each use; failure raises).  Partial-sum differences
-    are bounded by two tails, hence the quarter precision below.
+    are bounded by two tails, hence the quarter precision below.  A partial
+    sum floors and ceils each term's answer to whole multiples of the
+    term precision, so it adds up two integers, not growing fractions.
     """
 
     def partial(n: int) -> Real:
         def fn(eps: Fraction) -> RInterval:
-            per = eps / (n + 1)
-            lo = Fraction(0)
-            hi = Fraction(0)
+            per = eps / (2 * (n + 1))
+            lo = hi = 0
             for k in range(n + 1):
                 got = terms(k).approx(per)
-                lo += got.lo
-                hi += got.hi
-            return RInterval(lo, hi)
+                lo += got.lo // per
+                hi -= -got.hi // per
+            return RInterval(lo * per, hi * per)
 
-        return Real(fn, name=f"partial_sum({n})")
+        return Real(fn, name=lambda: f"partial_sum({n})")
 
     def modulus(eps: Fraction) -> int:
         n = tail_index(eps / 4)
@@ -450,7 +483,7 @@ def exp_real(x: Real) -> Real:
         return scale(p, Fraction(1, math.factorial(k)))
 
     out = sum_series(term, _factorial_tail(b), _factorial_tail_index(b))
-    out.name = f"exp({x.name})"
+    out.name = lambda: f"exp({x.name})"
     return out
 
 
@@ -543,20 +576,29 @@ def finite_subcover(
     """Greedy left-to-right selection covering the closed domain.
 
     At each step the frontier point must lie strictly inside some member;
-    the member reaching furthest right is chosen.  If no member contains
-    the frontier, that rational point is an uncovered-point certificate.
+    the member reaching furthest right is chosen, the first in input order
+    among equals.  If no member contains the frontier, that rational point
+    is an uncovered-point certificate.
+
+    The frontier only moves right, so one sweep over the members sorted
+    by left endpoint suffices: a member starting left of the frontier
+    contains it exactly when it ends right of it, and the furthest-reaching
+    such member is a running maximum of (hi, -index).
     """
+    order = sorted(range(len(cover)), key=lambda i: cover[i].lo)
     chosen: list[RInterval] = []
+    best = None
+    j = 0
     pos = domain.lo
     while pos <= domain.hi:
-        best = None
-        for iv in cover:
-            if iv.contains(pos) and (best is None or iv.hi > best.hi):
-                best = iv
-        if best is None:
+        while j < len(order) and cover[order[j]].lo < pos:
+            reach = (cover[order[j]].hi, -order[j])
+            best = reach if best is None else max(best, reach)
+            j += 1
+        if best is None or best[0] <= pos:
             raise UncoveredPointError(pos)
-        chosen.append(best)
-        pos = best.hi
+        chosen.append(cover[-best[1]])
+        pos = best[0]
     return chosen
 
 

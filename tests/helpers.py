@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
-from coverlab import cauchy, coverspace
+from coverlab import cauchy, coverspace, xreal
 from coverlab.finkernel import (
     Carrier,
     Cover,
@@ -255,3 +256,31 @@ def completion_oracle(s: FiniteCoverSpace, strong: bool = False):
     return cauchy.CompletionSpace(
         points, FiniteCoverSpace(point_carrier, generator), unit
     )
+
+
+def finite_subcover_oracle(domain, cover):
+    """The greedy subcover by a full scan per pick: the member containing
+    the frontier that reaches furthest right, first in input order."""
+    chosen = []
+    pos = domain.lo
+    while pos <= domain.hi:
+        best = None
+        for iv in cover:
+            if iv.contains(pos) and (best is None or iv.hi > best.hi):
+                best = iv
+        if best is None:
+            raise xreal.UncoveredPointError(pos)
+        chosen.append(best)
+        pos = best.hi
+    return chosen
+
+
+def geometric_index_oracle(r: Fraction, eps: Fraction) -> int:
+    """Smallest n with |r|^(n+1) / (1 - |r|) <= eps, stepping n by one on
+    the integer powers of |r|'s numerator and denominator."""
+    a = abs(r)
+    t = eps * (1 - a)
+    num, den, n = a.numerator, a.denominator, 0
+    while num * t.denominator > den * t.numerator:
+        num, den, n = num * a.numerator, den * a.denominator, n + 1
+    return n

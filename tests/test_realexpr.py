@@ -1,15 +1,21 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from coverlab import cli
 from coverlab.realexpr import (
+    MAX_DEPTH,
     ExprError,
     Parser,
+    _geometric_index,
     eval_expression,
     evaluate,
     format_interval,
 )
 from coverlab.xreal import RInterval
+from helpers import geometric_index_oracle
 
 
 class TestParsing:
@@ -87,3 +93,80 @@ class TestFormatting:
         text = format_interval(iv, F(1, 10**4), "1e-4")
         printed = F(text.split(" ")[0])
         assert printed - F(1, 10**4) <= iv.lo and iv.hi <= printed + F(1, 10**4)
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "1" + ")" * 3000,
+        "+".join(["1"] * 3000),
+        "exp(" * 3000 + "1" + ")" * 3000,
+        "0" + "-" * 3000 + "1",
+    ])
+    def test_deep_input_exits_2_with_position(self, text, capsys):
+        assert cli.main(["real", "eval", text, "--eps", "1/10"]) == 2
+        err = capsys.readouterr().err
+        assert f"nesting deeper than {MAX_DEPTH} at position" in err
+        assert "Traceback" not in err
+
+    def test_depth_at_the_bound_evaluates(self, capsys):
+        parens = "(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1)
+        chain = "+".join(["1"] * MAX_DEPTH)
+        negs = "0" + "-" * (MAX_DEPTH - 1) + "1"
+        for text, value in ((parens, "1"), (chain, str(MAX_DEPTH)), (negs, "-1")):
+            assert cli.main(["real", "eval", text, "--eps", "1/10"]) == 0
+            assert capsys.readouterr().out.startswith(value + ".0 ± 1/10")
+        assert cli.main(["real", "eval", "+".join(["exp(1)"] * (MAX_DEPTH - 1)),
+                         "--eps", "1/10"]) == 0
+
+
+class TestGeometricIndex:
+    def test_matches_the_linear_search(self):
+        rng = random.Random(83)
+        ratios = [F(1, 2), F(9, 10), F(99, 100)]
+        ratios += [F(rng.randint(1, 19), 20) for _ in range(8)]
+        for r in ratios + [-r for r in ratios]:
+            for e in (3, 10, 25, 50, 100, 200):
+                eps = F(1, 10**e)
+                n = _geometric_index(r, eps)
+                # exactly the smallest n with |r|^(n+1) / (1 - |r|) <= eps
+                a, t = abs(r), eps * (1 - abs(r))
+                assert a ** (n + 1) <= t and (n == 0 or a**n > t), (r, e)
+                if e <= 50:
+                    assert n == geometric_index_oracle(r, eps), (r, e)
+
+    def test_boundary_cases(self):
+        # a^(n+1) equal to eps * (1 - a) counts as reached
+        for r, eps in ((F(1, 2), F(1, 4)), (F(1, 3), F(1, 18)), (F(0), F(1, 10**9))):
+            assert _geometric_index(r, eps) == geometric_index_oracle(r, eps)
+
+    def test_near_ties_need_more_bits(self):
+        # eps * (1 - r) within 2^-200 of r^N on either side: the 64-bit
+        # bounds cannot tell, and the answer flips between N - 1 and N
+        for r in (F(99, 100), F(7, 9), F(-1, 3)):
+            for big_n in (100, 200, 333):
+                for nudge in (1 + F(1, 2**200), 1 - F(1, 2**200)):
+                    eps = abs(r) ** big_n * nudge / (1 - abs(r))
+                    want = big_n - 1 if nudge > 1 else big_n
+                    assert _geometric_index(r, eps) == want == geometric_index_oracle(r, eps)
+
+    def test_ratio_near_one_is_quick(self):
+        started = time.perf_counter()
+        n = _geometric_index(F(999999, 10**6), F(1, 1000))
+        assert time.perf_counter() - started < 1
+        # ln(eps * (1 - r)) / ln(r) = 20723255.475...
+        assert n == 20723255
+
+
+class TestLongEndpoints:
+    def test_geometric_ratio_near_one_at_fine_precision(self, capsys):
+        # the terms' exact names ran past the interpreter's digit limit
+        assert cli.main(["real", "eval", "limit(geometric; 99/100)", "--eps", "1e-10"]) == 0
+        assert capsys.readouterr().out.startswith("100.0000000000 ± 1e-10")
+
+    def test_bounds_of_a_nested_exponential_print(self, capsys):
+        assert cli.main(["real", "eval", "exp(exp(1/4))", "--eps", "1/100", "--bounds"]) == 0
+        bounds = capsys.readouterr().out.splitlines()[1]
+        lo, hi = (F(x) for x in bounds.strip("[]").split(", "))
+        # e^(e^(1/4)) = 3.61114...
+        assert lo < F(361114, 10**5) < F(361115, 10**5) < hi and hi - lo <= F(1, 100)
+        assert max(lo.denominator, hi.denominator) <= 800

@@ -1,4 +1,5 @@
 import json
+import types
 
 import pytest
 
@@ -86,6 +87,38 @@ class TestCliAxioms:
 
         assert w in s.generator.members
         assert not any(rather_below(s, w, u) for u in s.generator.members)
+
+    @pytest.mark.parametrize("doc, code, witnesses", [
+        ({"format": 1, "carrier": 3, "covers": [[[0], [1], [2]]]}, 0, {}),
+        (PRECOVER, 1, {
+            "regularity_cr": {"generator_member": [0, 1]},
+            "strong_regularity": {"generator_member": [0, 1]},
+            "separated": {"points": [0, 1]},
+            "complete": {"reason": "not separated", "points": [0, 1]},
+        }),
+    ])
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, monkeypatch, doc, code, witnesses):
+        # the exact text printed before witnesses became lazy, with the clock fixed
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        assert cli.main(["axioms", write(tmp_path, "s.json", doc)]) == code
+        reports = []
+        for check in ("covers_valid", "regularity_cr", "strong_regularity",
+                      "separated", "complete", "proper"):
+            r = {"check": check, "verdict": "fail" if check in witnesses else "pass"}
+            if check in witnesses:
+                r["witness"] = witnesses[check]
+            reports.append({**r, "ms": 0.0})
+        want = {"carrier": doc["carrier"], "reports": reports}
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+    def test_witnesses_only_searched_on_failure(self, tmp_path, capsys, monkeypatch):
+        def refuse(s):
+            raise AssertionError("witness searched for a passing check")
+
+        monkeypatch.setattr(cli, "_cr_witness", refuse)
+        monkeypatch.setattr(cli, "_separation_witness", refuse)
+        doc = {"format": 1, "carrier": 12, "covers": [[[i] for i in range(12)]]}
+        assert cli.main(["axioms", write(tmp_path, "d12.json", doc)]) == 0
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -32,12 +32,14 @@ from coverlab.xreal import (
     real_of_rat,
     scale,
     sqrt_cut,
+    sub,
     sum_series,
     trisection_steps,
     uniform_convergence_check,
     Refuted,
     Verified,
 )
+from helpers import finite_subcover_oracle
 
 EPS_GRID = [F(1, 10), F(1, 1000), F(1, 10**6)]
 
@@ -474,6 +476,153 @@ class TestNetsAndSubcover:
             chosen = finite_subcover(interval(0, 1), balls)
             bound = math.ceil(1 / eps) + 1
             assert len(chosen) <= bound
+
+    @staticmethod
+    def _same_picks(domain, cover):
+        """The sweep and the full scan pick the same members (by identity)
+        or report the same uncovered point."""
+        try:
+            want = [id(iv) for iv in finite_subcover_oracle(domain, cover)]
+        except UncoveredPointError as e:
+            want = e.point
+        try:
+            got = [id(iv) for iv in finite_subcover(domain, cover)]
+        except UncoveredPointError as e:
+            got = e.point
+        assert got == want
+
+    def test_sweep_matches_scan_on_seeded_covers(self):
+        # endpoints on a quarter grid make ties, touching ends and gaps common
+        rng = random.Random(71)
+        for _ in range(400):
+            lo = F(rng.randint(-8, 8), 4)
+            domain = RInterval(lo, lo + F(rng.randint(1, 16), 4))
+            cover = []
+            for _ in range(rng.randint(1, 12)):
+                a = F(rng.randint(-12, 40), 4)
+                cover.append(RInterval(a, a + F(rng.randint(1, 12), 4)))
+            for _ in range(rng.randint(0, 3)):
+                iv = rng.choice(cover)
+                # an equal copy, or the same right end from another start
+                start = iv.lo if rng.random() < 0.5 else iv.hi - F(rng.randint(1, 8), 4)
+                cover.append(RInterval(start, iv.hi))
+            rng.shuffle(cover)
+            self._same_picks(domain, cover)
+
+    def test_sweep_matches_scan_on_ball_covers(self):
+        for eps in (F(1, 10), F(1, 100), F(1, 1000)):
+            net = epsilon_net(interval(0, 1), eps)
+            self._same_picks(interval(0, 1), [RInterval(q - eps, q + eps) for q in net])
+
+
+def sqrt_bracket(k: int) -> tuple[F, F]:
+    """A < sqrt(k) < B to 40 digits, k not a square."""
+    s = math.isqrt(k * 10**80)
+    return F(s, 10**40), F(s + 1, 10**40)
+
+
+def exp_bracket(lo: F, hi: F) -> tuple[F, F]:
+    """A <= e^lo and e^hi <= B for |lo|, |hi| <= 8: sixty Taylor terms with
+    the remainder bound 2|q|^61/61!, the endpoints first rounded outward to
+    2^-100 so the powers stay small."""
+
+    def bounds(q):
+        s = sum(q**k / math.factorial(k) for k in range(61))
+        tail = 2 * abs(q) ** 61 / math.factorial(61)
+        return s - tail, s + tail
+
+    scale_ = 2**100
+    return (bounds(F(math.floor(lo * scale_), scale_))[0],
+            bounds(F(math.ceil(hi * scale_), scale_))[1])
+
+
+def geometric_tail_index(r: F, bound: F):
+    def index(eps):
+        n = 0
+        while bound * abs(r) ** (n + 1) / (1 - abs(r)) > eps:
+            n += 1
+        return n
+    return index
+
+
+@st.composite
+def bracketed_reals(draw, depth=2):
+    """(real, (A, B), rounded): a real built from rationals and square
+    roots by the combinators, a rational bracket of its value computed
+    here by exact interval arithmetic (A == B when the value is exactly A,
+    else A < value < B), and whether a combinator gave the answer."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            q = draw(st.fractions(min_value=F(-4), max_value=F(4), max_denominator=60))
+            return real_of_rat(q), (q, q), False
+        k = draw(st.sampled_from([2, 3, 5, 7]))
+        return real_of_cut(sqrt_cut(k), interval(1, k)), sqrt_bracket(k), False
+    x, (a, b), _ = draw(bracketed_reals(depth - 1))
+    op = draw(st.sampled_from(["add", "sub", "mul", "scale", "inv", "exp", "series"]))
+    if op in ("add", "sub", "mul"):
+        y, (c, d), _ = draw(bracketed_reals(depth - 1))
+        if op == "add":
+            return add(x, y), (a + c, b + d), True
+        if op == "sub":
+            return sub(x, y), (a - d, b - c), True
+        products = [a * c, a * d, b * c, b * d]
+        return mul(x, y), (min(products), max(products)), True
+    if op == "inv" and (a >= F(1, 4) or b <= -F(1, 4)):
+        delta = a / 2 if a > 0 else -b / 2
+        return inv(x, delta), (1 / b, 1 / a), True
+    if op == "exp" and -3 <= a and b <= 3:
+        return exp_real(x), exp_bracket(a, b), True
+    if op == "series":
+        # sum of x * r^n over n >= 0, which is x / (1 - r)
+        r = draw(st.sampled_from([F(1, 2), F(-1, 3), F(3, 4), F(-9, 10)]))
+        bound = max(abs(a), abs(b)) + 1
+        series = sum_series(
+            lambda n: scale(x, r**n),
+            lambda n: bound * abs(r) ** (n + 1) / (1 - abs(r)),
+            geometric_tail_index(r, bound),
+        )
+        return series, tuple(sorted((a / (1 - r), b / (1 - r)))), True
+    c = draw(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=20))
+    if c == 0:
+        return scale(x, c), (F(0), F(0)), False  # the constant zero, unrounded
+    return scale(x, c), tuple(sorted((a * c, b * c))), True
+
+
+def assert_short_dyadic(iv: RInterval, eps: F) -> None:
+    """Both endpoints on the grid 2^-k, k least with 2^-k <= eps/4, or a
+    coarser one: power-of-two denominators no larger than 8/eps."""
+    for end in (iv.lo, iv.hi):
+        den = end.denominator
+        assert den & (den - 1) == 0 and den * eps <= 8, (end, eps)
+
+
+class TestOutwardRounding:
+    @given(bracketed_reals(), st.lists(st.sampled_from(
+        [F(1, 3), F(1, 10), F(2, 7), F(1, 1000), F(1, 2**20), F(1, 10**6), F(7, 10**9)]),
+        min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_answers_are_sound_narrow_and_short(self, case, precisions):
+        x, (a, b), rounded = case
+        seen = []
+        for eps in precisions:
+            got = x.approx(eps)
+            assert got.width <= eps
+            if a == b:
+                assert got.lo < a < got.hi
+            else:
+                assert got.lo <= a and b <= got.hi
+            assert all(got.overlaps(prev) for prev in seen)
+            seen.append(got)
+            if rounded:
+                assert_short_dyadic(got, eps)
+
+    def test_nested_exponential_keeps_short_endpoints(self):
+        eps = F(1, 10**4)
+        got = exp_real(exp_rational(F(1, 2))).approx(eps)
+        assert_short_dyadic(got, eps)
+        inner = exp_bracket(F(1, 2), F(1, 2))
+        lo, hi = exp_bracket(*inner)
+        assert got.lo <= lo and hi <= got.hi and got.width <= eps
 
 
 class TestConcurrency:
