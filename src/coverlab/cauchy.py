@@ -24,14 +24,11 @@ from typing import Sequence
 
 from . import coverspace
 from .finkernel import (
-    SUBSET_ENUM_LIMIT,
     Carrier,
     CarrierMismatchError,
     Cover,
     FiniteCoverSpace,
     Subset,
-    _check_size,
-    all_subsets,
     discrete,
 )
 
@@ -97,9 +94,10 @@ def regular_representative(
     """The unique regular filter equivalent to f.
 
     Closed form: the supersets of the union of all generator members
-    containing the base.  ``regular_representative_oracle`` computes the
-    same filter from the definition (intersection of all Cauchy
-    subfilters); the tests assert they agree.
+    containing the base.  ``tests/helpers.py:
+    regular_representative_oracle`` computes the same filter from the
+    definition (intersection of all Cauchy subfilters); the tests assert
+    they agree.
     """
     if not is_cauchy_filter(s, f):
         raise FilterError("regular representative requires a Cauchy filter")
@@ -107,24 +105,6 @@ def regular_representative(
     for u in s.generator.members:
         if f.base.issubset(u):
             mask |= u.mask
-    return PrincipalFilter(s.carrier, Subset(s.carrier, mask))
-
-
-def regular_representative_oracle(
-    s: FiniteCoverSpace, f: PrincipalFilter
-) -> PrincipalFilter:
-    """Definition-level computation: intersect all Cauchy subfilters of f.
-
-    A subfilter of a principal filter enlarges the base, and the
-    intersection of principal filters is the filter of the union of their
-    bases.
-    """
-    if not is_cauchy_filter(s, f):
-        raise FilterError("regular representative requires a Cauchy filter")
-    mask = 0
-    for b in all_subsets(s.carrier):
-        if f.base.issubset(b) and is_cauchy_filter(s, PrincipalFilter(s.carrier, b)):
-            mask |= b.mask
     return PrincipalFilter(s.carrier, Subset(s.carrier, mask))
 
 
@@ -170,27 +150,20 @@ def separated_char_conditions(
 
 
 def is_separated(s: FiniteCoverSpace) -> bool:
-    """Equivalent points are equal."""
-    return all(
-        not point_equiv(s, x, y)
-        for x in s.carrier.elements()
-        for y in s.carrier.elements()
-        if x != y
-    )
+    """Equivalent points are equal.  Two points are equivalent exactly
+    when some generator member contains both (``point_equiv``), so every
+    member must be a singleton: O(k) for k members."""
+    return all(w.mask & (w.mask - 1) == 0 for w in s.generator.members)
 
 
-def is_complete(s: FiniteCoverSpace, max_carrier: int | None = None) -> bool:
+def is_complete(s: FiniteCoverSpace) -> bool:
     """Separated, and every Cauchy filter is equivalent to a point filter.
 
     On a finite carrier this is separation alone: separated means every
     generator member is a singleton, so the Cauchy bases are the
-    singletons, each its own point filter.  Separated carriers above the
-    subset guard are still refused.
+    singletons, each its own point filter.
     """
-    if not is_separated(s):
-        return False
-    _check_size(s.size, max_carrier or SUBSET_ENUM_LIMIT, "subset")
-    return True
+    return is_separated(s)
 
 
 @dataclass(frozen=True)
@@ -212,9 +185,7 @@ class CompletionSpace:
         return len(self.points)
 
 
-def _build_completion(
-    s: FiniteCoverSpace, regular_check, max_carrier=None
-) -> CompletionSpace:
+def _build_completion(s: FiniteCoverSpace, regular_check) -> CompletionSpace:
     """The completion of a space whose generator is a partition.
 
     The callers check (strong) regularity, which on a finite carrier means
@@ -224,7 +195,6 @@ def _build_completion(
     are the blocks, the unit sends x to its block, and the structure is
     discrete on the blocks.
     """
-    _check_size(s.size, max_carrier or SUBSET_ENUM_LIMIT, "subset")
     points = s.generator.sorted_members()
     unit = [0] * s.size
     for i, b in enumerate(points):
@@ -235,9 +205,7 @@ def _build_completion(
     return CompletionSpace(points, discrete(len(points)), tuple(unit))
 
 
-def completion(
-    s: FiniteCoverSpace, max_carrier: int | None = None
-) -> CompletionSpace:
+def completion(s: FiniteCoverSpace) -> CompletionSpace:
     """The complete space of regular Cauchy filters with its unit map.
 
     Requires the regularity axiom; without it representatives need not be
@@ -247,12 +215,10 @@ def completion(
         raise coverspace.RegularityError(
             "completion requires the regularity axiom; reflect first"
         )
-    return _build_completion(s, is_filter_regular, max_carrier)
+    return _build_completion(s, is_filter_regular)
 
 
-def strong_completion(
-    s: FiniteCoverSpace, max_carrier: int | None = None
-) -> CompletionSpace:
+def strong_completion(s: FiniteCoverSpace) -> CompletionSpace:
     """Completion built from strongly regular weakly Cauchy filters.
 
     On a finite carrier weakly proper principal filters are proper and the
@@ -264,7 +230,7 @@ def strong_completion(
         raise coverspace.RegularityError(
             "strong completion requires strong regularity"
         )
-    return _build_completion(s, is_filter_strongly_regular, max_carrier)
+    return _build_completion(s, is_filter_strongly_regular)
 
 
 def finite_subcover(s: FiniteCoverSpace, c: Cover) -> list[Subset]:
@@ -295,10 +261,10 @@ def dense_lift(
 
     For each point of y, transport its neighborhood filter back along f,
     push it forward along g, and take the unique point of z equivalent to
-    the result.  ``dense_lift_transport`` recomputes the answer through
-    the member-enlargement description of point filters; the tests assert
-    the two agree, that the extension restricts to g, and that it is a
-    structure-preserving map.
+    the result.  ``tests/helpers.py: dense_lift_transport`` recomputes the
+    answer through the member-enlargement description of point filters;
+    the tests assert the two agree, that the extension restricts to g, and
+    that it is a structure-preserving map.
     """
     _check_lift_preconditions(f, x, y, g, z)
     out = []
@@ -317,45 +283,6 @@ def dense_lift(
                 "target is not complete"
             )
         out.append(candidates[0])
-    return tuple(out)
-
-
-def dense_lift_transport(
-    f: Sequence[int],
-    x: FiniteCoverSpace,
-    y: FiniteCoverSpace,
-    g: Sequence[int],
-    z: FiniteCoverSpace,
-) -> tuple[int, ...]:
-    """Second route: the extension's neighborhood filter at a point is the
-    rather-below enlargement of the transported filter; match it against
-    the point filters of z directly."""
-    _check_lift_preconditions(f, x, y, g, z)
-    out = []
-    for yp in y.carrier.elements():
-        base_z = _pushed_base(f, x, g, z, y, yp)
-        z_subsets = all_subsets(z.carrier)
-        enlarged = [
-            u
-            for u in z_subsets
-            if any(
-                base_z.issubset(v) and coverspace.rather_below(z, v, u)
-                for v in z_subsets
-            )
-        ]
-        nbhd_mask = z.carrier.full_mask
-        for u in enlarged:
-            nbhd_mask &= u.mask
-        matches = [
-            zp
-            for zp in z.carrier.elements()
-            if coverspace.neighborhood_base(z, zp).mask == nbhd_mask
-        ]
-        if len(matches) != 1:
-            raise FilterError(
-                f"transported filter at point {yp} matches {len(matches)} points"
-            )
-        out.append(matches[0])
     return tuple(out)
 
 

@@ -34,19 +34,21 @@ def _emit(doc: dict) -> int:
 
 
 def _load_space(path: str):
+    """The space a file presents and its ``covers_valid`` report; the space
+    is None when a listed cover misses points of the carrier."""
     with open(path, encoding="utf-8") as fh:
-        return spacefile.parse_spacefile(fh.read())
+        sf = spacefile.parse_spacefile(fh.read())
+    t0 = time.perf_counter()
+    ok, witness = spacefile.covers_valid(sf)
+    covers = _report("covers_valid", ok, witness, t0)
+    return (spacefile.to_space(sf) if ok else None), covers
 
 
 def cmd_axioms(args) -> int:
-    sf = _load_space(args.file)
-    reports = []
-    t0 = time.perf_counter()
-    ok, witness = spacefile.covers_valid(sf)
-    reports.append(_report("covers_valid", ok, witness, t0))
-    if not ok:
+    s, covers = _load_space(args.file)
+    reports = [covers]
+    if s is None:
         return _emit({"reports": reports})
-    s = spacefile.to_space(sf)
 
     t0 = time.perf_counter()
     cr = coverspace.satisfies_cr(s)
@@ -61,7 +63,7 @@ def cmd_axioms(args) -> int:
     reports.append(_report("separated", sep, None if sep else _separation_witness(s), t0))
 
     t0 = time.perf_counter()
-    comp = cauchy.is_complete(s, max_carrier=args.max_carrier)
+    comp = cauchy.is_complete(s)
     reports.append(
         _report("complete", comp, None if comp else _completeness_witness(s), t0)
     )
@@ -72,17 +74,24 @@ def cmd_axioms(args) -> int:
 
 
 def _cr_witness(s):
+    # regular means the generator is a partition (coverspace.satisfies_cr),
+    # so the witness is the first member sharing a point with another
+    seen = shared = 0
+    for w in s.generator.members:
+        shared |= seen & w.mask
+        seen |= w.mask
     for w in s.generator.sorted_members():
-        if not any(coverspace.rather_below(s, w, u) for u in s.generator.members):
+        if w.mask & shared:
             return {"generator_member": list(w.members())}
     return None
 
 
 def _separation_witness(s):
+    # x and y are equivalent exactly when y lies in x's smallest neighborhood
     for x in s.carrier.elements():
-        for y in s.carrier.elements():
-            if x < y and cauchy.point_equiv(s, x, y):
-                return {"points": [x, y]}
+        above = coverspace.neighborhood_base(s, x).mask >> (x + 1)
+        if above:
+            return {"points": [x, x + (above & -above).bit_length()]}
     return None
 
 
@@ -93,19 +102,20 @@ def _completeness_witness(s):
 
 
 def cmd_complete(args) -> int:
-    sf = _load_space(args.file)
-    s = spacefile.to_space(sf)
+    s, covers = _load_space(args.file)
+    if s is None:
+        return _emit({"reports": [covers]})
     reports = []
     reflected = False
     if not coverspace.satisfies_cr(s):
         s = coverspace.regular_reflection(s)
         reflected = True
     t0 = time.perf_counter()
-    comp = cauchy.completion(s, max_carrier=args.max_carrier)
+    comp = cauchy.completion(s)
     reports.append(_report("completion_built", True, None, t0))
 
     t0 = time.perf_counter()
-    again = cauchy.completion(comp.structure, max_carrier=args.max_carrier)
+    again = cauchy.completion(comp.structure)
     idem = cauchy.spaces_isomorphic(again.structure, comp.structure)
     reports.append(_report("completion_idempotent", idem, {}, t0))
 
@@ -123,8 +133,9 @@ def cmd_complete(args) -> int:
 
 
 def cmd_reflect(args) -> int:
-    sf = _load_space(args.file)
-    s = spacefile.to_space(sf)
+    s, covers = _load_space(args.file)
+    if s is None:
+        return _emit({"reports": [covers]})
     t0 = time.perf_counter()
     r = coverspace.regular_reflection(s)
     reports = [_report("reflection_regular", coverspace.satisfies_cr(r), {}, t0)]
@@ -139,8 +150,9 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_locale(args) -> int:
-    sf = _load_space(args.file)
-    s = spacefile.to_space(sf)
+    s, covers = _load_space(args.file)
+    if s is None:
+        return _emit({"reports": [covers]})
     if args.action == "build":
         t0 = time.perf_counter()
         m = locales.locale_of_space(s, max_carrier=args.max_carrier)
@@ -240,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-carrier",
         type=int,
         default=None,
-        help="override enumeration size guards (may be very slow)",
+        help="override the frame size guard of the locale subcommands "
+        "(may be very slow)",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

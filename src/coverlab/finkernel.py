@@ -267,17 +267,13 @@ def product_subset(u: Subset, v: Subset, carrier: Carrier) -> Subset:
     return Subset(carrier, mask)
 
 
-def product(
-    x: FiniteCoverSpace, y: FiniteCoverSpace, max_carrier: int | None = None
-) -> FiniteCoverSpace:
+def product(x: FiniteCoverSpace, y: FiniteCoverSpace) -> FiniteCoverSpace:
     """Product space on the pair carrier, generated by member products.
 
     If the resulting generator fails the regularity axiom (possible only
     when an input is a bare precover), the regular reflection is applied.
     """
-    n = x.size * y.size
-    _check_size(n, max_carrier or SUBSET_ENUM_LIMIT, "product carrier")
-    carrier = Carrier(n)
+    carrier = Carrier(x.size * y.size)
     members = {
         product_subset(u, v, carrier)
         for u in x.generator.members

@@ -314,10 +314,6 @@ def locale_is_proper(m: FiniteLocale) -> bool:
     return largest_open_within(m, ()) == m.bottom
 
 
-def _point_list(m: FiniteLocale) -> list[FrameElement]:
-    return list(m._primes)
-
-
 def point_space(m: FiniteLocale) -> FiniteCoverSpace:
     """The cover space on the points: distinguished covers are those whose
     members' best open approximations join to the top.
@@ -325,7 +321,7 @@ def point_space(m: FiniteLocale) -> FiniteCoverSpace:
     The generator is the family of prime extents; the tests check it
     against the join condition over all families.
     """
-    primes = _point_list(m)
+    primes = m._primes
     if not primes:
         raise LocaleConditionError("locale has no points; carrier would be empty")
     carrier = Carrier(len(primes))
@@ -344,7 +340,7 @@ def point_cover_is_distinguished(
 ) -> bool:
     """Definition-level membership for covers of the point space: the
     joins of the best open approximations reach the top."""
-    primes = _point_list(m)
+    primes = m._primes
     opens = []
     for u in family:
         pts = tuple(
@@ -366,8 +362,8 @@ def frame_map_of_cover_map(
         raise LocaleConditionError("source locale is not proper")
     if not n.is_regular():
         raise LocaleConditionError("target locale is not regular")
-    m_primes = _point_list(m)
-    n_primes = _point_list(n)
+    m_primes = m._primes
+    n_primes = n._primes
     out = []
     for a in n.elements:
         parts = []
@@ -390,8 +386,8 @@ def cover_map_of_frame_map(
 ) -> tuple[int, ...]:
     """The point map induced by a frame map table (indexed like
     ``frame_map_of_cover_map`` output)."""
-    m_primes = _point_list(m)
-    n_primes = _point_list(n)
+    m_primes = m._primes
+    n_primes = n._primes
     out = []
     for q in m_primes:
         member_ideal = None
@@ -450,7 +446,7 @@ def verify_equivalence(
     m = locale_of_space(s, max_carrier=max_carrier)
     checks.append(("locale_regular", m.is_regular(), ""))
     checks.append(("locale_proper", locale_is_proper(m), ""))
-    primes = _point_list(m)
+    primes = m._primes
     checks.append(
         ("point_count_matches", len(primes) == s.size,
          f"{len(primes)} points vs carrier {s.size}")

@@ -61,13 +61,68 @@ def _canonical_covers(n: int) -> tuple[Cover, ...]:
     return tuple(all_canonical_covers(Carrier(n)))
 
 
+def satisfies_cr_oracle(s: FiniteCoverSpace) -> bool:
+    """The regularity axiom evaluated on the generator: every generator
+    member is rather below some generator member."""
+    return all(
+        any(coverspace.rather_below(s, w, u) for u in s.generator.members)
+        for w in s.generator.members
+    )
+
+
+def is_strongly_regular_oracle(s: FiniteCoverSpace) -> bool:
+    """Strong regularity evaluated on the generator."""
+    return all(
+        any(coverspace.strongly_rather_below(s, w, u) for u in s.generator.members)
+        for w in s.generator.members
+    )
+
+
+def cr_holds_for_cover(s: FiniteCoverSpace, c) -> bool:
+    """Definition-level regularity instance: the rather-below expansion of
+    the family c is distinguished."""
+    members = list(c.members if isinstance(c, Cover) else c)
+    expansion = [
+        w
+        for w in all_subsets(s.carrier)
+        if any(coverspace.rather_below(s, w, u) for u in members)
+    ]
+    return coverspace.is_cauchy(s, expansion)
+
+
+def is_separated_oracle(s: FiniteCoverSpace) -> bool:
+    """No two distinct points are equivalent, tried pair by pair."""
+    return all(
+        not cauchy.point_equiv(s, x, y)
+        for x in s.carrier.elements()
+        for y in s.carrier.elements()
+        if x != y
+    )
+
+
+def is_embedding_oracle(f, x: FiniteCoverSpace, y: FiniteCoverSpace) -> bool:
+    """A cover map whose pushed family {V : f^{-1}(V) inside some member of
+    x's generator}, enumerated over every subset of y, is distinguished."""
+    if not coverspace.is_cover_map(f, x, y):
+        return False
+    pushed = []
+    for v in all_subsets(y.carrier):
+        pre = 0
+        for i, j in enumerate(f):
+            if v.contains(j):
+                pre |= 1 << i
+        if any(pre & ~u.mask == 0 for u in x.generator.members):
+            pushed.append(v)
+    return coverspace.is_cauchy(y, pushed)
+
+
 def cover_space_generators(n: int) -> list[Cover]:
     """Every canonical generator on n points whose structure satisfies the
     regularity axiom, i.e. every cover space on that carrier."""
     return [
         c
         for c in _canonical_covers(n)
-        if coverspace.satisfies_cr(space_from_cover(c))
+        if satisfies_cr_oracle(space_from_cover(c))
     ]
 
 
@@ -189,7 +244,7 @@ def regular_reflection_oracle(s: FiniteCoverSpace) -> FiniteCoverSpace:
     satisfies the regularity axiom.  Carriers of at most 4 points."""
     acc = Cover.of_masks(s.carrier, {s.carrier.full_mask})
     for e in _canonical_covers(s.size):
-        if refines(s.generator, e) and coverspace.satisfies_cr(space_from_cover(e)):
+        if refines(s.generator, e) and satisfies_cr_oracle(space_from_cover(e)):
             acc = meet(acc, e)
     return space_from_cover(acc)
 
@@ -204,7 +259,7 @@ def filter_refinable_oracle(s: FiniteCoverSpace, f, below) -> bool:
 def is_complete_oracle(s: FiniteCoverSpace) -> bool:
     """Separated, and every Cauchy filter (one per subset of the carrier)
     is equivalent to some point filter."""
-    if not cauchy.is_separated(s):
+    if not is_separated_oracle(s):
         return False
     for a in all_subsets(s.carrier):
         f = cauchy.PrincipalFilter(s.carrier, a)
@@ -225,9 +280,9 @@ def completion_oracle(s: FiniteCoverSpace, strong: bool = False):
     ``strong`` runs the strong conditions.  Raises like the library when
     the space fails its regularity precondition."""
     if strong:
-        regular, below = coverspace.is_strongly_regular, coverspace.strongly_rather_below
+        regular, below = is_strongly_regular_oracle, coverspace.strongly_rather_below
     else:
-        regular, below = coverspace.satisfies_cr, coverspace.rather_below
+        regular, below = satisfies_cr_oracle, coverspace.rather_below
     if not regular(s):
         raise coverspace.RegularityError("regularity precondition fails")
     bases = set()
@@ -256,6 +311,58 @@ def completion_oracle(s: FiniteCoverSpace, strong: bool = False):
     return cauchy.CompletionSpace(
         points, FiniteCoverSpace(point_carrier, generator), unit
     )
+
+
+def regular_representative_oracle(s: FiniteCoverSpace, f):
+    """The regular representative from its definition: intersect all
+    Cauchy subfilters of f.
+
+    A subfilter of a principal filter enlarges the base, and the
+    intersection of principal filters is the filter of the union of their
+    bases.
+    """
+    if not cauchy.is_cauchy_filter(s, f):
+        raise cauchy.FilterError("regular representative requires a Cauchy filter")
+    mask = 0
+    for b in all_subsets(s.carrier):
+        if f.base.issubset(b) and cauchy.is_cauchy_filter(
+            s, cauchy.PrincipalFilter(s.carrier, b)
+        ):
+            mask |= b.mask
+    return cauchy.PrincipalFilter(s.carrier, Subset(s.carrier, mask))
+
+
+def dense_lift_transport(f, x, y, g, z) -> tuple[int, ...]:
+    """Second route to ``cauchy.dense_lift``: the extension's neighborhood
+    filter at a point is the rather-below enlargement of the transported
+    filter; match it against the point filters of z directly."""
+    cauchy._check_lift_preconditions(f, x, y, g, z)
+    out = []
+    for yp in y.carrier.elements():
+        base_z = cauchy._pushed_base(f, x, g, z, y, yp)
+        z_subsets = all_subsets(z.carrier)
+        enlarged = [
+            u
+            for u in z_subsets
+            if any(
+                base_z.issubset(v) and coverspace.rather_below(z, v, u)
+                for v in z_subsets
+            )
+        ]
+        nbhd_mask = z.carrier.full_mask
+        for u in enlarged:
+            nbhd_mask &= u.mask
+        matches = [
+            zp
+            for zp in z.carrier.elements()
+            if coverspace.neighborhood_base(z, zp).mask == nbhd_mask
+        ]
+        if len(matches) != 1:
+            raise cauchy.FilterError(
+                f"transported filter at point {yp} matches {len(matches)} points"
+            )
+        out.append(matches[0])
+    return tuple(out)
 
 
 def finite_subcover_oracle(domain, cover):

@@ -17,7 +17,6 @@ from coverlab.cauchy import (
     PrincipalFilter,
     completion,
     dense_lift,
-    dense_lift_transport,
     filters_equivalent,
     is_cauchy_filter,
     is_complete,
@@ -61,7 +60,12 @@ from coverlab.locales import (
     points_of_open,
     verify_equivalence,
 )
-from helpers import all_spaces_up_to, random_partition_space, random_subset
+from helpers import (
+    all_spaces_up_to,
+    dense_lift_transport,
+    random_partition_space,
+    random_subset,
+)
 
 
 class TestCriterion01ClosureDecision:

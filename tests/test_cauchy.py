@@ -9,7 +9,6 @@ from coverlab.cauchy import (
     PrincipalFilter,
     completion,
     dense_lift,
-    dense_lift_transport,
     filters_equivalent,
     finite_subcover,
     is_cauchy_filter,
@@ -20,7 +19,6 @@ from coverlab.cauchy import (
     point_filter,
     principal,
     regular_representative,
-    regular_representative_oracle,
     separated_char_conditions,
     spaces_isomorphic,
     strong_completion,
@@ -44,9 +42,11 @@ from coverlab.finkernel import (
 )
 from helpers import (
     all_spaces_up_to,
+    dense_lift_transport,
     random_partition_space,
     random_precover_space,
     random_subset,
+    regular_representative_oracle,
 )
 
 
@@ -298,12 +298,9 @@ class TestCompletion:
             completion(space_from_masks(3, [[0, 1], [1, 2]]))
 
     def test_size_guard_with_override(self):
-        from coverlab.finkernel import CarrierSizeError
-
+        # the subset guard is gone: the completion enumerates nothing
         big = space_from_masks(13, [[x] for x in range(13)])
-        with pytest.raises(CarrierSizeError):
-            completion(big)
-        comp = completion(big, max_carrier=13)
+        comp = completion(big)
         assert comp.size == 13
 
     def test_exhaustive_postconditions(self):

@@ -1,31 +1,43 @@
 """The closed forms of the finite kernel against their definition-level
-oracles: filter regularity, completeness, completion and the regular
-reflection.  Exhaustive up to carrier size 4, seeded random cases above."""
+oracles: regularity, separation, embeddings, filter regularity,
+completeness, completion, the regular reflection and the CLI witnesses.
+Exhaustive up to carrier size 4, seeded random cases above."""
 
+import itertools
 import json
 import random
 import sys
+import time
 
 import pytest
 
-from coverlab import cli, coverspace, finkernel
+from coverlab import cauchy, cli, coverspace, finkernel
 from coverlab.cauchy import (
     PrincipalFilter,
     completion,
     is_complete,
     is_filter_regular,
     is_filter_strongly_regular,
+    is_separated,
     strong_completion,
 )
-from coverlab.coverspace import RegularityError, regular_reflection, satisfies_cr
+from coverlab.coverspace import (
+    RegularityError,
+    is_embedding,
+    is_strongly_regular,
+    regular_reflection,
+    satisfies_cr,
+)
 from coverlab.finkernel import (
     Cover,
     Subset,
     all_subsets,
     canonicalize,
     discrete,
+    indiscrete,
     maximal_masks,
     refines,
+    transfer,
 )
 from helpers import (
     all_precovers_up_to,
@@ -33,9 +45,13 @@ from helpers import (
     completion_oracle,
     filter_refinable_oracle,
     is_complete_oracle,
+    is_embedding_oracle,
+    is_separated_oracle,
+    is_strongly_regular_oracle,
     random_partition_space,
     random_precover_space,
     regular_reflection_oracle,
+    satisfies_cr_oracle,
 )
 
 PRECOVERS_4 = all_precovers_up_to(4)
@@ -58,6 +74,96 @@ def _completion_or_error(build, s):
         return build(s)
     except RegularityError:
         return RegularityError
+
+
+class TestRegularity:
+    def test_exhaustive(self):
+        for s in PRECOVERS_4:
+            assert satisfies_cr(s) == satisfies_cr_oracle(s)
+            assert is_strongly_regular(s) == is_strongly_regular_oracle(s)
+
+    def test_seeded_five_to_ten(self):
+        for s in _random_cases(seed=306):
+            assert satisfies_cr(s) == satisfies_cr_oracle(s)
+            assert is_strongly_regular(s) == is_strongly_regular_oracle(s)
+
+
+class TestSeparation:
+    def test_exhaustive(self):
+        for s in PRECOVERS_4:
+            assert is_separated(s) == is_separated_oracle(s)
+
+    def test_seeded_five_to_ten(self):
+        for s in _random_cases(seed=307):
+            assert is_separated(s) == is_separated_oracle(s)
+
+
+class TestEmbedding:
+    def _check(self, y, tables, sources):
+        """Each table into y against the given sources on its length, and
+        against the transferred structure, which always makes it an
+        embedding."""
+        for f in tables:
+            for x in sources(len(f)):
+                assert is_embedding(f, x, y) == is_embedding_oracle(f, x, y)
+            x = transfer(f, y)
+            assert is_embedding(f, x, y) and is_embedding_oracle(f, x, y)
+
+    def test_exhaustive_small_tables(self):
+        # every table from up to two points, or three into up to three,
+        # against every structure on its source
+        def sources(m):
+            return [x for x in PRECOVERS_4 if x.size == m]
+
+        for y in PRECOVERS_4:
+            lengths = (1, 2, 3) if y.size <= 3 else (1, 2)
+            tables = [
+                t for m in lengths for t in itertools.product(range(y.size), repeat=m)
+            ]
+            self._check(y, tables, sources)
+
+    def test_seeded_five_to_ten(self):
+        rng = random.Random(308)
+        for y in _random_cases(seed=309):
+            tables = [
+                [rng.randrange(y.size) for _ in range(rng.randint(1, y.size))]
+                for _ in range(6)
+            ]
+            self._check(
+                y,
+                tables,
+                lambda m: (discrete(m), indiscrete(m), random_precover_space(rng, m)),
+            )
+
+
+def _cr_witness_scan(s):
+    """The regularity witness by the rather-below scan: the first member,
+    by ascending mask, rather below no generator member."""
+    for w in s.generator.sorted_members():
+        if not any(coverspace.rather_below(s, w, u) for u in s.generator.members):
+            return {"generator_member": list(w.members())}
+    return None
+
+
+def _separation_witness_scan(s):
+    """The separation witness by the point-pair scan."""
+    for x in s.carrier.elements():
+        for y in s.carrier.elements():
+            if x < y and cauchy.point_equiv(s, x, y):
+                return {"points": [x, y]}
+    return None
+
+
+class TestWitnesses:
+    def test_exhaustive(self):
+        for s in PRECOVERS_4:
+            assert cli._cr_witness(s) == _cr_witness_scan(s)
+            assert cli._separation_witness(s) == _separation_witness_scan(s)
+
+    def test_seeded_five_to_ten(self):
+        for s in _random_cases(seed=310):
+            assert cli._cr_witness(s) == _cr_witness_scan(s)
+            assert cli._separation_witness(s) == _separation_witness_scan(s)
 
 
 class TestFilterRegularity:
@@ -83,9 +189,8 @@ class TestCompleteness:
             assert is_complete(s) == is_complete_oracle(s)
 
     def test_subset_guard_kept_for_separated_carriers(self):
-        with pytest.raises(finkernel.CarrierSizeError):
-            is_complete(discrete(13))
-        assert is_complete(discrete(13), max_carrier=13)
+        # the subset guard is gone: completeness is separation
+        assert is_complete(discrete(13))
         assert not is_complete(finkernel.indiscrete(13))
 
 
@@ -144,8 +249,8 @@ class TestMaximalMasks:
 
 
 class TestNoEnumeration:
-    """The CLI's completeness, completion and reflection paths run without
-    enumerating subsets or canonical covers."""
+    """The CLI's axioms, completion and reflection paths and the embedding
+    test run without enumerating subsets or canonical covers."""
 
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
@@ -183,6 +288,38 @@ class TestNoEnumeration:
         assert code == 0
         assert out["space"]["covers"] == [[[0, 1, 2], [3, 4, 5]]]
         assert out["reports"][0]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("kind, command, code", [
+        ("discrete", "axioms", 0),
+        ("discrete", "complete", 0),
+        ("discrete", "reflect", 0),
+        ("chain", "axioms", 1),
+        ("chain", "complete", 0),
+        ("chain", "reflect", 0),
+    ])
+    def test_two_hundred_points_in_bounded_time(
+        self, tmp_path, capsys, no_enumeration, kind, command, code
+    ):
+        if kind == "discrete":
+            cover = [[x] for x in range(200)]
+        else:  # overlapping chain {0,1}, {1,2}, ..., {198,199}
+            cover = [[x, x + 1] for x in range(199)]
+        doc = {"format": 1, "carrier": 200, "covers": [cover]}
+        started = time.perf_counter()
+        got, out = self._run(tmp_path, capsys, [command], doc)
+        assert time.perf_counter() - started < 2.0
+        assert got == code
+        if command == "complete":
+            assert out["space"]["carrier"] == (200 if kind == "discrete" else 1)
+
+    def test_embedding_on_two_hundred_points(self, no_enumeration):
+        chain = finkernel.space_from_masks(200, [[x, x + 1] for x in range(199)])
+        f = list(range(100))
+        assert is_embedding(f, transfer(f, chain), chain)
+        assert not is_embedding(f, discrete(100), chain)
+        s = discrete(200)
+        comp = completion(s)
+        assert is_embedding(comp.unit, s, comp.structure)
 
     def test_guard_is_active(self, no_enumeration):
         with pytest.raises(AssertionError):

@@ -8,7 +8,6 @@ from coverlab.coverspace import (
     RegularityError,
     SubbasePresentation,
     close_subbase,
-    cr_holds_for_cover,
     from_topology,
     interior,
     is_cauchy,
@@ -46,6 +45,7 @@ from helpers import (
     all_cauchy_covers,
     all_precovers_up_to,
     all_spaces_up_to,
+    cr_holds_for_cover,
     partitions_are_the_cover_spaces,
     random_partition_space,
     random_precover_space,

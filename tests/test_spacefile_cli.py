@@ -135,6 +135,30 @@ class TestCliAxioms:
         assert out["reports"][0]["witness"]["missing_points"] == [2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["complete"], ["reflect"],
+    ["locale", "build"], ["locale", "points"], ["locale", "roundtrip"],
+], ids="-".join)
+def test_noncovering_cover_reports_fail_on_every_subcommand(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # the same covers_valid report as axioms gives, in place of a failure
+    # inside the Cover constructor
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    path = write(tmp_path, "nc.json", {"format": 1, "carrier": 3, "covers": [[[0], [1]]]})
+    assert cli.main([*argv, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"reports": [{
+        "check": "covers_valid",
+        "verdict": "fail",
+        "witness": {"cover": 0, "missing_points": [2]},
+        "ms": 0.0,
+    }]}
+    assert cli.main(["axioms", path]) == 1
+    assert capsys.readouterr().out == captured.out
+
+
 class TestCliComplete:
     def test_indiscrete_collapses(self, tmp_path, capsys):
         doc = {"format": 1, "carrier": 3, "covers": [[[0, 1, 2]]]}
@@ -177,8 +201,9 @@ class TestCliSizeGuards:
             "covers": [[[x] for x in range(13)]],
         }
         path = write(tmp_path, "big.json", doc)
-        assert cli.main(["complete", path]) == 1
-        assert "enumeration limit" in capsys.readouterr().err
+        # no guard applies: the completion enumerates nothing
+        assert cli.main(["complete", path]) == 0
+        assert json.loads(capsys.readouterr().out)["space"]["carrier"] == 13
 
     def test_override_allows_it_with_warning(self, tmp_path, capsys):
         doc = {
