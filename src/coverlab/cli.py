@@ -3,19 +3,32 @@
 Subcommands: ``axioms``, ``complete``, ``reflect``, ``locale
 build|points|roundtrip``, ``real eval --eps``, ``demo heine-borel --eps``.
 Reports are printed as JSON; exit code 0 when every check passes, 1 when
-any fails, 2 on usage or parse errors.
+any fails, 2 on usage or parse errors.  Two bounds keep every answer
+finite: ``locale points`` refuses (exit 1) a frame whose points would
+print more than ``MAX_POINT_SUBSETS`` maximal subsets, and a precision
+whose decimal exponent exceeds ``MAX_EPS_EXPONENT`` in magnitude is a
+parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import cauchy, coverspace, locales, realexpr, spacefile, xreal
-from .finkernel import Subset, maximal_masks
+
+# The most maximal subsets `locale points` prints over all points: each
+# point's count is the product of the sizes of the other atoms, which on a
+# partition into pairs doubles with every pair.
+MAX_POINT_SUBSETS = 10_000
+# Fraction builds 10**exponent exactly, in time growing with the exponent;
+# 1e-100000 is still admitted.
+MAX_EPS_EXPONENT = 100_000
 
 
 def _report(check: str, ok: bool, witness=None, started: float | None = None) -> dict:
@@ -37,7 +50,13 @@ def _load_space(path: str):
     """The space a file presents and its ``covers_valid`` report; the space
     is None when a listed cover misses points of the carrier."""
     with open(path, encoding="utf-8") as fh:
-        sf = spacefile.parse_spacefile(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise spacefile.SpaceFileError(
+                f"not UTF-8 text: byte {e.start} cannot be decoded"
+            ) from e
+    sf = spacefile.parse_spacefile(text)
     t0 = time.perf_counter()
     ok, witness = spacefile.covers_valid(sf)
     covers = _report("covers_valid", ok, witness, t0)
@@ -155,25 +174,34 @@ def cmd_locale(args) -> int:
         return _emit({"reports": [covers]})
     if args.action == "build":
         t0 = time.perf_counter()
-        m = locales.locale_of_space(s, max_carrier=args.max_carrier)
+        m = locales.locale_of_space(s)
         reports = [
             _report("locale_built", True, None, t0),
             _report("locale_regular", m.is_regular()),
             _report("locale_proper", locales.locale_is_proper(m)),
         ]
-        return _emit({"elements": len(m), "reports": reports})
+        return _emit({"elements": 1 << len(m.atoms), "reports": reports})
     if args.action == "points":
-        m = locales.locale_of_space(s, max_carrier=args.max_carrier)
+        m = locales.locale_of_space(s)
+        sizes = [w.bit_count() for w in m.atoms]
+        whole = math.prod(sizes)
+        total = sum(whole // z for z in sizes)
+        if total > MAX_POINT_SUBSETS:
+            raise ValueError(
+                f"locale points would print {total} maximal subsets, "
+                f"more than {MAX_POINT_SUBSETS}"
+            )
         pts = locales.locale_points(m)
         doc = {
             "count": len(pts),
             "points": [
-                [list(u.members()) for u in _maximal(p.prime)] for p in pts
+                [list(u.members()) for u in locales.maximal_subsets(m, p.prime)]
+                for p in pts
             ],
             "reports": [_report("points_enumerated", True)],
         }
         return _emit(doc)
-    report = locales.verify_equivalence(s, max_carrier=args.max_carrier)
+    report = locales.verify_equivalence(s)
     reports = [
         _report(name, ok, {"detail": detail} if detail else {})
         for name, ok, detail in report.checks
@@ -187,11 +215,14 @@ def cmd_locale(args) -> int:
     return _emit(doc)
 
 
-def _maximal(element: locales.FrameElement):
-    return [Subset(element.carrier, m) for m in maximal_masks(element.ideal)]
-
-
 def _parse_eps(text: str) -> Fraction:
+    exponent = re.search(r"[eE][-+]?([0-9_]*)\s*$", text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 6 or int(digits or "0") > MAX_EPS_EXPONENT:
+            raise realexpr.ExprError(
+                f"precision exponent beyond +-{MAX_EPS_EXPONENT} in {text!r}"
+            )
     try:
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -248,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coverlab",
         description="Finite cover-space checks and exact real evaluation.",
     )
-    p.add_argument(
-        "--max-carrier",
-        type=int,
-        default=None,
-        help="override the frame size guard of the locale subcommands "
-        "(may be very slow)",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     ax = sub.add_parser("axioms", help="run axiom checks on a space file")
@@ -271,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     re_.add_argument("--out")
     re_.set_defaults(fn=cmd_reflect)
 
-    lo = sub.add_parser("locale", help="frame construction and round trips")
+    lo = sub.add_parser(
+        "locale",
+        help="frame construction, points (at most "
+        f"{MAX_POINT_SUBSETS} maximal subsets in all) and round trips",
+    )
     lo.add_argument("action", choices=["build", "points", "roundtrip"])
     lo.add_argument("file")
     lo.set_defaults(fn=cmd_locale)
@@ -279,7 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     rl = sub.add_parser("real", help="evaluate an exact real expression")
     rl.add_argument("action", choices=["eval"])
     rl.add_argument("expression")
-    rl.add_argument("--eps", required=True, help="target width, e.g. 1/1000000")
+    rl.add_argument(
+        "--eps",
+        required=True,
+        help="target width, e.g. 1/1000000 or 1e-6 "
+        f"(decimal exponent at most {MAX_EPS_EXPONENT} in magnitude)",
+    )
     rl.add_argument("--bounds", action="store_true", help="also print exact endpoints")
     rl.set_defaults(fn=cmd_real)
 
@@ -296,11 +329,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse reports usage errors itself
         return int(e.code or 0)
-    if args.max_carrier is not None:
-        print(
-            f"warning: overriding size guards with --max-carrier {args.max_carrier}",
-            file=sys.stderr,
-        )
     try:
         return args.fn(args)
     except (spacefile.SpaceFileError, realexpr.ExprError, OSError) as e:

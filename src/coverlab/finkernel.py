@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 # Enumerating all subsets of a carrier is exponential; enumerating all
-# covers is doubly exponential; building a frame of ideals by join closure
-# takes about |frame| * 2^n closures of 2^n masks each.  These caps keep
-# desk-scale experiments honest about what they can afford.
+# covers is doubly exponential.  These caps keep desk-scale experiments
+# honest about what they can afford.
 SUBSET_ENUM_LIMIT = 12
 COVER_ENUM_LIMIT = 4
-IDEAL_ENUM_LIMIT = 6
 
 
 class CarrierMismatchError(ValueError):

@@ -32,12 +32,15 @@ def parse_spacefile(text: str) -> SpaceFile:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpaceFileError(f"not valid JSON at line {e.lineno} column {e.colno}") from e
+    except RecursionError as e:
+        raise SpaceFileError("JSON nested too deeply") from e
     if not isinstance(doc, dict):
         raise SpaceFileError("top level must be an object")
-    if doc.get("format") != FORMAT_VERSION:
-        raise SpaceFileError(f"format must be {FORMAT_VERSION}, got {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if fmt != FORMAT_VERSION or isinstance(fmt, bool):
+        raise SpaceFileError(f"format must be {FORMAT_VERSION}, got {fmt!r}")
     n = doc.get("carrier")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SpaceFileError(f"carrier must be a positive integer, got {n!r}")
     raw = doc.get("covers")
     if not isinstance(raw, list):

@@ -1,7 +1,8 @@
 """The closed forms of the finite kernel against their definition-level
 oracles: regularity, separation, embeddings, filter regularity,
 completeness, completion, the regular reflection and the CLI witnesses.
-Exhaustive up to carrier size 4, seeded random cases above."""
+Exhaustive up to carrier size 4, seeded random cases above.  Last, the
+table of hostile and large inputs that the CLI answers in bounded time."""
 
 import itertools
 import json
@@ -248,9 +249,35 @@ class TestMaximalMasks:
             assert maximal_masks(sorted(masks) * 2) == expected
 
 
+def _space_bytes(n, cover):
+    return json.dumps({"format": 1, "carrier": n, "covers": [cover]}).encode()
+
+
+_DISCRETE_200 = _space_bytes(200, [[x] for x in range(200)])
+_CHAIN_200 = _space_bytes(200, [[x, x + 1] for x in range(199)])
+_PAIRS_100 = _space_bytes(200, [[2 * x, 2 * x + 1] for x in range(100)])
+BOUNDED_TIME = {
+    "deep-nesting": (["axioms"], b"[" * 5000 + b"]" * 5000, 2),
+    "not-utf8": (["axioms"], b"\xff\xfe", 2),
+    "carrier-true": (["axioms"], b'{"format": 1, "carrier": true, "covers": [[[0]]]}', 2),
+    "format-true": (["axioms"], b'{"format": true, "carrier": 1, "covers": [[[0]]]}', 2),
+    "eps-1e999999999": (["real", "eval", "1", "--eps", "1e999999999"], None, 2),
+    "eps-1e-999999999": (["real", "eval", "1", "--eps", "1e-999999999"], None, 2),
+    "build-discrete-200": (["locale", "build"], _DISCRETE_200, 0),
+    "points-discrete-200": (["locale", "points"], _DISCRETE_200, 0),
+    "roundtrip-discrete-200": (["locale", "roundtrip"], _DISCRETE_200, 0),
+    "build-chain-200": (["locale", "build"], _CHAIN_200, 0),
+    "points-chain-200": (["locale", "points"], _CHAIN_200, 0),
+    "roundtrip-chain-200": (["locale", "roundtrip"], _CHAIN_200, 1),
+    "points-100-pairs": (["locale", "points"], _PAIRS_100, 1),
+}
+BOUNDED_TIME_IDS = list(BOUNDED_TIME)
+BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())
+
+
 class TestNoEnumeration:
-    """The CLI's axioms, completion and reflection paths and the embedding
-    test run without enumerating subsets or canonical covers."""
+    """The CLI's axioms, completion, reflection and locale paths and the
+    embedding test run without enumerating subsets or canonical covers."""
 
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
@@ -320,6 +347,22 @@ class TestNoEnumeration:
         s = discrete(200)
         comp = completion(s)
         assert is_embedding(comp.unit, s, comp.structure)
+
+    @pytest.mark.parametrize("argv, data, code", BOUNDED_TIME_CASES,
+                             ids=BOUNDED_TIME_IDS)
+    def test_bounded_time_table(
+        self, tmp_path, capsys, no_enumeration, argv, data, code
+    ):
+        # each case returns its documented exit code, never a traceback
+        if data is not None:
+            path = tmp_path / "case.json"
+            path.write_bytes(data)
+            argv = [*argv, str(path)]
+        started = time.perf_counter()
+        got = cli.main(argv)
+        assert time.perf_counter() - started < 2.0
+        assert got == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_guard_is_active(self, no_enumeration):
         with pytest.raises(AssertionError):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import frame_oracle as fo
 from coverlab import cauchy, coverspace
 from coverlab.finkernel import (
     Carrier,
@@ -11,24 +12,20 @@ from coverlab.finkernel import (
     all_subsets,
     discrete,
     indiscrete,
+    maximal_masks,
     space_from_masks,
 )
 from coverlab.locales import (
-    CoveragePresentation,
-    FiniteLocale,
-    FrameElement,
     LocaleConditionError,
     LocalePoint,
     basic_open,
     cover_map_of_frame_map,
     frame_map_of_cover_map,
-    ideal_closure,
     largest_open_within,
     locale_is_proper,
     locale_of_space,
     locale_points,
-    locale_points_oracle,
-    point_cover_is_distinguished,
+    maximal_subsets,
     point_space,
     points_of_open,
     verify_equivalence,
@@ -42,8 +39,14 @@ from helpers import (
 )
 
 
-def ideal_of(m, masks):
-    return FrameElement(m.elements[0].carrier, frozenset(masks))
+def ideal_set(m, a):
+    """The ideal E(S) that the element a of a library frame stands for: the
+    subsets all of whose isolated members inside them are atoms of a."""
+    return frozenset(
+        u
+        for u in range(m.presentation.full + 1)
+        if all(a >> i & 1 for i, w in enumerate(m.atoms) if w & ~u == 0)
+    )
 
 
 def locale_target_space():
@@ -54,45 +57,46 @@ def locale_target_space():
 
 def chain_locale():
     """A hand-built three-element chain; not regular, so never arises from
-    a coverage presentation, but a legal frame for the point operations."""
+    a coverage presentation, but a legal tabulated frame for the point
+    operations."""
     c = Carrier(2)
     els = [
-        FrameElement(c, frozenset({0})),
-        FrameElement(c, frozenset({0, 1})),
-        FrameElement(c, frozenset({0, 1, 3})),
+        fo.FrameElement(c, frozenset({0})),
+        fo.FrameElement(c, frozenset({0, 1})),
+        fo.FrameElement(c, frozenset({0, 1, 3})),
     ]
-    return FiniteLocale(els)
+    return fo.FiniteLocale(els)
 
 
 class TestIdealClosure:
     def test_whole_carrier_generates_top(self):
         s = discrete(2)
-        pres = CoveragePresentation(s)
-        got = ideal_closure(pres, [Subset.full(s.carrier)])
+        pres = fo.CoveragePresentation(s)
+        got = fo.ideal_closure(pres, [Subset.full(s.carrier)])
         assert got.ideal == frozenset(range(4))
 
     def test_empty_seed_on_discrete(self):
-        pres = CoveragePresentation(discrete(2))
-        assert ideal_closure(pres, []).ideal == frozenset({0})
+        pres = fo.CoveragePresentation(discrete(2))
+        assert fo.ideal_closure(pres, []).ideal == frozenset({0})
 
     def test_singleton_seed_on_discrete(self):
         s = discrete(2)
-        pres = CoveragePresentation(s)
-        got = ideal_closure(pres, [Subset.of(s.carrier, [0])])
+        pres = fo.CoveragePresentation(s)
+        got = fo.ideal_closure(pres, [Subset.of(s.carrier, [0])])
         assert got.ideal == frozenset({0, 0b01})
 
     def test_extensive_monotone_idempotent(self):
         rng = random.Random(3)
         for _ in range(60):
             s = random_partition_space(rng, rng.randint(1, 3))
-            pres = CoveragePresentation(s)
+            pres = fo.CoveragePresentation(s)
             seed_a = {rng.randrange(pres.full + 1) for _ in range(2)}
             seed_b = seed_a | {rng.randrange(pres.full + 1)}
-            a = ideal_closure(pres, seed_a)
-            b = ideal_closure(pres, seed_b)
+            a = fo.ideal_closure(pres, seed_a)
+            b = fo.ideal_closure(pres, seed_b)
             assert seed_a <= a.ideal
             assert a.ideal <= b.ideal
-            assert ideal_closure(pres, a.ideal) == a
+            assert fo.ideal_closure(pres, a.ideal) == a
 
     def test_generator_rule_implies_every_cover_rule(self):
         # an ideal closed under the generator-trace rule is closed under
@@ -100,7 +104,7 @@ class TestIdealClosure:
         from helpers import all_cauchy_covers
 
         for s in all_precovers_up_to(3):
-            m = locale_of_space(s)
+            m = fo.locale_of_space(s)
             for element in m.elements:
                 for fam in all_cauchy_covers(s):
                     for u in range(s.carrier.full_mask + 1):
@@ -113,7 +117,7 @@ class TestLocaleConstruction:
     def test_boolean_frame_of_discrete(self):
         m = locale_of_space(discrete(2))
         assert len(m) == 4
-        assert {frozenset(e.ideal) for e in m.elements} == {
+        assert {ideal_set(m, e) for e in m.elements} == {
             frozenset({0}),
             frozenset({0, 1}),
             frozenset({0, 2}),
@@ -136,13 +140,13 @@ class TestLocaleConstruction:
         rng = random.Random(5)
         for s in all_precovers_up_to(3):
             m = locale_of_space(s)
-            pres = m.presentation
+            pres = fo.CoveragePresentation(s)
             for _ in range(10):
                 parts = rng.sample(m.elements, k=min(len(m.elements), rng.randint(1, 3)))
                 union = set()
                 for p in parts:
-                    union |= p.ideal
-                assert m.join(parts) == ideal_closure(pres, union)
+                    union |= ideal_set(m, p)
+                assert ideal_set(m, m.join(parts)) == fo.ideal_closure(pres, union).ideal
 
     def test_negation_laws(self):
         for s in all_precovers_up_to(3):
@@ -162,7 +166,7 @@ class TestLocaleConstruction:
 class TestStrongRatherBelowClosedForm:
     def test_matches_definition_up_to_four_points(self):
         for s in all_precovers_up_to(4):
-            pres = CoveragePresentation(s)
+            pres = fo.CoveragePresentation(s)
             for u in all_subsets(s.carrier):
                 expected = tuple(
                     v.mask
@@ -173,11 +177,44 @@ class TestStrongRatherBelowClosedForm:
                 assert pres.srb_max[u.mask] == max(expected)
 
 
+def _matches_tabulated(s, walk=None):
+    """The library frame of s against the tabulated one and, when given,
+    the antichain walk: ideals, basic opens, points, the maximal subsets of
+    every element, and the equivalence report."""
+    m = locale_of_space(s)
+    t = fo.locale_of_space(s)
+    ideals = [ideal_set(m, a) for a in m.elements]
+    assert len(set(ideals)) == len(ideals)
+    assert set(ideals) == {e.ideal for e in t.elements}, s
+    if walk is not None:
+        assert set(ideals) == walk, s
+    for u in all_subsets(s.carrier):
+        got = ideal_set(m, basic_open(m.presentation, u))
+        assert got == fo.basic_open(t.presentation, u).ideal
+    points = {ideal_set(m, p.prime) for p in locale_points(m)}
+    assert len(points) == len(locale_points(m))
+    assert points == {p.prime.ideal for p in fo.locale_points(t)}
+    for a, ideal in zip(m.elements, ideals):
+        assert [u.mask for u in maximal_subsets(m, a)] == maximal_masks(ideal)
+    got, want = verify_equivalence(s), fo.verify_equivalence(s)
+    assert (got.checks, got.eta, got.point_count) == (
+        want.checks, want.eta, want.point_count
+    )
+
+
 class TestJoinClosureBuild:
     def test_matches_antichain_walk_up_to_four_points(self):
         for s in all_precovers_up_to(4):
-            built = {e.ideal for e in locale_of_space(s).elements}
-            assert built == locale_of_space_oracle(s), s
+            _matches_tabulated(s, locale_of_space_oracle(s))
+
+    def test_matches_join_closure_on_five_and_six_points(self):
+        rng = random.Random(22)
+        spaces = [discrete(5), discrete(6)]
+        for _ in range(8):
+            spaces.append(random_precover_space(rng, rng.choice((5, 6))))
+            spaces.append(random_partition_space(rng, rng.choice((5, 6))))
+        for s in spaces:
+            _matches_tabulated(s)
 
     def test_random_partitions_have_boolean_frames(self):
         rng = random.Random(20)
@@ -192,32 +229,16 @@ class TestJoinClosureBuild:
         rng = random.Random(21)
         for _ in range(12):
             s = random_precover_space(rng, rng.choice((5, 6)))
-            m = locale_of_space(s)
+            m = fo.locale_of_space(s)
             pres = m.presentation
             table = set(m.elements)
             for e in m.elements:
-                assert ideal_closure(pres, e.ideal) == e
+                assert fo.ideal_closure(pres, e.ideal) == e
             for u in range(pres.full + 1):
-                assert ideal_closure(pres, [u]) in table
+                assert fo.ideal_closure(pres, [u]) in table
             for a, b in itertools.product(m.elements, repeat=2):
-                assert FrameElement(a.carrier, a.ideal & b.ideal) in table
-                assert ideal_closure(pres, a.ideal | b.ideal) in table
-
-    def test_join_primes_computed_once_per_locale(self, monkeypatch):
-        m = locale_of_space(discrete(3))
-        calls = []
-        original = FiniteLocale.join_primes
-
-        def counted(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(FiniteLocale, "join_primes", counted)
-        locale_points(m)
-        points_of_open(m, m.top)
-        largest_open_within(m, ())
-        point_space(m)
-        assert calls == [m]
+                assert fo.FrameElement(a.carrier, a.ideal & b.ideal) in table
+                assert fo.ideal_closure(pres, a.ideal | b.ideal) in table
 
 
 class TestPoints:
@@ -225,7 +246,7 @@ class TestPoints:
         m = locale_of_space(discrete(2))
         pts = locale_points(m)
         assert len(pts) == 2
-        assert {frozenset(p.prime.ideal) for p in pts} == {
+        assert {ideal_set(m, p.prime) for p in pts} == {
             frozenset({0, 1}),
             frozenset({0, 2}),
         }
@@ -237,15 +258,21 @@ class TestPoints:
 
     def test_chain_has_two_points(self):
         m = chain_locale()
-        pts = locale_points(m)
+        pts = fo.locale_points(m)
         assert len(pts) == 2
         assert {len(p.prime.ideal) for p in pts} == {2, 3}
 
     def test_matches_filter_oracle(self):
         for s in all_precovers_up_to(3):
             m = locale_of_space(s)
-            assert locale_points(m) == locale_points_oracle(m)
-        assert locale_points(chain_locale()) == locale_points_oracle(chain_locale())
+            want = fo.locale_points_oracle(fo.locale_of_space(s))
+            got = [ideal_set(m, p.prime) for p in locale_points(m)]
+            assert sorted(got, key=sorted) == sorted(
+                (p.prime.ideal for p in want), key=sorted
+            )
+        assert fo.locale_points(chain_locale()) == fo.locale_points_oracle(
+            chain_locale()
+        )
 
 
 class TestExtentAdjunction:
@@ -279,7 +306,7 @@ class TestExtentAdjunction:
             )
             assert locale_is_proper(m) == pointless_only_bottom
         # the chain has a pointless... every element above bottom has a point
-        assert locale_is_proper(chain_locale())
+        assert fo.locale_is_proper(chain_locale())
 
 
 class TestPointSpace:
@@ -293,16 +320,16 @@ class TestPointSpace:
         assert point_space(locale_of_space(discrete(3))) == discrete(3)
 
     def test_chain_gives_indiscrete_pair(self):
-        assert point_space(chain_locale()) == indiscrete(2)
+        assert fo.point_space(chain_locale()) == indiscrete(2)
 
     def test_generator_matches_join_definition(self):
         for s in all_spaces_up_to(3):
-            m = locale_of_space(s)
-            ps = point_space(m)
+            ps = point_space(locale_of_space(s))
+            t = fo.locale_of_space(s)
             for fam in all_families(ps.carrier):
-                assert coverspace.is_cauchy(ps, fam) == point_cover_is_distinguished(
-                    m, fam
-                )
+                assert coverspace.is_cauchy(
+                    ps, fam
+                ) == fo.point_cover_is_distinguished(t, fam)
 
     def test_distinguished_covers_are_refined_by_extent_families(self):
         # each distinguished family is refined member-by-member by the
@@ -358,7 +385,7 @@ class TestFrameMaps:
     def test_swap_is_atom_swap(self):
         m = locale_of_space(discrete(2))
         table = frame_map_of_cover_map((1, 0), m, m)
-        atoms = [i for i, e in enumerate(m.elements) if len(e.ideal) == 2]
+        atoms = [i for i, e in enumerate(m.elements) if len(ideal_set(m, e)) == 2]
         a, b = atoms
         assert table[a] == b and table[b] == a
         assert cover_map_of_frame_map(table, m, m) == (1, 0)
@@ -397,17 +424,23 @@ class TestFrameMaps:
         # the chain is proper, so maps out of its point space induce frame
         # maps; collapse both points into the one-point target
         m = chain_locale()
-        n = locale_of_space(locale_target_space())
-        table = frame_map_of_cover_map((0, 0), m, n)
-        assert cover_map_of_frame_map(table, m, n) == (0, 0)
+        n = fo.locale_of_space(locale_target_space())
+        table = fo.frame_map_of_cover_map((0, 0), m, n)
+        assert fo.cover_map_of_frame_map(table, m, n) == (0, 0)
         gstar = {n.elements[i]: m.elements[table[i]] for i in range(len(n))}
         assert gstar[n.bottom] == m.bottom
         assert gstar[n.top] == m.top
 
-    def test_condition_errors(self):
+    def test_table_that_is_not_a_frame_map(self):
+        # every element pulled back to the top: each point lands on both atoms
         m = locale_of_space(discrete(2))
         with pytest.raises(LocaleConditionError):
-            frame_map_of_cover_map((0, 1), m, chain_locale())  # chain not regular
+            cover_map_of_frame_map((m.top,) * len(m), m, m)
+
+    def test_condition_errors(self):
+        m = fo.locale_of_space(discrete(2))
+        with pytest.raises(fo.LocaleConditionError):
+            fo.frame_map_of_cover_map((0, 1), m, chain_locale())  # chain not regular
 
 
 class TestLocaleLemmas:

@@ -1,9 +1,11 @@
 import json
+import time
 import types
+from fractions import Fraction as F
 
 import pytest
 
-from coverlab import cauchy, cli, spacefile
+from coverlab import cauchy, cli, realexpr, spacefile
 from coverlab.finkernel import Subset
 
 
@@ -135,6 +137,37 @@ class TestCliAxioms:
         assert out["reports"][0]["witness"]["missing_points"] == [2]
 
 
+class TestHostileFiles:
+    """Malformed files are parse errors, exit 2 with a message and no
+    traceback."""
+
+    def _axioms(self, tmp_path, capsys, data: bytes):
+        p = tmp_path / "hostile.json"
+        p.write_bytes(data)
+        code = cli.main(["axioms", str(p)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        code, err = self._axioms(tmp_path, capsys, b"[" * 5000 + b"]" * 5000)
+        assert code == 2 and "nested too deeply" in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        code, err = self._axioms(tmp_path, capsys, b"\xff\xfe")
+        assert code == 2 and "UTF-8" in err
+
+    def test_boolean_carrier(self, tmp_path, capsys):
+        doc = {"format": 1, "carrier": True, "covers": [[[0]]]}
+        code, err = self._axioms(tmp_path, capsys, json.dumps(doc).encode())
+        assert code == 2 and "carrier must be a positive integer" in err
+
+    def test_boolean_format(self, tmp_path, capsys):
+        doc = {"format": True, "carrier": 1, "covers": [[[0]]]}
+        code, err = self._axioms(tmp_path, capsys, json.dumps(doc).encode())
+        assert code == 2 and "format must be 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["complete"], ["reflect"],
     ["locale", "build"], ["locale", "points"], ["locale", "roundtrip"],
@@ -212,11 +245,12 @@ class TestCliSizeGuards:
             "covers": [[[x] for x in range(13)]],
         }
         path = write(tmp_path, "big.json", doc)
+        # no guard is left to override, and the option went with it
         code = cli.main(["--max-carrier", "13", "complete", path])
         captured = capsys.readouterr()
-        assert code == 0
-        assert "warning" in captured.err
-        assert json.loads(captured.out)["space"]["carrier"] == 13
+        assert code == 2
+        assert "warning" not in captured.err
+        assert captured.out == ""
 
 
 class TestCliReflect:
@@ -238,6 +272,26 @@ class TestCliLocale:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["count"] == 2
 
+    def test_points_listed_by_atom_mask(self, tmp_path, capsys):
+        # each point prints the carrier minus one point of every other atom
+        doc = {"format": 1, "carrier": 4, "covers": [[[0, 3], [1], [2]]]}
+        code = cli.main(["locale", "points", write(tmp_path, "p.json", doc)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["count"] == 3
+        assert out["points"] == [[[0, 1], [1, 3]], [[0, 2], [2, 3]], [[0, 3]]]
+
+    def test_points_output_bound(self, tmp_path, capsys):
+        pairs = {"format": 1, "carrier": 20, "covers": [[[2 * i, 2 * i + 1] for i in range(10)]]}
+        assert cli.main(["locale", "points", write(tmp_path, "p10.json", pairs)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sum(len(p) for p in out["points"]) == 10 * 2**9
+        pairs = {"format": 1, "carrier": 200, "covers": [[[2 * i, 2 * i + 1] for i in range(100)]]}
+        started = time.perf_counter()
+        assert cli.main(["locale", "points", write(tmp_path, "p100.json", pairs)]) == 1
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(100 * 2**99) in captured.err
+
     def test_roundtrip_discrete(self, tmp_path, capsys):
         code = cli.main(["locale", "roundtrip", write(tmp_path, "d2.json", DISCRETE2)])
         out = json.loads(capsys.readouterr().out)
@@ -251,17 +305,19 @@ class TestCliLocale:
         assert out["point_count"] == 5
 
     def test_seven_points_exceed_ideal_guard(self, tmp_path, capsys):
+        # frames are no longer guarded: discrete 7 gives the 2^7 Boolean frame
         doc = {"format": 1, "carrier": 7, "covers": [[[x] for x in range(7)]]}
         code = cli.main(["locale", "build", write(tmp_path, "d7.json", doc)])
-        assert code == 1
-        assert "enumeration limit" in capsys.readouterr().err
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["elements"] == 128
 
     def test_roundtrip_honours_max_carrier(self, tmp_path, capsys):
+        # --max-carrier is gone, so passing it is a usage error
         doc = {"format": 1, "carrier": 5, "covers": [[[x] for x in range(5)]]}
         path = write(tmp_path, "d5.json", doc)
         code = cli.main(["--max-carrier", "4", "locale", "roundtrip", path])
-        assert code == 1
-        assert "ideal enumeration limit 4" in capsys.readouterr().err
+        assert code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_roundtrip_precondition_failure(self, tmp_path, capsys):
         code = cli.main(["locale", "roundtrip", write(tmp_path, "p.json", PRECOVER)])
@@ -290,6 +346,19 @@ class TestCliReal:
     def test_bad_precision_exit_2(self, capsys):
         assert cli.main(["real", "eval", "1", "--eps", "zero"]) == 2
         assert cli.main(["real", "eval", "1", "--eps=-1/10"]) == 2
+
+    @pytest.mark.parametrize("eps", ["1e999999999", "1e-999999999"])
+    def test_huge_precision_exponent_exit_2(self, capsys, eps):
+        started = time.perf_counter()
+        assert cli.main(["real", "eval", "1", "--eps", eps]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "exponent" in capsys.readouterr().err
+
+    def test_precision_exponent_bound(self):
+        assert cli._parse_eps("1e-100000") == F(1, 10**100000)
+        assert cli._parse_eps("1E+0_5") == F(10**5)
+        with pytest.raises(realexpr.ExprError, match="exponent"):
+            cli._parse_eps("1e-100001")
 
     def test_apartness_failure_exit_1(self, capsys):
         assert cli.main(["real", "eval", "inv(0; 1/4)", "--eps", "1/10"]) == 1

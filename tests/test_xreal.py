@@ -10,6 +10,7 @@ from coverlab.xreal import (
     ConvergentSeq,
     InvariantError,
     RInterval,
+    Real,
     Side,
     TailBoundError,
     UncoveredPointError,
@@ -195,6 +196,21 @@ class TestFieldOps:
             x, y = real_of_rat(a), real_of_rat(b)
             eps = F(1, 10 ** rng.randint(1, 6))
             got = mul(x, y).approx(eps)
+            assert got.width <= eps
+            assert got.lo < a * b < got.hi
+
+    def test_product_of_full_width_factors(self):
+        # factors that answer at exactly the width asked for leave the
+        # product no slack: each factor's precision must be the halved one
+        def full_width(c):
+            return Real(lambda e: RInterval(c - e / 2, c + e / 2))
+
+        rng = random.Random(83)
+        for _ in range(300):
+            a = F(rng.randint(-400, 400), rng.randint(1, 9))
+            b = F(rng.randint(-400, 400), rng.randint(1, 9))
+            eps = F(rng.randint(1, 9), 10 ** rng.randint(0, 6))
+            got = mul(full_width(a), full_width(b)).approx(eps)
             assert got.width <= eps
             assert got.lo < a * b < got.hi
 
