@@ -83,6 +83,9 @@ class FiniteLocale:
         self.bottom = 0
         self.top = (1 << len(self.atoms)) - 1
         self.elements = range(self.top + 1)
+        # maximal_subsets' choices: one-point atoms, larger atoms' points
+        self.singles = sum(w for w in self.atoms if w & (w - 1) == 0)
+        self.multi = [(i, _bits(w)) for i, w in enumerate(self.atoms) if w & (w - 1)]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -127,8 +130,10 @@ def maximal_subsets(m: FiniteLocale, a: int) -> tuple[Subset, ...]:
     """The inclusion-maximal subsets in the ideal of a, ascending by mask:
     the carrier minus one point of every atom outside a."""
     pres = m.presentation
-    choices = [_bits(w) for i, w in enumerate(m.atoms) if not a >> i & 1]
-    masks = sorted(pres.full & ~sum(pick) for pick in itertools.product(*choices))
+    inside = sum(m.atoms[b.bit_length() - 1] for b in _bits(a))  # a's carrier mask
+    base = pres.full & ~(m.singles & ~inside)
+    choices = [bits for i, bits in m.multi if not a >> i & 1]
+    masks = sorted(base & ~sum(pick) for pick in itertools.product(*choices))
     return tuple(Subset(pres.space.carrier, u) for u in masks)
 
 

@@ -5,12 +5,12 @@ rational interval of width at most that precision; all answers of one real
 pairwise overlap, and the number denoted sits strictly inside every
 answer.  Endpoints are exact fractions throughout; no floating point
 enters this module.  The constructors answer exactly; the combinators
-round their answers outward onto a dyadic grid no coarser than a quarter
-of the precision asked, so endpoint sizes follow the precision instead of
-growing with the depth of the expression.  Cut locators, interval
-arithmetic with explicit moduli, limits of sequences with convergence
-witnesses, series summation, a uniform-convergence refuter, rational nets,
-and the greedy finite subcover for closed intervals all live here.
+query their arguments at powers of two, so nearby requests share cached
+answers, and round outward onto a dyadic grid, so endpoint sizes follow
+the precision, not the depth of the expression.  Cut locators, interval
+arithmetic with moduli, limits with convergence witnesses, series summed
+as integers on a grid under a term budget, a uniform-convergence refuter,
+rational nets, and the greedy finite subcover all live here.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-Rat = Fraction
-
 
 class InvariantError(RuntimeError):
     """An answer violated the width or overlap contract."""
@@ -40,8 +37,17 @@ class ApartnessError(ValueError):
         self.delta = delta
 
 
+# The most terms a partial sum may add: limit(geometric; 999/1000) at 1/1000
+# needs about 16,600, while 9999/10000 would need 189,000 and refuses at once.
+MAX_SERIES_TERMS = 20_000
+
+
 class TailBoundError(ValueError):
     """The series tail bound did not drop below the requested precision."""
+
+
+class SeriesBudgetError(ValueError):
+    """A series would need more than MAX_SERIES_TERMS terms."""
 
 
 class UncoveredPointError(ValueError):
@@ -257,34 +263,29 @@ def cut_of_real(x: Real) -> CutLocator:
     otherwise the right endpoint is forced above it."""
 
     def fn(a: Fraction, b: Fraction) -> Side:
-        c, _d = astuple(x.approx((b - a) / 3))
-        return Side.LEFT if c > a else Side.RIGHT
+        return Side.LEFT if x.approx((b - a) / 3).lo > a else Side.RIGHT
 
     return CutLocator(fn, name=f"cut_of({x.name})")
 
 
-def astuple(iv: RInterval) -> tuple[Fraction, Fraction]:
-    return iv.lo, iv.hi
+def _snap(e: Fraction) -> Fraction:
+    """The largest power of two at most e: the precisions queried."""
+    g = Fraction(2) ** (e.numerator.bit_length() - e.denominator.bit_length())
+    return g if g <= e else g / 2
 
 
 def _round_out(lo: Fraction, hi: Fraction, eps: Fraction) -> RInterval:
-    """Floor lo and ceil hi onto the grid 2^-k, k least with 2^-k <= eps/4.
-
-    The interval keeps everything it held and grows by at most eps/2, so a
-    combinator that spends half its width budget on its arguments may round
-    its answer.
-    """
-    k = (-(-4 * eps.denominator // eps.numerator) - 1).bit_length()
-    return RInterval(
-        Fraction((lo.numerator << k) // lo.denominator, 1 << k),
-        Fraction(-(-(hi.numerator << k) // hi.denominator), 1 << k),
-    )
+    """Floor lo and ceil hi onto the grid _snap(eps/4).  The interval keeps
+    everything it held and grows by at most eps/2, so a combinator that
+    spends half its width budget on its arguments may round its answer."""
+    g = _snap(eps / 4)
+    return RInterval(lo // g * g, -(-hi // g) * g)
 
 
 def add(x: Real, y: Real) -> Real:
     def fn(eps: Fraction) -> RInterval:
-        a = x.approx(eps / 4)
-        b = y.approx(eps / 4)
+        s = _snap(eps / 4)
+        a, b = x.approx(s), y.approx(s)
         return _round_out(a.lo + b.lo, a.hi + b.hi, eps)
 
     return Real(fn, name=lambda: f"({x.name}+{y.name})")
@@ -309,7 +310,7 @@ def scale(x: Real, c) -> Real:
         return real_of_rat(0)
 
     def fn(eps: Fraction) -> RInterval:
-        a = x.approx(eps / (2 * abs(c)))
+        a = x.approx(_snap(eps / (2 * abs(c))))
         lo, hi = sorted((a.lo * c, a.hi * c))
         return _round_out(lo, hi, eps)
 
@@ -324,8 +325,8 @@ def mul(x: Real, y: Real) -> Real:
     def fn(eps: Fraction) -> RInterval:
         bx = _magnitude_bound(x)
         by = _magnitude_bound(y)
-        ex = min(Fraction(1), eps / (4 * (by + 1)))
-        ey = min(Fraction(1), eps / (4 * (bx + 1)))
+        ex = _snap(min(Fraction(1), eps / (4 * (by + 1))))
+        ey = _snap(min(Fraction(1), eps / (4 * (bx + 1))))
         a = x.approx(ex)
         b = y.approx(ey)
         products = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
@@ -357,7 +358,7 @@ def inv(x: Real, delta) -> Real:
 
     def fn(eps: Fraction) -> RInterval:
         e = eps / 2
-        got = x.approx(e * delta * delta / (1 + e * delta))
+        got = x.approx(_snap(e * delta * delta / (1 + e * delta)))
         lo = max(got.lo, witness.lo)
         hi = min(got.hi, witness.hi)
         return _round_out(1 / hi, 1 / lo, eps)
@@ -403,20 +404,56 @@ def check_cauchy_witness(seq: ConvergentSeq, eps, n: int) -> bool:
 
 
 def limit(seq: ConvergentSeq) -> Real:
-    """The limit: query the term at the modulus index, pad by the
-    convergence slack and round; the term and the padding take half the
-    width, the rounding the other half."""
+    """The limit: query the term at the modulus index of s = _snap(eps/4)
+    at s, pad by the convergence slack s/2 and round; the term and the
+    padding take half the width, the rounding the other half."""
 
     def fn(eps: Fraction) -> RInterval:
-        n = seq.modulus(eps / 4)
-        inner = seq.terms(n).approx(eps / 4)
-        return _round_out(inner.lo - eps / 8, inner.hi + eps / 8, eps)
+        s = _snap(eps / 4)
+        inner = seq.terms(seq.modulus(s)).approx(s)
+        return _round_out(inner.lo - s / 2, inner.hi + s / 2, eps)
 
     return Real(fn, name="limit")
 
 
+def partial_sum(terms: Callable[[int], Real | Fraction], n: int) -> Real:
+    """The sum of terms 0..n as two integers on the grid per = _snap(eps/(2(n+1))):
+    a Real term's answer at per adds its floor and ceil, an exact term q adds
+    ceil(q/per) - 1 and floor(q/per) + 1.  Each spends at most 2*per."""
+
+    def fn(eps: Fraction) -> RInterval:
+        per = _snap(eps / (2 * (n + 1)))
+        lo = hi = 0
+        for k in range(n + 1):
+            if isinstance(t := terms(k), Fraction):
+                f, r = divmod(t.numerator * per.denominator, t.denominator * per.numerator)
+                lo, hi = lo + f - (r == 0), hi + f + 1
+            else:
+                got = t.approx(per)
+                lo, hi = lo + got.lo // per, hi - (-got.hi // per)
+        return RInterval(lo * per, hi * per)
+
+    return Real(fn, name=lambda: f"partial_sum({n})")
+
+
+def recurrence(first: Fraction, step: Callable[[Fraction, int], Fraction]):
+    """t_0 = first, t_k = step(t_{k-1}, k), built from the last pair (k, t_k)
+    handed out.  The pair is swapped in whole: a concurrent reader sees a
+    consistent pair, and a lost update only costs a walk from t_0."""
+    last = [(0, first)]
+
+    def term(k: int) -> Fraction:
+        i, t = last[0] if last[0][0] <= k else (0, first)
+        while i < k:
+            i, t = i + 1, step(t, i + 1)
+        last[0] = (k, t)
+        return t
+
+    return term
+
+
 def sum_series(
-    terms: Callable[[int], Real],
+    terms: Callable[[int], Real | Fraction],
     tail_bound: Callable[[int], Fraction],
     tail_index: Callable[[Fraction], int],
 ) -> Real:
@@ -425,43 +462,26 @@ def sum_series(
     tail_bound(N) must bound the absolute value of the sum beyond N and
     decrease in N; tail_index(eps) must return an N whose bound is at most
     eps (checked at each use; failure raises).  Partial-sum differences
-    are bounded by two tails, hence the quarter precision below.  A partial
-    sum floors and ceils each term's answer to whole multiples of the
-    term precision, so it adds up two integers, not growing fractions.
+    are bounded by two tails, hence the quarter precision below.  An index
+    past MAX_SERIES_TERMS refuses before any term is built.
     """
-
-    def partial(n: int) -> Real:
-        def fn(eps: Fraction) -> RInterval:
-            per = eps / (2 * (n + 1))
-            lo = hi = 0
-            for k in range(n + 1):
-                got = terms(k).approx(per)
-                lo += got.lo // per
-                hi -= -got.hi // per
-            return RInterval(lo * per, hi * per)
-
-        return Real(fn, name=lambda: f"partial_sum({n})")
 
     def modulus(eps: Fraction) -> int:
         n = tail_index(eps / 4)
-        bound = tail_bound(n)
-        if bound > eps / 4:
-            raise TailBoundError(
-                f"tail_bound({n}) = {bound} exceeds requested {eps / 4}"
-            )
+        if n >= MAX_SERIES_TERMS:
+            raise SeriesBudgetError(f"series needs index {n}, past {MAX_SERIES_TERMS} terms")
+        if (bound := tail_bound(n)) > eps / 4:
+            raise TailBoundError(f"tail_bound({n}) = {bound} exceeds requested {eps / 4}")
         return n
 
-    return limit(ConvergentSeq(partial, modulus))
+    return limit(ConvergentSeq(lambda n: partial_sum(terms, n), modulus))
 
 
 def exp_rational(q) -> Real:
     """The exponential of an exact rational via its power series."""
     q = rat(q)
     b = abs(q).numerator // abs(q).denominator + 1  # integer bound > |q|
-
-    def term(k: int) -> Real:
-        return real_of_rat(q**k / math.factorial(k))
-
+    term = recurrence(Fraction(1), lambda t, k: t * q / k)
     out = sum_series(term, _factorial_tail(b), _factorial_tail_index(b))
     out.name = f"exp({q})"
     return out
@@ -493,12 +513,10 @@ def _factorial_tail(b: int) -> Callable[[int], Fraction]:
 
 
 def _factorial_tail_index(b: int) -> Callable[[Fraction], int]:
-    bound = _factorial_tail(b)
-
     def index(eps: Fraction) -> int:
-        n = 2 * b
-        while bound(n) > eps:
-            n += 1
+        n, bound = 2 * b, _factorial_tail(b)(2 * b)
+        while bound > eps:  # the next tail bound is this one times b/(n+2)
+            n, bound = n + 1, bound * b / (n + 2)
         return n
 
     return index
@@ -611,16 +629,17 @@ def limit_at_zero(
     f(x, apart) evaluates at a nonzero rational x with apartness witness;
     limit_modulus(eps) must return delta > 0 with |f(x) - y| < eps
     whenever 0 < |x| < delta, y being the limit.  Each answer samples at
-    half the modulus for a quarter of the precision and pads by the
-    remaining slack.
+    half the modulus of m = _snap(eps/8) for a quarter of the precision,
+    pads by m and rounds outward, as ``limit`` does.
     """
 
     def fn(eps: Fraction) -> RInterval:
-        delta = rat(limit_modulus(eps / 4))
+        m = _snap(eps / 8)
+        delta = rat(limit_modulus(m))
         if delta <= 0:
             raise ValueError("limit modulus must be positive")
         q = delta / 2
-        inner = f(q, q / 2).approx(eps / 2)
-        return inner.widen(eps / 4)
+        inner = f(q, q / 2).approx(_snap(eps / 4))
+        return _round_out(inner.lo - m, inner.hi + m, eps)
 
     return Real(fn, name="limit_at_zero")

@@ -256,6 +256,7 @@ def _space_bytes(n, cover):
 _DISCRETE_200 = _space_bytes(200, [[x] for x in range(200)])
 _CHAIN_200 = _space_bytes(200, [[x, x + 1] for x in range(199)])
 _PAIRS_100 = _space_bytes(200, [[2 * x, 2 * x + 1] for x in range(100)])
+_DISCRETE_1000 = _space_bytes(1000, [[x] for x in range(1000)])
 BOUNDED_TIME = {
     "deep-nesting": (["axioms"], b"[" * 5000 + b"]" * 5000, 2),
     "not-utf8": (["axioms"], b"\xff\xfe", 2),
@@ -270,6 +271,11 @@ BOUNDED_TIME = {
     "points-chain-200": (["locale", "points"], _CHAIN_200, 0),
     "roundtrip-chain-200": (["locale", "roundtrip"], _CHAIN_200, 1),
     "points-100-pairs": (["locale", "points"], _PAIRS_100, 1),
+    "points-discrete-1000": (["locale", "points"], _DISCRETE_1000, 0),
+    # about 189,000 terms, past xreal.MAX_SERIES_TERMS: refused at once
+    "geometric-9999/10000": (
+        ["real", "eval", "limit(geometric; 9999/10000)", "--eps", "1/1000"], None, 1
+    ),
 }
 BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())

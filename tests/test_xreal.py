@@ -1,11 +1,16 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverlab import cli
+from coverlab.realexpr import Parser, evaluate
 from coverlab.xreal import (
+    MAX_SERIES_TERMS,
     ApartnessError,
     ConvergentSeq,
     InvariantError,
@@ -27,10 +32,12 @@ from coverlab.xreal import (
     limit_at_zero,
     mul,
     neg,
+    partial_sum,
     rat,
     rational_cut,
     real_of_cut,
     real_of_rat,
+    recurrence,
     scale,
     sqrt_cut,
     sub,
@@ -38,6 +45,7 @@ from coverlab.xreal import (
     trisection_steps,
     uniform_convergence_check,
     Refuted,
+    SeriesBudgetError,
     Verified,
 )
 from helpers import finite_subcover_oracle
@@ -368,6 +376,62 @@ class TestSeries:
         # oracle window from the digit oracle of sqrt(2): e^1.414 < e^sqrt2 < e^1.415
         assert got.lo < F("4.12") and got.hi > F("4.11")
 
+    def test_term_budget_refuses_before_any_term(self):
+        def term(k):
+            raise AssertionError("a term was built past the budget")
+
+        x = sum_series(term, lambda n: F(0), lambda eps: MAX_SERIES_TERMS)
+        with pytest.raises(SeriesBudgetError, match=str(MAX_SERIES_TERMS)):
+            x.approx(F(1, 100))
+        within = sum_series(lambda k: F(0), lambda n: F(0), lambda eps: 99)
+        assert within.approx(F(1, 100)).contains(F(0))
+
+
+class TestExactTerms:
+    def test_recurrence_in_any_order(self):
+        rng = random.Random(3)
+        q = F(-5, 3)
+        term = recurrence(F(1), lambda t, k: t * q / k)
+        order = list(range(40)) * 2
+        rng.shuffle(order)
+        for k in order:
+            assert term(k) == q**k / math.factorial(k)
+
+    def test_exact_and_real_term_partial_sums_agree(self):
+        # seeded differential: the exact-term grid sum and the Real-term
+        # path over the same terms both hold the exact partial sum
+        rng = random.Random(11)
+        for _ in range(80):
+            n = rng.randint(0, 60)
+            eps = F(1, rng.choice([1, 3, 10, 1000, 2**20, 10**9, 7 * 10**30]))
+            if rng.random() < 0.5:
+                c = F(rng.randint(-9, 9), rng.randint(1, 9))
+                r = F(rng.randint(-39, 39), 40)
+                step = lambda t, k, r=r: t * r
+            else:
+                c, q = F(1), F(rng.randint(-30, 30), 10)
+                step = lambda t, k, q=q: t * q / k
+            values = [c]
+            for k in range(1, n + 1):
+                values.append(step(values[-1], k))
+            exact = sum(values)
+            grid = partial_sum(recurrence(c, step), n).approx(eps)
+            real = partial_sum(lambda k: real_of_rat(values[k]), n).approx(eps)
+            for got in (grid, real):
+                assert got.lo < exact < got.hi and got.width <= eps
+                assert all(d & (d - 1) == 0 for d in (got.lo.denominator, got.hi.denominator))
+
+    def test_nested_exponential_through_the_cli(self, capsys):
+        started = time.perf_counter()
+        code = cli.main(["real", "eval", "exp(exp(exp(1/2)))", "--eps", "1e-6", "--bounds"])
+        assert time.perf_counter() - started < 10
+        assert code == 0
+        lo, hi = (F(x) for x in capsys.readouterr().out.splitlines()[1].strip("[]").split(", "))
+        want = (F(1, 2), F(1, 2))
+        for _ in range(3):
+            want = exp_bracket(*want)
+        assert lo <= want[0] and want[1] <= hi and hi - lo <= F(1, 10**6)
+
 
 class TestDedekindAxiomsOperationalized:
     def _constructors(self):
@@ -568,13 +632,28 @@ def bracketed_reals(draw, depth=2):
     here by exact interval arithmetic (A == B when the value is exactly A,
     else A < value < B), and whether a combinator gave the answer."""
     if depth == 0 or draw(st.booleans()):
-        if draw(st.booleans()):
+        leaf = draw(st.sampled_from(["rat", "sqrt", "geometric", "exp"]))
+        if leaf == "rat":
             q = draw(st.fractions(min_value=F(-4), max_value=F(4), max_denominator=60))
             return real_of_rat(q), (q, q), False
+        if leaf == "geometric":
+            # exact terms c * r^n, summed to c / (1 - r)
+            c = draw(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=20))
+            r = draw(st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(3, 4), F(-9, 10)]))
+            series = sum_series(
+                recurrence(c, lambda t, k: t * r),
+                lambda n: abs(c) * abs(r) ** (n + 1) / (1 - abs(r)),
+                geometric_tail_index(r, abs(c)),
+            )
+            return series, (c / (1 - r), c / (1 - r)), True
+        if leaf == "exp":
+            q = draw(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=20))
+            return exp_rational(q), exp_bracket(q, q), True
         k = draw(st.sampled_from([2, 3, 5, 7]))
         return real_of_cut(sqrt_cut(k), interval(1, k)), sqrt_bracket(k), False
     x, (a, b), _ = draw(bracketed_reals(depth - 1))
-    op = draw(st.sampled_from(["add", "sub", "mul", "scale", "inv", "exp", "series"]))
+    op = draw(st.sampled_from(
+        ["add", "sub", "mul", "scale", "inv", "exp", "series", "chain"]))
     if op in ("add", "sub", "mul"):
         y, (c, d), _ = draw(bracketed_reals(depth - 1))
         if op == "add":
@@ -586,6 +665,16 @@ def bracketed_reals(draw, depth=2):
     if op == "inv" and (a >= F(1, 4) or b <= -F(1, 4)):
         delta = a / 2 if a > 0 else -b / 2
         return inv(x, delta), (1 / b, 1 / a), True
+    if op == "chain" and (a >= F(1, 4) or b <= -F(1, 4)):
+        # a deep chain of products and reciprocals, x -> 1 / (x * c)
+        factors = draw(st.lists(st.sampled_from([F(1, 2), F(2, 3), F(3, 2), F(2)]),
+                                min_size=4, max_size=12))
+        y, lo, hi = x, a, b
+        for c in factors:
+            lo, hi = lo * c, hi * c
+            y = inv(mul(y, real_of_rat(c)), min(abs(lo), abs(hi)) / 2)
+            lo, hi = 1 / hi, 1 / lo
+        return y, (lo, hi), True
     if op == "exp" and -3 <= a and b <= 3:
         return exp_real(x), exp_bracket(a, b), True
     if op == "series":
@@ -676,6 +765,50 @@ class TestConcurrency:
         # repeated queries at one precision hit the cache and agree
         assert y.approx(F(1, 10**3)) == y.approx(F(1, 10**3))
 
+    def test_parallel_exact_series_queries(self):
+        # the previous-term memo of exp_rational and limit(geometric; r)
+        # must stay invisible: every threaded answer equals the answer of
+        # a fresh real queried alone
+        import threading
+
+        def build():
+            return {
+                "exp": exp_rational(F(3, 2)),
+                "geometric": evaluate(Parser("limit(geometric; -7/8)").parse()),
+            }
+
+        shared, fresh = build(), build()
+        brackets = {"exp": exp_bracket(F(3, 2), F(3, 2)), "geometric": (F(8, 15), F(8, 15))}
+        precisions = [F(1, 10**k) for k in (30, 3, 12, 1, 50, 6, 20)] * 3
+        start = threading.Barrier(len(precisions))
+        results = []
+        errors = []
+
+        def worker(eps):
+            try:
+                start.wait()
+                for name, x in shared.items():
+                    results.append((name, eps, x.approx(eps)))
+            except Exception as e:  # pragma: no cover - failure path
+                errors.append(e)
+
+        threads = [threading.Thread(target=worker, args=(eps,)) for eps in precisions]
+        interval_before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the term walks
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval_before)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(results) == 2 * len(precisions)
+        for name, eps, got in results:
+            a, b = brackets[name]
+            assert got.lo <= a and b <= got.hi and got.width <= eps
+            assert got == fresh[name].approx(eps)
+
 
 class TestLimitAtZero:
     def test_product_with_inverse_is_one(self):
@@ -702,3 +835,18 @@ class TestLimitAtZero:
         )
         for eps in EPS_GRID:
             assert lim.approx(eps).contains(F(0))
+
+    def test_answers_are_short_dyadic(self):
+        cases = [
+            (lambda x, apart: mul(real_of_rat(x), inv(real_of_rat(x), apart)),
+             lambda eps: F(1), F(1)),
+            (lambda x, apart: real_of_rat(x * x + F(1, 3)), lambda eps: min(F(1), eps),
+             F(1, 3)),
+            (lambda x, apart: exp_rational(x), lambda eps: eps / 4, F(1)),
+        ]
+        for f, modulus, value in cases:
+            lim = limit_at_zero(f, modulus)
+            for eps in [*EPS_GRID, F(2, 7), F(1, 3 * 10**20)]:
+                got = lim.approx(eps)
+                assert got.contains(value) and got.width <= eps
+                assert_short_dyadic(got, eps)
