@@ -261,7 +261,7 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
         if not abs(r) < 1:
             raise ExprError("geometric ratio must satisfy |r| < 1")
         return xreal.sum_series(
-            terms=xreal.recurrence(Fraction(1), lambda t, k: t * r),
+            terms=(Fraction(1), lambda t, k: t * r),
             tail_bound=lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
             tail_index=lambda eps: _geometric_index(r, eps),
         )

@@ -20,6 +20,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 class InvariantError(RuntimeError):
@@ -416,16 +417,26 @@ def limit(seq: ConvergentSeq) -> Real:
     return Real(fn, name="limit")
 
 
-def partial_sum(terms: Callable[[int], Real | Fraction], n: int) -> Real:
+# series terms: a function of the index, or a pair (t_0, step) of exact terms
+Terms = (Callable[[int], Real | Fraction]
+         | tuple[Fraction, Callable[[Fraction, int], Fraction]])
+
+
+def partial_sum(terms: Terms, n: int) -> Real:
     """The sum of terms 0..n as two integers on the grid per = _snap(eps/(2(n+1))):
     a Real term's answer at per adds its floor and ceil, an exact term q adds
-    ceil(q/per) - 1 and floor(q/per) + 1.  Each spends at most 2*per."""
+    ceil(q/per) - 1 and floor(q/per) + 1.  Each spends at most 2*per.  A pair
+    (t_0, step) is walked from t_0 inside each query, t_k = step(t_{k-1}, k)."""
 
     def fn(eps: Fraction) -> RInterval:
         per = _snap(eps / (2 * (n + 1)))
         lo = hi = 0
-        for k in range(n + 1):
-            if isinstance(t := terms(k), Fraction):
+        if isinstance(terms, tuple):
+            values = accumulate(range(1, n + 1), terms[1], initial=terms[0])
+        else:
+            values = map(terms, range(n + 1))
+        for t in values:
+            if isinstance(t, Fraction):
                 f, r = divmod(t.numerator * per.denominator, t.denominator * per.numerator)
                 lo, hi = lo + f - (r == 0), hi + f + 1
             else:
@@ -436,24 +447,8 @@ def partial_sum(terms: Callable[[int], Real | Fraction], n: int) -> Real:
     return Real(fn, name=lambda: f"partial_sum({n})")
 
 
-def recurrence(first: Fraction, step: Callable[[Fraction, int], Fraction]):
-    """t_0 = first, t_k = step(t_{k-1}, k), built from the last pair (k, t_k)
-    handed out.  The pair is swapped in whole: a concurrent reader sees a
-    consistent pair, and a lost update only costs a walk from t_0."""
-    last = [(0, first)]
-
-    def term(k: int) -> Fraction:
-        i, t = last[0] if last[0][0] <= k else (0, first)
-        while i < k:
-            i, t = i + 1, step(t, i + 1)
-        last[0] = (k, t)
-        return t
-
-    return term
-
-
 def sum_series(
-    terms: Callable[[int], Real | Fraction],
+    terms: Terms,
     tail_bound: Callable[[int], Fraction],
     tail_index: Callable[[Fraction], int],
 ) -> Real:
@@ -461,15 +456,17 @@ def sum_series(
 
     tail_bound(N) must bound the absolute value of the sum beyond N and
     decrease in N; tail_index(eps) must return an N whose bound is at most
-    eps (checked at each use; failure raises).  Partial-sum differences
-    are bounded by two tails, hence the quarter precision below.  An index
-    past MAX_SERIES_TERMS refuses before any term is built.
+    eps (checked at each use; failure raises), and may stop its search at
+    MAX_SERIES_TERMS: an index there or past it refuses before any term or
+    tail bound is built.  Partial-sum differences are bounded by two tails,
+    hence the quarter precision below.
     """
 
     def modulus(eps: Fraction) -> int:
         n = tail_index(eps / 4)
         if n >= MAX_SERIES_TERMS:
-            raise SeriesBudgetError(f"series needs index {n}, past {MAX_SERIES_TERMS} terms")
+            raise SeriesBudgetError(
+                f"series needs index {n} or more, past {MAX_SERIES_TERMS} terms")
         if (bound := tail_bound(n)) > eps / 4:
             raise TailBoundError(f"tail_bound({n}) = {bound} exceeds requested {eps / 4}")
         return n
@@ -481,8 +478,8 @@ def exp_rational(q) -> Real:
     """The exponential of an exact rational via its power series."""
     q = rat(q)
     b = abs(q).numerator // abs(q).denominator + 1  # integer bound > |q|
-    term = recurrence(Fraction(1), lambda t, k: t * q / k)
-    out = sum_series(term, _factorial_tail(b), _factorial_tail_index(b))
+    terms = (Fraction(1), lambda t, k: t * q / k)
+    out = sum_series(terms, _factorial_tail(b), _factorial_tail_index(b))
     out.name = f"exp({q})"
     return out
 
@@ -514,9 +511,13 @@ def _factorial_tail(b: int) -> Callable[[int], Fraction]:
 
 def _factorial_tail_index(b: int) -> Callable[[Fraction], int]:
     def index(eps: Fraction) -> int:
-        n, bound = 2 * b, _factorial_tail(b)(2 * b)
-        while bound > eps:  # the next tail bound is this one times b/(n+2)
-            n, bound = n + 1, bound * b / (n + 2)
+        # the bound num/den stepped by b/(n+2) as integers, up to the budget
+        n = 2 * b
+        if n >= MAX_SERIES_TERMS:
+            return n
+        num, den = 2 * b ** (n + 1), math.factorial(n + 1)
+        while num * eps.denominator > eps.numerator * den and n < MAX_SERIES_TERMS:
+            n, num, den = n + 1, num * b, den * (n + 2)
         return n
 
     return index

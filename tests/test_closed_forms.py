@@ -276,6 +276,8 @@ BOUNDED_TIME = {
     "geometric-9999/10000": (
         ["real", "eval", "limit(geometric; 9999/10000)", "--eps", "1/1000"], None, 1
     ),
+    # needs over 2,000,000 terms: the index search stops at the budget
+    "exp-1000000": (["real", "eval", "exp(1000000)", "--eps", "1"], None, 1),
 }
 BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())

@@ -37,7 +37,6 @@ from coverlab.xreal import (
     rational_cut,
     real_of_cut,
     real_of_rat,
-    recurrence,
     scale,
     sqrt_cut,
     sub,
@@ -386,16 +385,25 @@ class TestSeries:
         within = sum_series(lambda k: F(0), lambda n: F(0), lambda eps: 99)
         assert within.approx(F(1, 100)).contains(F(0))
 
+    def test_large_exponent_refuses_at_once(self):
+        # e^q needs about e*q terms; the index search starts at 2q and stops
+        # at the budget, so it refuses without stepping towards e*q
+        for q, eps in [(9_998, F(1, 10**300)), (8_000, F(1))]:
+            started = time.perf_counter()
+            with pytest.raises(SeriesBudgetError, match=str(MAX_SERIES_TERMS)):
+                exp_rational(q).approx(eps)
+            assert time.perf_counter() - started < 2
+
 
 class TestExactTerms:
-    def test_recurrence_in_any_order(self):
-        rng = random.Random(3)
+    def test_walked_terms_match_direct_terms(self):
+        # a (t_0, step) pair walked inside each query sums the same terms
+        # as the function of the index, at every n and precision asked
         q = F(-5, 3)
-        term = recurrence(F(1), lambda t, k: t * q / k)
-        order = list(range(40)) * 2
-        rng.shuffle(order)
-        for k in order:
-            assert term(k) == q**k / math.factorial(k)
+        walked = (F(1), lambda t, k: t * q / k)
+        for n, eps in [(40, F(1, 10**9)), (7, F(1, 3)), (40, F(1, 10**30)), (0, F(1))]:
+            direct = partial_sum(lambda k: q**k / math.factorial(k), n).approx(eps)
+            assert partial_sum(walked, n).approx(eps) == direct
 
     def test_exact_and_real_term_partial_sums_agree(self):
         # seeded differential: the exact-term grid sum and the Real-term
@@ -415,7 +423,7 @@ class TestExactTerms:
             for k in range(1, n + 1):
                 values.append(step(values[-1], k))
             exact = sum(values)
-            grid = partial_sum(recurrence(c, step), n).approx(eps)
+            grid = partial_sum((c, step), n).approx(eps)
             real = partial_sum(lambda k: real_of_rat(values[k]), n).approx(eps)
             for got in (grid, real):
                 assert got.lo < exact < got.hi and got.width <= eps
@@ -641,7 +649,7 @@ def bracketed_reals(draw, depth=2):
             c = draw(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=20))
             r = draw(st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(3, 4), F(-9, 10)]))
             series = sum_series(
-                recurrence(c, lambda t, k: t * r),
+                (c, lambda t, k: t * r),
                 lambda n: abs(c) * abs(r) ** (n + 1) / (1 - abs(r)),
                 geometric_tail_index(r, abs(c)),
             )
@@ -766,9 +774,9 @@ class TestConcurrency:
         assert y.approx(F(1, 10**3)) == y.approx(F(1, 10**3))
 
     def test_parallel_exact_series_queries(self):
-        # the previous-term memo of exp_rational and limit(geometric; r)
-        # must stay invisible: every threaded answer equals the answer of
-        # a fresh real queried alone
+        # exp_rational and limit(geometric; r) walk their exact terms under
+        # concurrent mixed-precision queries: every threaded answer equals
+        # the answer of a fresh real queried alone
         import threading
 
         def build():
