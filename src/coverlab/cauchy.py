@@ -2,7 +2,7 @@
 
 On a finite carrier every filter is principal, so filters are stored by
 their smallest member, and the constructions have closed forms over the
-generator's members:
+generator's masks and its star table:
 
 - a regular representative is the union of the generator members
   containing the base;
@@ -30,6 +30,9 @@ from .finkernel import (
     FiniteCoverSpace,
     Subset,
     discrete,
+    points_of,
+    transfer,
+    union,
 )
 
 
@@ -73,10 +76,16 @@ def point_filter(s: FiniteCoverSpace, x: int) -> PrincipalFilter:
     return PrincipalFilter(s.carrier, coverspace.neighborhood_base(s, x))
 
 
+def _in_member(s: FiniteCoverSpace, mask: int) -> bool:
+    """Some generator member contains the mask."""
+    return any(mask & ~w == 0 for w in s.masks)
+
+
 def is_cauchy_filter(s: FiniteCoverSpace, f: PrincipalFilter) -> bool:
     """Proper and meets every distinguished cover; by the subbase
     criterion it is enough that some generator member contains the base."""
-    return f.proper and any(f.base.issubset(u) for u in s.generator.members)
+    coverspace._check_subset(s, f.base)
+    return f.proper and _in_member(s, f.base.mask)
 
 
 def filters_equivalent(
@@ -84,8 +93,8 @@ def filters_equivalent(
 ) -> bool:
     """Every distinguished cover has a member lying in both filters;
     equivalently some generator member contains both bases."""
-    joint = f.base | g.base
-    return any(joint.issubset(u) for u in s.generator.members)
+    coverspace._check_subset(s, f.base)
+    return _in_member(s, (f.base | g.base).mask)
 
 
 def regular_representative(
@@ -101,10 +110,7 @@ def regular_representative(
     """
     if not is_cauchy_filter(s, f):
         raise FilterError("regular representative requires a Cauchy filter")
-    mask = 0
-    for u in s.generator.members:
-        if f.base.issubset(u):
-            mask |= u.mask
+    mask = union(w for w in s.masks if f.base.mask & ~w == 0)
     return PrincipalFilter(s.carrier, Subset(s.carrier, mask))
 
 
@@ -126,34 +132,15 @@ def is_filter_strongly_regular(s: FiniteCoverSpace, f: PrincipalFilter) -> bool:
 
 def point_equiv(s: FiniteCoverSpace, x: int, y: int) -> bool:
     """Some member of every distinguished cover contains both points;
-    decided on the generator."""
-    return any(u.contains(x) and u.contains(y) for u in s.generator.members)
-
-
-def separated_char_conditions(
-    s: FiniteCoverSpace, x: int, y: int
-) -> tuple[bool, ...]:
-    """The seven equivalent formulations of point equivalence, evaluated
-    independently.  The tests assert they are mutually equal."""
-    nx = coverspace.neighborhood_base(s, x)
-    ny = coverspace.neighborhood_base(s, y)
-    fx, fy = point_filter(s, x), point_filter(s, y)
-    return (
-        ny.issubset(nx),  # x's neighborhood filter inside y's
-        filters_equivalent(s, fx, fy),
-        nx == ny,
-        nx.contains(y),  # every neighborhood of x contains y
-        nx.intersects(ny),
-        any(nx.issubset(u) and ny.issubset(u) for u in s.generator.members),
-        point_equiv(s, x, y),
-    )
+    decided on the generator: y lies in the star of x."""
+    return bool(s.star[x] >> y & 1)
 
 
 def is_separated(s: FiniteCoverSpace) -> bool:
     """Equivalent points are equal.  Two points are equivalent exactly
     when some generator member contains both (``point_equiv``), so every
     member must be a singleton: O(k) for k members."""
-    return all(w.mask & (w.mask - 1) == 0 for w in s.generator.members)
+    return all(w & (w - 1) == 0 for w in s.masks)
 
 
 def is_complete(s: FiniteCoverSpace) -> bool:
@@ -195,12 +182,13 @@ def _build_completion(s: FiniteCoverSpace, regular_check) -> CompletionSpace:
     are the blocks, the unit sends x to its block, and the structure is
     discrete on the blocks.
     """
-    points = s.generator.sorted_members()
+    carrier = s.carrier
+    points = tuple(Subset(carrier, b) for b in s.masks)
     unit = [0] * s.size
     for i, b in enumerate(points):
-        if not regular_check(s, PrincipalFilter(s.carrier, b)):
+        if not regular_check(s, PrincipalFilter(carrier, b)):
             raise FilterError(f"representative {b!r} fails its regularity condition")
-        for x in b.members():
+        for x in points_of(b.mask):
             unit[x] = i
     return CompletionSpace(points, discrete(len(points)), tuple(unit))
 
@@ -243,8 +231,8 @@ def finite_subcover(s: FiniteCoverSpace, c: Cover) -> list[Subset]:
     if not coverspace.is_cauchy(s, members):
         raise FilterError("finite subcover requires a distinguished cover")
     chosen: list[Subset] = []
-    for w in s.generator.sorted_members():
-        pick = next(m for m in members if w.issubset(m))
+    for w in s.masks:
+        pick = next(m for m in members if w & ~m.mask == 0)
         if pick not in chosen:
             chosen.append(pick)
     return chosen
@@ -269,13 +257,10 @@ def dense_lift(
     _check_lift_preconditions(f, x, y, g, z)
     out = []
     for yp in y.carrier.elements():
-        base_z = _pushed_base(f, x, g, z, y, yp)
+        base_z = _pushed_base(f, x, g, z, y, yp).mask
+        # the filters are equivalent when one member holds both bases
         candidates = [
-            zp
-            for zp in z.carrier.elements()
-            if filters_equivalent(
-                z, PrincipalFilter(z.carrier, base_z), point_filter(z, zp)
-            )
+            zp for zp, star in enumerate(z.star) if _in_member(z, base_z | star)
         ]
         if len(candidates) != 1:
             raise FilterError(
@@ -287,9 +272,8 @@ def dense_lift(
 
 
 def _pushed_base(f, x, g, z, y, yp) -> Subset:
-    ny = coverspace.neighborhood_base(y, yp)
-    pulled = [i for i in x.carrier.elements() if ny.contains(f[i])]
-    return Subset.of(z.carrier, {g[i] for i in pulled})
+    ny = y.star[yp]
+    return Subset.of(z.carrier, {g[i] for i in range(x.size) if ny >> f[i] & 1})
 
 
 def _check_lift_preconditions(f, x, y, g, z) -> None:
@@ -320,27 +304,17 @@ def subspace(
     if not u.inhabited:
         raise ValueError("subspace carrier must be inhabited")
     inclusion = u.members()
-    from .finkernel import transfer
-
     return transfer(inclusion, s), inclusion
 
 
 def spaces_isomorphic(a: FiniteCoverSpace, b: FiniteCoverSpace) -> bool:
     """Whether some bijection of carriers matches the canonical generators."""
-    if a.size != b.size:
+    sizes = [sorted(w.bit_count() for w in t.masks) for t in (a, b)]
+    if a.size != b.size or sizes[0] != sizes[1]:
         return False
-    sizes_a = sorted(bin(m.mask).count("1") for m in a.generator.members)
-    sizes_b = sorted(bin(m.mask).count("1") for m in b.generator.members)
-    if sizes_a != sizes_b:
-        return False
-    b_masks = {m.mask for m in b.generator.members}
-    for perm in permutations(range(a.size)):
-        mapped = set()
-        for m in a.generator.members:
-            mask = 0
-            for i in m.members():
-                mask |= 1 << perm[i]
-            mapped.add(mask)
-        if mapped == b_masks:
-            return True
-    return False
+    rows = [points_of(w) for w in a.masks]
+    target = set(b.masks)
+    return any(
+        {sum(1 << perm[i] for i in row) for row in rows} == target
+        for perm in permutations(range(a.size))
+    )

@@ -21,6 +21,7 @@ import time
 from fractions import Fraction
 
 from . import cauchy, coverspace, locales, realexpr, spacefile, xreal
+from .finkernel import points_of, shared_points
 
 # The most maximal subsets `locale points` prints over all points: each
 # point's count is the product of the sizes of the other atoms, which on a
@@ -95,20 +96,17 @@ def cmd_axioms(args) -> int:
 def _cr_witness(s):
     # regular means the generator is a partition (coverspace.satisfies_cr),
     # so the witness is the first member sharing a point with another
-    seen = shared = 0
-    for w in s.generator.members:
-        shared |= seen & w.mask
-        seen |= w.mask
-    for w in s.generator.sorted_members():
-        if w.mask & shared:
-            return {"generator_member": list(w.members())}
+    shared = shared_points(s.masks)
+    for w in s.masks:
+        if w & shared:
+            return {"generator_member": points_of(w)}
     return None
 
 
 def _separation_witness(s):
     # x and y are equivalent exactly when y lies in x's smallest neighborhood
-    for x in s.carrier.elements():
-        above = coverspace.neighborhood_base(s, x).mask >> (x + 1)
+    for x, star in enumerate(s.star):
+        above = star >> (x + 1)
         if above:
             return {"points": [x, x + (above & -above).bit_length()]}
     return None
@@ -140,15 +138,21 @@ def cmd_complete(args) -> int:
 
     out_doc = {
         "reflected": reflected,
-        "space": json.loads(spacefile.emit_spacefile(spacefile.of_space(comp.structure))),
+        "space": _space_doc(comp.structure, args.out),
         "points": [list(b.members()) for b in comp.points],
         "unit": list(comp.unit),
         "reports": reports,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(spacefile.emit_spacefile(spacefile.of_space(comp.structure)))
     return _emit(out_doc)
+
+
+def _space_doc(s, out):
+    """The space file of s as JSON, also written to ``out`` when given."""
+    text = spacefile.emit_spacefile(spacefile.of_space(s))
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return json.loads(text)
 
 
 def cmd_reflect(args) -> int:
@@ -158,14 +162,7 @@ def cmd_reflect(args) -> int:
     t0 = time.perf_counter()
     r = coverspace.regular_reflection(s)
     reports = [_report("reflection_regular", coverspace.satisfies_cr(r), {}, t0)]
-    doc = {
-        "space": json.loads(spacefile.emit_spacefile(spacefile.of_space(r))),
-        "reports": reports,
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(spacefile.emit_spacefile(spacefile.of_space(r)))
-    return _emit(doc)
+    return _emit({"space": _space_doc(r, args.out), "reports": reports})
 
 
 def cmd_locale(args) -> int:

@@ -3,8 +3,9 @@
 Distinguished-cover membership, the rather-below relations, regularity
 checks, the regular reflection, properness, the induced topology, and
 structure-preserving map checks.  All questions about a structure reduce
-to refinement checks against its canonical generator; each such shortcut
-is cross-checked against a definition-level enumeration in the tests.
+to refinement checks against its generator masks or to lookups in its
+star table; each such shortcut is cross-checked against a
+definition-level enumeration in the tests.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .finkernel import (
     FiniteCoverSpace,
     Subset,
     all_subsets,
+    generated_space,
     maximal_masks,
-    meet,
+    points_of,
     preimage_masks,
-    refines,
-    space_from_cover,
+    shared_points,
 )
 
 
@@ -45,17 +46,20 @@ class SubbasePresentation:
 
 
 def close_subbase(b: SubbasePresentation) -> FiniteCoverSpace:
-    """The precover structure generated by a subbase.
+    return close_masks(b.carrier.size, ([m.mask for m in c.members] for c in b.covers))
+
+
+def close_masks(n: int, covers: Iterable[Iterable[int]]) -> FiniteCoverSpace:
+    """The precover structure on n points generated by covers as masks.
 
     The closure under the trivial-cover, refinement, and meet rules is
-    principal: it is generated by the meet of all the subbase covers.  An
-    empty subbase yields the indiscrete structure.  The result need not
-    satisfy the regularity axiom.
+    generated by the meet of all the covers (no covers: the indiscrete
+    structure).  It need not satisfy the regularity axiom.
     """
-    acc = Cover.of_masks(b.carrier, {b.carrier.full_mask})
-    for c in b.covers:
-        acc = meet(acc, c)
-    return space_from_cover(acc)
+    acc = {Carrier(n).full_mask}
+    for c in covers:
+        acc = {u & v for u in acc for v in c}
+    return generated_space(n, acc)
 
 
 def is_cauchy(s: FiniteCoverSpace, d: Cover | Iterable[Subset]) -> bool:
@@ -66,10 +70,10 @@ def is_cauchy(s: FiniteCoverSpace, d: Cover | Iterable[Subset]) -> bool:
     never accepted.
     """
     members = list(d.members if isinstance(d, Cover) else d)
-    for m in members:
-        if m.carrier != s.carrier:
-            raise CarrierMismatchError("family on a different carrier")
-    return refines(s.generator, members)
+    if any(m.carrier.size != s.size for m in members):
+        raise CarrierMismatchError("family on a different carrier")
+    d_masks = [m.mask for m in members]
+    return all(any(w & ~v == 0 for v in d_masks) for w in s.masks)
 
 
 def rather_below(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
@@ -77,13 +81,13 @@ def rather_below(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
     (W meets V implies W inside U) is distinguished.
 
     That family is downward closed, so refinement against the generator
-    amounts to checking the implication on every generator member.
+    amounts to the implication on every member: the star of V (the union
+    of its points' stars) lies inside U.  O(|V|).
     """
     _check_subset(s, v)
     _check_subset(s, u)
-    return all(
-        (not w.intersects(v)) or w.issubset(u) for w in s.generator.members
-    )
+    outside = ~u.mask
+    return not any(s.star[x] & outside for x in points_of(v.mask))
 
 
 def strongly_rather_below(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
@@ -101,12 +105,11 @@ def satisfies_cr(s: FiniteCoverSpace) -> bool:
     monotone under enlargement, so the generator instance suffices: each
     generator member W needs a generator member U with W rather below U.
     That puts W inside U, so U = W in the antichain, and then every member
-    meeting W lies inside W, so equals it.  The members cover the carrier,
-    so they are disjoint exactly when their sizes sum to n: O(k) for k
-    members.  ``tests/helpers.py: satisfies_cr_oracle`` evaluates the
-    generator instance and the tests compare the two.
+    meeting W lies inside W, so equals it: no point is shared.
+    ``tests/helpers.py: satisfies_cr_oracle`` evaluates the generator
+    instance and the tests compare the two.
     """
-    return sum(bin(w.mask).count("1") for w in s.generator.members) == s.size
+    return not shared_points(s.masks)
 
 
 def is_strongly_regular(s: FiniteCoverSpace) -> bool:
@@ -121,20 +124,21 @@ def regular_reflection(s: FiniteCoverSpace) -> FiniteCoverSpace:
 
     The regular structures are the partitions (``satisfies_cr``), and a
     partition is coarser than s exactly when every generator member lies
-    inside one block.  The finest such partition is the connected
-    components of the overlap graph of the generator members, found by
-    merging overlapping masks: O(k^2) for k members.
+    inside one block.  The finest is the connected components of the
+    overlap graph of the members: each grows from its lowest point by the
+    stars of the points it reaches, each star read once.
     """
-    blocks: list[int] = []
-    for w in s.generator.members:
-        merged, apart = w.mask, []
-        for b in blocks:
-            if b & w.mask:
-                merged |= b
-            else:
-                apart.append(b)
-        blocks = apart + [merged]
-    return space_from_cover(Cover.of_masks(s.carrier, blocks))
+    blocks = []
+    left = s.carrier.full_mask
+    while left:
+        block, grown = 0, left & -left
+        while grown != block:
+            fresh, block = grown & ~block, grown
+            for x in points_of(fresh):
+                grown |= s.star[x]
+        blocks.append(block)
+        left &= ~block
+    return FiniteCoverSpace(s.size, tuple(sorted(blocks)))
 
 
 def is_proper(s: FiniteCoverSpace) -> bool:
@@ -145,7 +149,7 @@ def is_proper(s: FiniteCoverSpace) -> bool:
     vacuously true.  Kept as an operation for interface fidelity; the
     tests exercise the definition over all families.
     """
-    return all(m.inhabited for m in s.generator.members)
+    return all(s.masks)
 
 
 def is_neighborhood(s: FiniteCoverSpace, u: Subset, x: int) -> bool:
@@ -154,21 +158,17 @@ def is_neighborhood(s: FiniteCoverSpace, u: Subset, x: int) -> bool:
 
 
 def neighborhood_base(s: FiniteCoverSpace, x: int) -> Subset:
-    """The smallest neighborhood of x: the union of all generator members
-    containing x.  Every neighborhood of x is exactly a superset of it."""
-    mask = 0
-    for w in s.generator.members:
-        if w.contains(x):
-            mask |= w.mask
-    return Subset(s.carrier, mask)
+    """The smallest neighborhood of x: its star, the union of all generator
+    members containing x.  Every neighborhood of x is exactly a superset
+    of it."""
+    return Subset(s.carrier, s.star[x])
 
 
 def interior(s: FiniteCoverSpace, u: Subset) -> Subset:
-    """Points whose singleton is rather below u."""
+    """Points whose singleton is rather below u: whose star lies in u."""
     _check_subset(s, u)
-    return Subset.of(
-        s.carrier, [x for x in u.members() if is_neighborhood(s, u, x)]
-    )
+    inner = [x for x in points_of(u.mask) if s.star[x] & ~u.mask == 0]
+    return Subset.of(s.carrier, inner)
 
 
 def is_open(s: FiniteCoverSpace, u: Subset) -> bool:
@@ -177,14 +177,13 @@ def is_open(s: FiniteCoverSpace, u: Subset) -> bool:
 
 def is_limit_point(s: FiniteCoverSpace, u: Subset, x: int) -> bool:
     """Every neighborhood of x intersects u; equivalently the smallest one does."""
-    return neighborhood_base(s, x).intersects(u)
+    _check_subset(s, u)
+    return bool(s.star[x] & u.mask)
 
 
 def closure_of(s: FiniteCoverSpace, u: Subset) -> Subset:
     _check_subset(s, u)
-    return Subset.of(
-        s.carrier, [x for x in s.carrier.elements() if is_limit_point(s, u, x)]
-    )
+    return Subset.of(s.carrier, [x for x, star in enumerate(s.star) if star & u.mask])
 
 
 def is_closed(s: FiniteCoverSpace, u: Subset) -> bool:
@@ -271,8 +270,8 @@ def from_topology(t: FiniteTopology) -> FiniteCoverSpace:
     """
     if not t.is_regular():
         raise RegularityError("input topology is not regular")
-    members = {t.minimal_neighborhood(x) for x in t.carrier.elements()}
-    return space_from_cover(Cover.of(t.carrier, members))
+    members = {t.minimal_neighborhood(x).mask for x in t.carrier.elements()}
+    return generated_space(t.carrier.size, members)
 
 
 def is_cover_map(
@@ -281,10 +280,12 @@ def is_cover_map(
     """Preimages of distinguished covers are distinguished.
 
     Checking y's generator suffices: preimage families of coarser covers
-    are coarser.  Cross-checked exhaustively in the tests.
+    are coarser.  x's generator refines the preimage family exactly when
+    adding its members leaves the maximal members unchanged.
     """
     _check_table(f, x, y)
-    return is_cauchy(x, [Subset(x.carrier, m) for m in preimage_masks(f, y)])
+    pre = preimage_masks(f, y)
+    return maximal_masks([*pre, *x.masks]) == maximal_masks(pre)
 
 
 def is_embedding(
@@ -296,17 +297,12 @@ def is_embedding(
 
     Closed form: the maximal preimages of y's generator members are
     exactly E.  Q is downward closed, so y's generator refines Q exactly
-    when each preimage f^{-1}(W) of a generator member lies inside some
-    member of E, that is when the preimage family refines E.  Being a
-    cover map is the converse refinement, so f is an embedding exactly
-    when the two families refine each other, and two finite families that
-    refine each other have the same maximal members.  The tests compare
-    this with the enumeration of Q over every subset of y.
+    when the preimage family refines E; being a cover map is the converse,
+    and families refining each other have the same maximal members.  The
+    tests compare this with the enumeration of Q over every subset of y.
     """
     _check_table(f, x, y)
-    return maximal_masks(preimage_masks(f, y)) == sorted(
-        u.mask for u in x.generator.members
-    )
+    return maximal_masks(preimage_masks(f, y)) == list(x.masks)
 
 
 def point_images_dense(
@@ -319,7 +315,7 @@ def point_images_dense(
 
 
 def _check_subset(s: FiniteCoverSpace, u: Subset) -> None:
-    if u.carrier != s.carrier:
+    if u.carrier.size != s.size:
         raise CarrierMismatchError("subset on a different carrier")
 
 

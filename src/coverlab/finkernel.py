@@ -1,18 +1,22 @@
-"""Finite carriers, subsets, covers, and the principal representation of
+"""Finite carriers, subsets, covers, and the int-mask representation of
 cover structures.
 
 Everything downstream rests on one fact about finite carriers: the closure
 of finitely many covers under the trivial cover, refinement, and pairwise
 meet rules is exactly the set of covers refined by the meet of the
-generating covers.  A structure is therefore stored as a single canonical
-generator cover (an antichain), and membership questions reduce to
-refinement checks against it.
+generating covers.  A structure is therefore stored as its canonical
+generator, an ascending tuple of int masks (bit x for point x), with its
+star table: each point's smallest neighbourhood, the union of the members
+holding it.  ``Carrier``, ``Subset`` and ``Cover`` are the API's argument
+and result types, unpacked to masks once at the boundary.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Sequence
 
 # Enumerating all subsets of a carrier is exponential; enumerating all
@@ -35,6 +39,30 @@ def _check_size(n: int, limit: int, what: str) -> None:
         raise CarrierSizeError(
             f"carrier size {n} exceeds the {what} enumeration limit {limit}"
         )
+
+
+def points_of(mask: int) -> list[int]:
+    """The points of a mask, ascending: one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def union(masks: Iterable[int]) -> int:
+    """The union of the masks."""
+    return reduce(operator.or_, masks, 0)
+
+
+def shared_points(masks: Iterable[int]) -> int:
+    """The mask of the points held by more than one of the masks."""
+    seen = shared = 0
+    for w in masks:
+        shared |= seen & w
+        seen |= w
+    return shared
 
 
 @dataclass(frozen=True)
@@ -84,7 +112,7 @@ class Subset:
         return Subset(carrier, carrier.full_mask)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(x for x in self.carrier.elements() if self.mask >> x & 1)
+        return tuple(points_of(self.mask))
 
     def contains(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
@@ -190,65 +218,84 @@ def canonicalize(c: Cover) -> Cover:
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
-    """The inclusion-maximal masks of a family, ascending."""
-    family = set(masks)
-    return sorted(
-        m for m in family if not any(other != m and m & ~other == 0 for other in family)
-    )
+    """The inclusion-maximal masks of a family, ascending.  A strict
+    superset is larger and holds the subset's lowest point, so walking
+    downward each mask meets only the kept masks at its lowest point:
+    O(k^2) at worst, O(k) for disjoint or chained masks."""
+    kept: list[int] = []
+    held: dict[int, list[int]] = {}  # point -> kept masks holding it
+    for w in sorted(set(masks), reverse=True):
+        # the empty mask lies inside every other mask
+        larger = held.get((w & -w).bit_length() - 1, ()) if w else kept
+        if any(w & ~v == 0 for v in larger):
+            continue
+        kept.append(w)
+        for x in points_of(w):
+            held.setdefault(x, []).append(w)
+    kept.reverse()
+    return kept
 
 
 @dataclass(frozen=True)
 class FiniteCoverSpace:
-    """A finite carrier with one canonical generator cover.
+    """The carrier {0, ..., size-1} with its canonical generator ``masks``,
+    an ascending covering antichain, denoting {D : generator refines D}.
+    ``star[x]`` is the union of the members holding x; ``carrier`` and
+    ``generator`` are views in the boundary types."""
 
-    The structure it denotes is {D : generator refines D}: the closure of
-    the generator under the trivial-cover, refinement, and meet rules.
-    The generator must be a covering antichain.
-    """
-
-    carrier: Carrier
-    generator: Cover
+    size: int
+    masks: tuple[int, ...]
+    star: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.generator.carrier != self.carrier:
-            raise CarrierMismatchError("generator on a different carrier")
-        canon = canonicalize(self.generator)
-        if canon.members != self.generator.members:
-            raise ValueError("generator is not a canonical antichain")
+        masks, top = tuple(self.masks), Carrier(self.size).full_mask + 1
+        star = [0] * self.size
+        held: list[list[int]] = [[] for _ in star]
+        # downward, as in maximal_masks
+        for w, above in zip(reversed(masks), (top, *reversed(masks))):
+            low = (w & -w).bit_length() - 1
+            if not 0 < w < above or any(w & ~v == 0 for v in held[low]):
+                raise ValueError("generator is not an ascending antichain")
+            for x in points_of(w):
+                held[x].append(w)
+                star[x] |= w
+        if not all(star):
+            raise ValueError("members do not cover the carrier")
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "star", tuple(star))
 
     @property
-    def size(self) -> int:
-        return self.carrier.size
+    def carrier(self) -> Carrier:
+        return Carrier(self.size)
 
-    def __repr__(self) -> str:
-        return f"FiniteCoverSpace(n={self.size}, generator={self.generator!r})"
+    @cached_property
+    def generator(self) -> Cover:
+        return Cover.of_masks(self.carrier, self.masks)
+
+
+def generated_space(n: int, masks: Iterable[int]) -> FiniteCoverSpace:
+    """The structure on n points generated by a covering family of masks."""
+    return FiniteCoverSpace(n, tuple(maximal_masks(masks)))
 
 
 def space_from_cover(cover: Cover) -> FiniteCoverSpace:
     """The structure generated by a single cover."""
-    return FiniteCoverSpace(cover.carrier, canonicalize(cover))
+    return generated_space(cover.carrier.size, (m.mask for m in cover.members))
 
 
 def space_from_masks(n: int, masks: Iterable[Iterable[int]]) -> FiniteCoverSpace:
     """Convenience constructor from element lists, canonicalizing."""
-    carrier = Carrier(n)
-    return space_from_cover(
-        Cover.of(carrier, [Subset.of(carrier, xs) for xs in masks])
-    )
+    return generated_space(n, (Subset.of(Carrier(n), xs).mask for xs in masks))
 
 
 def discrete(n: int) -> FiniteCoverSpace:
     """All covers are distinguished: generated by the singleton cover."""
-    carrier = Carrier(n)
-    return FiniteCoverSpace(
-        carrier, Cover.of_masks(carrier, {1 << x for x in range(n)})
-    )
+    return FiniteCoverSpace(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete(n: int) -> FiniteCoverSpace:
     """Only covers containing the whole carrier: generated by {X}."""
-    carrier = Carrier(n)
-    return FiniteCoverSpace(carrier, Cover.of_masks(carrier, {carrier.full_mask}))
+    return FiniteCoverSpace(n, (Carrier(n).full_mask,))
 
 
 def pair_index(i: int, j: int, ny: int) -> int:
@@ -256,28 +303,16 @@ def pair_index(i: int, j: int, ny: int) -> int:
     return i * ny + j
 
 
-def product_subset(u: Subset, v: Subset, carrier: Carrier) -> Subset:
-    ny = v.carrier.size
-    mask = 0
-    for i in u.members():
-        for j in v.members():
-            mask |= 1 << pair_index(i, j, ny)
-    return Subset(carrier, mask)
-
-
 def product(x: FiniteCoverSpace, y: FiniteCoverSpace) -> FiniteCoverSpace:
-    """Product space on the pair carrier, generated by member products.
+    """Product space on the pair carrier, generated by member products
+    (copies of v at u's rows), which form an antichain.
 
-    If the resulting generator fails the regularity axiom (possible only
-    when an input is a bare precover), the regular reflection is applied.
+    If the result fails the regularity axiom (possible only when an input
+    is a bare precover), the regular reflection is applied.
     """
-    carrier = Carrier(x.size * y.size)
-    members = {
-        product_subset(u, v, carrier)
-        for u in x.generator.members
-        for v in y.generator.members
-    }
-    result = space_from_cover(Cover.of(carrier, members))
+    rows = [[pair_index(i, 0, y.size) for i in points_of(u)] for u in x.masks]
+    members = sorted(sum(v << r for r in row) for row in rows for v in y.masks)
+    result = FiniteCoverSpace(x.size * y.size, tuple(members))
     from . import coverspace  # late import: reflection lives upstream
 
     if not coverspace.satisfies_cr(result):
@@ -291,19 +326,19 @@ def transfer(f: Sequence[int], y: FiniteCoverSpace) -> FiniteCoverSpace:
     The result is the smallest structure making f structure-preserving;
     its generator is the canonicalized preimage of y's generator.
     """
-    carrier = Carrier(len(f))
     for v in f:
         if not 0 <= v < y.size:
             raise ValueError(f"table value {v} outside target carrier")
-    return space_from_cover(Cover.of_masks(carrier, preimage_masks(f, y)))
+    return generated_space(len(f), preimage_masks(f, y))
 
 
 def preimage_masks(f: Sequence[int], y: FiniteCoverSpace) -> list[int]:
-    """The mask of f^{-1}(W) for each member W of y's generator."""
-    return [
-        sum(1 << i for i, v in enumerate(f) if w.mask >> v & 1)
-        for w in y.generator.members
-    ]
+    """The mask of f^{-1}(W) for each member W of y's generator, as the
+    union of the fibres of f over W's points."""
+    fibre = [0] * y.size
+    for i, v in enumerate(f):
+        fibre[v] |= 1 << i
+    return [sum(fibre[v] for v in points_of(w)) for w in y.masks]
 
 
 def all_subsets(carrier: Carrier, max_carrier: int | None = None) -> list[Subset]:
@@ -312,68 +347,16 @@ def all_subsets(carrier: Carrier, max_carrier: int | None = None) -> list[Subset
     return [Subset(carrier, m) for m in range(carrier.full_mask + 1)]
 
 
-def all_families(
-    carrier: Carrier, max_carrier: int | None = None
-) -> Iterator[frozenset[Subset]]:
-    """Every family of subsets (covering or not).  Doubly exponential."""
-    _check_size(carrier.size, max_carrier or COVER_ENUM_LIMIT, "cover")
-    subsets = all_subsets(carrier, max_carrier=carrier.size)
-    for bits in range(1 << len(subsets)):
-        yield frozenset(s for k, s in enumerate(subsets) if bits >> k & 1)
-
-
-def all_covers(carrier: Carrier, max_carrier: int | None = None) -> Iterator[Cover]:
-    """Every cover of the carrier.  Doubly exponential; guarded."""
-    for family in all_families(carrier, max_carrier=max_carrier):
-        union = 0
-        for s in family:
-            union |= s.mask
-        if union == carrier.full_mask:
-            yield Cover(carrier, family)
-
-
 def all_canonical_covers(
     carrier: Carrier, max_carrier: int | None = None
 ) -> list[Cover]:
     """Every covering antichain, i.e. every canonical generator."""
     _check_size(carrier.size, max_carrier or COVER_ENUM_LIMIT, "cover")
-    nonempty = [m for m in range(1, carrier.full_mask + 1)]
-    out = []
-    for r in range(1, len(nonempty) + 1):
-        for combo in itertools.combinations(nonempty, r):
-            union = 0
-            for m in combo:
-                union |= m
-            if union != carrier.full_mask:
-                continue
-            if any(
-                a != b and a & ~b == 0 for a in combo for b in combo
-            ):
-                continue
-            out.append(Cover.of_masks(carrier, combo))
-    return out
-
-
-def all_partitions(carrier: Carrier, max_carrier: int | None = None) -> list[Cover]:
-    """Every partition of the carrier into nonempty blocks, as covers."""
-    _check_size(carrier.size, max_carrier or SUBSET_ENUM_LIMIT, "partition")
-    n = carrier.size
-
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
-        if i == n:
-            yield [b[:] for b in blocks]
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    out = []
-    for blocks in rec(0, []):
-        out.append(
-            Cover.of(carrier, [Subset.of(carrier, b) for b in blocks])
-        )
-    return out
+    full = carrier.full_mask
+    return [
+        Cover.of_masks(carrier, combo)
+        for r in range(1, full + 1)
+        for combo in itertools.combinations(range(1, full + 1), r)
+        if union(combo) == full
+        and not any(a != b and a & ~b == 0 for a in combo for b in combo)
+    ]

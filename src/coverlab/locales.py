@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cauchy, coverspace
-from .finkernel import FiniteCoverSpace, Subset, discrete
+from .finkernel import FiniteCoverSpace, Subset, discrete, points_of, shared_points, union
 
 
 class LocaleConditionError(ValueError):
@@ -47,18 +47,15 @@ class LocaleConditionError(ValueError):
 
 class CoveragePresentation:
     """The rule system presenting the frame of a finite cover space, kept
-    as its atoms: the isolated generator members, ascending by mask."""
+    as its atoms (the isolated generator members, ascending) and their
+    indices."""
 
     def __init__(self, space: FiniteCoverSpace):
         self.space = space
         self.full = space.carrier.full_mask
-        seen = shared = 0
-        for w in space.generator.members:
-            shared |= seen & w.mask
-            seen |= w.mask
-        self.atoms: tuple[int, ...] = tuple(
-            sorted(w.mask for w in space.generator.members if not w.mask & shared)
-        )
+        shared = shared_points(space.masks)
+        self.atoms: tuple[int, ...] = tuple(w for w in space.masks if not w & shared)
+        self.index = {w: i for i, w in enumerate(self.atoms)}
 
 
 @dataclass(frozen=True)
@@ -69,8 +66,11 @@ class LocalePoint:
 
 
 def basic_open(p: CoveragePresentation, u: Subset) -> int:
-    """The frame element generated by a single subset: the atoms inside it."""
-    return sum(1 << i for i, w in enumerate(p.atoms) if w & ~u.mask == 0)
+    """The frame element generated by a single subset: the atoms inside it,
+    read off the stars of u's points, as an atom is the star of each of
+    its points (an isolated member is the only one holding them)."""
+    stars = {p.space.star[x] for x in points_of(u.mask)}
+    return sum(1 << p.index[w] for w in stars if w in p.index and w & ~u.mask == 0)
 
 
 class FiniteLocale:
@@ -85,7 +85,8 @@ class FiniteLocale:
         self.elements = range(self.top + 1)
         # maximal_subsets' choices: one-point atoms, larger atoms' points
         self.singles = sum(w for w in self.atoms if w & (w - 1) == 0)
-        self.multi = [(i, _bits(w)) for i, w in enumerate(self.atoms) if w & (w - 1)]
+        self.multi = [(i, [1 << x for x in points_of(w)])
+                      for i, w in enumerate(self.atoms) if w & (w - 1)]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -97,10 +98,7 @@ class FiniteLocale:
         return a & b
 
     def join(self, parts: Iterable[int]) -> int:
-        out = 0
-        for a in parts:
-            out |= a
-        return out
+        return union(parts)
 
     def negation(self, b: int) -> int:
         """The largest element meeting b in bottom."""
@@ -130,19 +128,11 @@ def maximal_subsets(m: FiniteLocale, a: int) -> tuple[Subset, ...]:
     """The inclusion-maximal subsets in the ideal of a, ascending by mask:
     the carrier minus one point of every atom outside a."""
     pres = m.presentation
-    inside = sum(m.atoms[b.bit_length() - 1] for b in _bits(a))  # a's carrier mask
+    inside = sum(m.atoms[i] for i in points_of(a))  # a's carrier mask
     base = pres.full & ~(m.singles & ~inside)
     choices = [bits for i, bits in m.multi if not a >> i & 1]
     masks = sorted(base & ~sum(pick) for pick in itertools.product(*choices))
     return tuple(Subset(pres.space.carrier, u) for u in masks)
-
-
-def _bits(w: int) -> list[int]:
-    out = []
-    while w:
-        out.append(w & -w)
-        w &= w - 1
-    return out
 
 
 def points_of_open(m: FiniteLocale, a: int) -> tuple[LocalePoint, ...]:
@@ -223,9 +213,10 @@ def verify_equivalence(s: FiniteCoverSpace) -> EquivalenceReport:
 
     The unit sends a carrier point to the filter of frame elements lying
     above some basic open it is a neighborhood of, which is the filter of
-    the basic open of its smallest neighborhood; that lands on a point
-    exactly when it is one atom.  Every verified condition is listed in
-    the report; precondition failures short-circuit.
+    the basic open of its star; that lands on a point exactly when it is
+    one atom.  An atom inside a star meets a member holding the point, so
+    is that member and the star itself.  Every verified condition is
+    listed in the report; precondition failures short-circuit.
     """
     checks: list[tuple[str, bool, str]] = []
     proper = coverspace.is_proper(s)
@@ -246,10 +237,7 @@ def verify_equivalence(s: FiniteCoverSpace) -> EquivalenceReport:
         ("point_count_matches", k == s.size, f"{k} points vs carrier {s.size}")
     )
 
-    eta: list[int] = []
-    for x in s.carrier.elements():
-        q = basic_open(m.presentation, coverspace.neighborhood_base(s, x))
-        eta.append(q.bit_length() - 1 if q and q & (q - 1) == 0 else -1)
+    eta = [m.presentation.index.get(w, -1) for w in s.star]
     eta_ok = -1 not in eta
     checks.append(("eta_lands_on_points", eta_ok, ""))
     bijective = eta_ok and sorted(eta) == list(range(k))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .coverspace import SubbasePresentation, close_subbase
-from .finkernel import Carrier, Cover, FiniteCoverSpace, Subset
+from .coverspace import close_masks
+from .finkernel import FiniteCoverSpace, points_of
 
 FORMAT_VERSION = 1
 
@@ -76,21 +76,16 @@ def covers_valid(sf: SpaceFile) -> tuple[bool, dict]:
     return True, {}
 
 
-def to_subbase(sf: SpaceFile) -> SubbasePresentation:
-    carrier = Carrier(sf.carrier)
-    covers = tuple(
-        Cover.of(carrier, [Subset.of(carrier, xs) for xs in cover])
-        for cover in sf.covers
-    )
-    return SubbasePresentation(carrier, covers)
-
-
 def to_space(sf: SpaceFile) -> FiniteCoverSpace:
-    return close_subbase(to_subbase(sf))
+    """The structure the file's covers generate; they must cover the
+    carrier (``covers_valid``)."""
+    return close_masks(
+        sf.carrier, ([sum(1 << x for x in xs) for xs in cover] for cover in sf.covers)
+    )
 
 
 def of_space(s: FiniteCoverSpace) -> SpaceFile:
-    members = tuple(m.members() for m in s.generator.sorted_members())
+    members = tuple(tuple(points_of(w)) for w in s.masks)
     return SpaceFile(s.size, (tuple(sorted(members)),))
 
 

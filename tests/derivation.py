@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finkernel import Carrier, Cover, Subset
+from coverlab.finkernel import Carrier, Cover, Subset
 
 
 class DerivationOracle:

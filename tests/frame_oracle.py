@@ -26,7 +26,7 @@ from coverlab.finkernel import (
     Cover,
     FiniteCoverSpace,
     Subset,
-    canonicalize,
+    space_from_cover,
 )
 
 
@@ -329,7 +329,7 @@ def point_space(m: FiniteLocale) -> FiniteCoverSpace:
             if m.leq(q, p):
                 mask |= 1 << i
         members.add(Subset(carrier, mask))
-    return FiniteCoverSpace(carrier, canonicalize(Cover.of(carrier, members)))
+    return space_from_cover(Cover.of(carrier, members))
 
 
 def point_cover_is_distinguished(

@@ -5,21 +5,113 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from coverlab import cauchy, coverspace, xreal
 from coverlab.finkernel import (
+    COVER_ENUM_LIMIT,
+    SUBSET_ENUM_LIMIT,
     Carrier,
     Cover,
     FiniteCoverSpace,
     Subset,
+    _check_size,
     all_canonical_covers,
-    all_partitions,
     all_subsets,
-    canonicalize,
     meet,
     refines,
     space_from_cover,
 )
+
+
+def all_families(
+    carrier: Carrier, max_carrier: int | None = None
+) -> Iterator[frozenset[Subset]]:
+    """Every family of subsets (covering or not).  Doubly exponential."""
+    _check_size(carrier.size, max_carrier or COVER_ENUM_LIMIT, "cover")
+    subsets = all_subsets(carrier, max_carrier=carrier.size)
+    for bits in range(1 << len(subsets)):
+        yield frozenset(s for k, s in enumerate(subsets) if bits >> k & 1)
+
+
+def all_covers(carrier: Carrier, max_carrier: int | None = None) -> Iterator[Cover]:
+    """Every cover of the carrier.  Doubly exponential; guarded."""
+    for family in all_families(carrier, max_carrier=max_carrier):
+        union = 0
+        for s in family:
+            union |= s.mask
+        if union == carrier.full_mask:
+            yield Cover(carrier, family)
+
+
+def all_partitions(carrier: Carrier, max_carrier: int | None = None) -> list[Cover]:
+    """Every partition of the carrier into nonempty blocks, as covers."""
+    _check_size(carrier.size, max_carrier or SUBSET_ENUM_LIMIT, "partition")
+    n = carrier.size
+
+    def rec(i: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
+        if i == n:
+            yield [b[:] for b in blocks]
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    out = []
+    for blocks in rec(0, []):
+        out.append(
+            Cover.of(carrier, [Subset.of(carrier, b) for b in blocks])
+        )
+    return out
+
+
+def maximal_masks_oracle(masks) -> list[int]:
+    """The inclusion-maximal masks of a family, ascending: every distinct
+    mask compared with every other."""
+    family = set(masks)
+    return sorted(
+        m for m in family if not any(o != m and m & ~o == 0 for o in family)
+    )
+
+
+def rather_below_scan(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
+    """Rather-below by the member scan: every generator member meeting v
+    lies inside u."""
+    return all(
+        (not w.intersects(v)) or w.issubset(u) for w in s.generator.members
+    )
+
+
+def neighborhood_base_scan(s: FiniteCoverSpace, x: int) -> Subset:
+    """The union of the generator members holding x, by the member scan."""
+    mask = 0
+    for w in s.generator.members:
+        if w.contains(x):
+            mask |= w.mask
+    return Subset(s.carrier, mask)
+
+
+def separated_char_conditions(
+    s: FiniteCoverSpace, x: int, y: int
+) -> tuple[bool, ...]:
+    """The seven equivalent formulations of point equivalence, evaluated
+    independently.  The tests assert they are mutually equal."""
+    nx = coverspace.neighborhood_base(s, x)
+    ny = coverspace.neighborhood_base(s, y)
+    fx, fy = cauchy.point_filter(s, x), cauchy.point_filter(s, y)
+    return (
+        ny.issubset(nx),  # x's neighborhood filter inside y's
+        cauchy.filters_equivalent(s, fx, fy),
+        nx == ny,
+        nx.contains(y),  # every neighborhood of x contains y
+        nx.intersects(ny),
+        any(nx.issubset(u) and ny.issubset(u) for u in s.generator.members),
+        cauchy.point_equiv(s, x, y),
+    )
 
 
 def random_cover(rng: random.Random, n: int, max_members: int = 4) -> Cover:
@@ -144,8 +236,6 @@ def all_precovers_up_to(n: int) -> list[FiniteCoverSpace]:
 
 def all_cauchy_covers(s: FiniteCoverSpace) -> list[frozenset[Subset]]:
     """Every distinguished family of a small space, by brute force."""
-    from coverlab.finkernel import all_families
-
     return [
         fam for fam in all_families(s.carrier) if coverspace.is_cauchy(s, fam)
     ]
@@ -302,14 +392,13 @@ def completion_oracle(s: FiniteCoverSpace, strong: bool = False):
             if base.issubset(u):
                 mask |= 1 << i
         images.add(Subset(point_carrier, mask))
-    generator = canonicalize(Cover.of(point_carrier, images))
     index = {b: i for i, b in enumerate(points)}
     unit = tuple(
         index[cauchy.regular_representative(s, cauchy.point_filter(s, x)).base]
         for x in s.carrier.elements()
     )
     return cauchy.CompletionSpace(
-        points, FiniteCoverSpace(point_carrier, generator), unit
+        points, space_from_cover(Cover.of(point_carrier, images)), unit
     )
 
 

@@ -21,7 +21,6 @@ from coverlab.cauchy import (
     is_cauchy_filter,
     is_complete,
     is_separated,
-    separated_char_conditions,
     spaces_isomorphic,
     strong_completion,
 )
@@ -38,13 +37,10 @@ from coverlab.coverspace import (
     strongly_rather_below,
     to_topology,
 )
-from coverlab.derivation import DerivationOracle
 from coverlab.finkernel import (
     Carrier,
     Subset,
     all_canonical_covers,
-    all_covers,
-    all_families,
     all_subsets,
     canonicalize,
     discrete,
@@ -60,11 +56,15 @@ from coverlab.locales import (
     points_of_open,
     verify_equivalence,
 )
+from derivation import DerivationOracle
 from helpers import (
+    all_covers,
+    all_families,
     all_spaces_up_to,
     dense_lift_transport,
     random_partition_space,
     random_subset,
+    separated_char_conditions,
 )
 
 

@@ -1,8 +1,10 @@
 """The closed forms of the finite kernel against their definition-level
 oracles: regularity, separation, embeddings, filter regularity,
-completeness, completion, the regular reflection and the CLI witnesses.
-Exhaustive up to carrier size 4, seeded random cases above.  Last, the
-table of hostile and large inputs that the CLI answers in bounded time."""
+completeness, completion, the regular reflection, the CLI witnesses, the
+lowest-point antichain walk and the star table.  Exhaustive up to carrier
+size 4, seeded random cases above.  Last, the table of hostile and large
+inputs that the CLI answers in bounded time, and a count of the ``Subset``
+values the CLI builds."""
 
 import itertools
 import json
@@ -41,6 +43,7 @@ from coverlab.finkernel import (
     transfer,
 )
 from helpers import (
+    all_families,
     all_precovers_up_to,
     all_spaces_up_to,
     completion_oracle,
@@ -49,8 +52,11 @@ from helpers import (
     is_embedding_oracle,
     is_separated_oracle,
     is_strongly_regular_oracle,
+    maximal_masks_oracle,
+    neighborhood_base_scan,
     random_partition_space,
     random_precover_space,
+    rather_below_scan,
     regular_reflection_oracle,
     satisfies_cr_oracle,
 )
@@ -248,6 +254,65 @@ class TestMaximalMasks:
             assert maximal_masks(masks) == expected
             assert maximal_masks(sorted(masks) * 2) == expected
 
+    def test_every_family_up_to_four_points(self):
+        # every family of masks, the empty mask included, with a duplicate
+        # and in descending order
+        for n in range(1, 5):
+            for family in all_families(finkernel.Carrier(n)):
+                masks = sorted((m.mask for m in family), reverse=True)
+                expected = maximal_masks_oracle(masks)
+                assert maximal_masks(masks) == expected
+                assert maximal_masks(masks + masks[:1]) == expected
+
+    def test_seeded_families_up_to_twelve_points(self):
+        rng = random.Random(311)
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            k = rng.randint(0, 40)
+            if rng.random() < 0.5:  # small masks, so that many nest
+                masks = [rng.randrange(1 << rng.randint(0, n)) for _ in range(k)]
+            else:
+                masks = [rng.randrange(1 << n) for _ in range(k)]
+            masks += rng.sample(masks, min(len(masks), 3))
+            assert maximal_masks(masks) == maximal_masks_oracle(masks)
+
+
+def _check_star_table(s, pairs):
+    """The star table's answers against the member scan."""
+    for x in s.carrier.elements():
+        assert coverspace.neighborhood_base(s, x) == neighborhood_base_scan(s, x)
+    for v, u in pairs:
+        assert coverspace.rather_below(s, v, u) == rather_below_scan(s, v, u)
+
+
+class TestStarTable:
+    def test_exhaustive(self):
+        for s in PRECOVERS_4:
+            subsets = all_subsets(s.carrier)
+            _check_star_table(s, itertools.product(subsets, repeat=2))
+
+    def test_seeded_up_to_twelve_points(self):
+        rng = random.Random(312)
+        for _ in range(300):
+            n = rng.randint(5, 12)
+            make = random_partition_space if rng.random() < 0.5 else random_precover_space
+            s = make(rng, n)
+            full = s.carrier.full_mask
+            pairs = []
+            for _ in range(20):
+                v = Subset(s.carrier, rng.randrange(full + 1))
+                # u a superset of v half the time, so both answers occur
+                extra = rng.randrange(full + 1) if rng.random() < 0.5 else 0
+                pairs.append((v, Subset(s.carrier, v.mask | extra)))
+            _check_star_table(s, pairs)
+
+    def test_space_checks_its_masks(self):
+        assert finkernel.FiniteCoverSpace(3, (0b001, 0b110)).star == (1, 6, 6)
+        for masks in [(0b110, 0b001), (0b001, 0b001, 0b110), (0b001, 0b010),
+                      (0, 0b111), (0b001, 0b011, 0b110), (0b011, 0b1100)]:
+            with pytest.raises(ValueError):
+                finkernel.FiniteCoverSpace(3, masks)
+
 
 def _space_bytes(n, cover):
     return json.dumps({"format": 1, "carrier": n, "covers": [cover]}).encode()
@@ -257,6 +322,8 @@ _DISCRETE_200 = _space_bytes(200, [[x] for x in range(200)])
 _CHAIN_200 = _space_bytes(200, [[x, x + 1] for x in range(199)])
 _PAIRS_100 = _space_bytes(200, [[2 * x, 2 * x + 1] for x in range(100)])
 _DISCRETE_1000 = _space_bytes(1000, [[x] for x in range(1000)])
+_DISCRETE_2000 = _space_bytes(2000, [[x] for x in range(2000)])
+_CHAIN_2000 = _space_bytes(2000, [[x, x + 1] for x in range(1999)])
 BOUNDED_TIME = {
     "deep-nesting": (["axioms"], b"[" * 5000 + b"]" * 5000, 2),
     "not-utf8": (["axioms"], b"\xff\xfe", 2),
@@ -272,6 +339,14 @@ BOUNDED_TIME = {
     "roundtrip-chain-200": (["locale", "roundtrip"], _CHAIN_200, 1),
     "points-100-pairs": (["locale", "points"], _PAIRS_100, 1),
     "points-discrete-1000": (["locale", "points"], _DISCRETE_1000, 0),
+    "axioms-discrete-2000": (["axioms"], _DISCRETE_2000, 0),
+    "complete-discrete-2000": (["complete"], _DISCRETE_2000, 0),
+    "reflect-discrete-2000": (["reflect"], _DISCRETE_2000, 0),
+    "roundtrip-discrete-2000": (["locale", "roundtrip"], _DISCRETE_2000, 0),
+    "axioms-chain-2000": (["axioms"], _CHAIN_2000, 1),
+    "complete-chain-2000": (["complete"], _CHAIN_2000, 0),
+    "reflect-chain-2000": (["reflect"], _CHAIN_2000, 0),
+    "roundtrip-chain-2000": (["locale", "roundtrip"], _CHAIN_2000, 1),
     # about 189,000 terms, past xreal.MAX_SERIES_TERMS: refused at once
     "geometric-9999/10000": (
         ["real", "eval", "limit(geometric; 9999/10000)", "--eps", "1/1000"], None, 1
@@ -375,6 +450,27 @@ class TestNoEnumeration:
     def test_guard_is_active(self, no_enumeration):
         with pytest.raises(AssertionError):
             finkernel.all_subsets(finkernel.Carrier(2))
+
+
+@pytest.mark.parametrize("data", [_DISCRETE_200, _CHAIN_200], ids=["discrete", "chain"])
+@pytest.mark.parametrize("argv", [["axioms"], ["complete"], ["reflect"],
+                                  ["locale", "roundtrip"]], ids=" ".join)
+def test_subset_values_stay_linear(tmp_path, capsys, monkeypatch, argv, data):
+    # the library works on masks; Subset values appear only at the API
+    # boundary, so per-loop object churn shows up here as a count
+    built = []
+    post_init = finkernel.Subset.__post_init__
+
+    def counted(self):
+        built.append(self.mask)
+        post_init(self)
+
+    monkeypatch.setattr(finkernel.Subset, "__post_init__", counted)
+    path = tmp_path / "space.json"
+    path.write_bytes(data)
+    cli.main([*argv, str(path)])
+    capsys.readouterr()
+    assert len(built) <= 3 * 200
 
 
 def test_axioms_witness_unchanged_on_non_separated():

@@ -31,7 +31,6 @@ from coverlab.finkernel import (
     Cover,
     Subset,
     all_canonical_covers,
-    all_families,
     all_subsets,
     discrete,
     indiscrete,
@@ -43,6 +42,7 @@ from coverlab.finkernel import (
 )
 from helpers import (
     all_cauchy_covers,
+    all_families,
     all_precovers_up_to,
     all_spaces_up_to,
     cr_holds_for_cover,

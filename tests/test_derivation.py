@@ -1,8 +1,9 @@
 import itertools
 
 from coverlab.coverspace import SubbasePresentation, close_subbase, is_cauchy
-from coverlab.derivation import DerivationOracle
-from coverlab.finkernel import Carrier, all_covers, all_families
+from coverlab.finkernel import Carrier
+from derivation import DerivationOracle
+from helpers import all_covers, all_families
 
 
 def all_raw_covers(n):

@@ -10,7 +10,6 @@ from coverlab.finkernel import (
     FiniteCoverSpace,
     Subset,
     all_canonical_covers,
-    all_partitions,
     canonicalize,
     discrete,
     indiscrete,
@@ -22,7 +21,7 @@ from coverlab.finkernel import (
     space_from_masks,
     transfer,
 )
-from helpers import random_cover
+from helpers import all_partitions, random_cover
 
 
 def cov(n, *subsets):
@@ -159,7 +158,7 @@ class TestSpaceConstruction:
     def test_generator_must_be_antichain(self):
         c = Carrier(2)
         with pytest.raises(ValueError):
-            FiniteCoverSpace(c, cov(2, [0], [0, 1]))
+            FiniteCoverSpace(c.size, (0b01, 0b11))
 
     def test_discrete_indiscrete(self):
         assert masks(discrete(3).generator) == {1, 2, 4}

@@ -8,7 +8,6 @@ from coverlab import cauchy, coverspace
 from coverlab.finkernel import (
     Carrier,
     Subset,
-    all_families,
     all_subsets,
     discrete,
     indiscrete,
@@ -31,6 +30,7 @@ from coverlab.locales import (
     verify_equivalence,
 )
 from helpers import (
+    all_families,
     all_precovers_up_to,
     all_spaces_up_to,
     locale_of_space_oracle,
