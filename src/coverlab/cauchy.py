@@ -6,20 +6,21 @@ generator's masks and its star table:
 
 - a regular representative is the union of the generator members
   containing the base;
-- a filter is (strongly) regular exactly when its base is (strongly)
-  rather below itself;
-- a space is complete exactly when it is separated;
-- the completion of a regular space is its set of blocks.
+- a filter is regular exactly when its base is rather below itself, and
+  strongly regular likewise, since the two rather-below relations agree
+  on a finite carrier;
+- a space is complete exactly when it is separated, so a complete space
+  is discrete;
+- the completion of a regular space is its set of blocks, and the strong
+  completion is the same space;
+- a dense lift sends each point to the single point of its pushed base.
 
-Extensions along dense embeddings are computed pointwise by filter
-transport.  The tests compare each closed form with a definition-level
-enumeration.
+The tests compare each closed form with a definition-level enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 from . import coverspace
@@ -31,6 +32,7 @@ from .finkernel import (
     Subset,
     discrete,
     points_of,
+    preimage_masks,
     transfer,
     union,
 )
@@ -125,9 +127,9 @@ def is_filter_regular(s: FiniteCoverSpace, f: PrincipalFilter) -> bool:
 
 
 def is_filter_strongly_regular(s: FiniteCoverSpace, f: PrincipalFilter) -> bool:
-    """Every member contains a member strongly rather below it; by the
-    same monotonicity, the base strongly rather below itself."""
-    return coverspace.strongly_rather_below(s, f.base, f.base)
+    """Every member contains a member strongly rather below it: filter
+    regularity, as the two relations agree on a finite carrier."""
+    return is_filter_regular(s, f)
 
 
 def point_equiv(s: FiniteCoverSpace, x: int, y: int) -> bool:
@@ -172,53 +174,42 @@ class CompletionSpace:
         return len(self.points)
 
 
-def _build_completion(s: FiniteCoverSpace, regular_check) -> CompletionSpace:
-    """The completion of a space whose generator is a partition.
-
-    The callers check (strong) regularity, which on a finite carrier means
-    the generator is a partition (``coverspace.satisfies_cr``).  A Cauchy
-    base then lies in exactly one block, and its regular representative,
-    the union of the members containing it, is that block.  So the points
-    are the blocks, the unit sends x to its block, and the structure is
-    discrete on the blocks.
-    """
-    carrier = s.carrier
-    points = tuple(Subset(carrier, b) for b in s.masks)
-    unit = [0] * s.size
-    for i, b in enumerate(points):
-        if not regular_check(s, PrincipalFilter(carrier, b)):
-            raise FilterError(f"representative {b!r} fails its regularity condition")
-        for x in points_of(b.mask):
-            unit[x] = i
-    return CompletionSpace(points, discrete(len(points)), tuple(unit))
-
-
 def completion(s: FiniteCoverSpace) -> CompletionSpace:
     """The complete space of regular Cauchy filters with its unit map.
 
     Requires the regularity axiom; without it representatives need not be
-    regular and the construction loses its universal property.
+    regular and the construction loses its universal property.  On a
+    finite carrier the axiom means the generator is a partition
+    (``coverspace.satisfies_cr``).  A Cauchy base then lies in exactly one
+    block, and its regular representative, the union of the members
+    containing it, is that block, which is rather below itself.  So the
+    points are the blocks, the unit sends x to its block, and the
+    structure is discrete on the blocks.
     """
     if not coverspace.satisfies_cr(s):
         raise coverspace.RegularityError(
             "completion requires the regularity axiom; reflect first"
         )
-    return _build_completion(s, is_filter_regular)
+    carrier = s.carrier
+    unit = [0] * s.size
+    for i, b in enumerate(s.masks):
+        for x in points_of(b):
+            unit[x] = i
+    points = tuple(Subset(carrier, b) for b in s.masks)
+    return CompletionSpace(points, discrete(len(points)), tuple(unit))
 
 
 def strong_completion(s: FiniteCoverSpace) -> CompletionSpace:
     """Completion built from strongly regular weakly Cauchy filters.
 
     On a finite carrier weakly proper principal filters are proper and the
-    two rather-below relations coincide, so this is pointwise identical to
-    ``completion``; the construction still runs the strong conditions and
-    the tests assert the coincidence.
+    two rather-below relations coincide, so this is ``completion``.
     """
     if not coverspace.is_strongly_regular(s):
         raise coverspace.RegularityError(
             "strong completion requires strong regularity"
         )
-    return _build_completion(s, is_filter_strongly_regular)
+    return completion(s)
 
 
 def finite_subcover(s: FiniteCoverSpace, c: Cover) -> list[Subset]:
@@ -247,33 +238,28 @@ def dense_lift(
 ) -> tuple[int, ...]:
     """Extend g along the dense embedding f to a map on y.
 
-    For each point of y, transport its neighborhood filter back along f,
-    push it forward along g, and take the unique point of z equivalent to
-    the result.  ``tests/helpers.py: dense_lift_transport`` recomputes the
-    answer through the member-enlargement description of point filters;
-    the tests assert the two agree, that the extension restricts to g, and
-    that it is a structure-preserving map.
+    A point p of y goes to the single point of its pushed filter's base
+    g(f^{-1}(star(p))): z is complete, hence discrete, so that filter is
+    equivalent to the point filter of q exactly when the base lies in
+    {q}, and density makes the base inhabited.  ``tests/helpers.py:
+    dense_lift_transport`` recomputes the answer through the
+    member-enlargement description of point filters.
     """
     _check_lift_preconditions(f, x, y, g, z)
+    # y is regular, so each star is a block: push each block's preimage
+    bases = {
+        w: union(1 << g[i] for i in points_of(pre))
+        for w, pre in zip(y.masks, preimage_masks(f, y))
+    }
     out = []
-    for yp in y.carrier.elements():
-        base_z = _pushed_base(f, x, g, z, y, yp).mask
-        # the filters are equivalent when one member holds both bases
-        candidates = [
-            zp for zp, star in enumerate(z.star) if _in_member(z, base_z | star)
-        ]
-        if len(candidates) != 1:
+    for yp, star in enumerate(y.star):
+        base = bases[star]
+        if base & (base - 1):
             raise FilterError(
-                f"filter at point {yp} matches {len(candidates)} points; "
-                "target is not complete"
+                f"filter at point {yp} matches 0 points; target is not complete"
             )
-        out.append(candidates[0])
+        out.append(base.bit_length() - 1)
     return tuple(out)
-
-
-def _pushed_base(f, x, g, z, y, yp) -> Subset:
-    ny = y.star[yp]
-    return Subset.of(z.carrier, {g[i] for i in range(x.size) if ny >> f[i] & 1})
 
 
 def _check_lift_preconditions(f, x, y, g, z) -> None:
@@ -306,15 +292,3 @@ def subspace(
     inclusion = u.members()
     return transfer(inclusion, s), inclusion
 
-
-def spaces_isomorphic(a: FiniteCoverSpace, b: FiniteCoverSpace) -> bool:
-    """Whether some bijection of carriers matches the canonical generators."""
-    sizes = [sorted(w.bit_count() for w in t.masks) for t in (a, b)]
-    if a.size != b.size or sizes[0] != sizes[1]:
-        return False
-    rows = [points_of(w) for w in a.masks]
-    target = set(b.masks)
-    return any(
-        {sum(1 << perm[i] for i in row) for row in rows} == target
-        for perm in permutations(range(a.size))
-    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterator
 
 from coverlab import cauchy, coverspace, xreal
@@ -19,6 +20,7 @@ from coverlab.finkernel import (
     all_canonical_covers,
     all_subsets,
     meet,
+    points_of,
     refines,
     space_from_cover,
 )
@@ -84,6 +86,12 @@ def rather_below_scan(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
     return all(
         (not w.intersects(v)) or w.issubset(u) for w in s.generator.members
     )
+
+
+def strongly_rather_below_oracle(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
+    """Strong rather-below from its definition: {X \\ V, U} is
+    distinguished."""
+    return coverspace.is_cauchy(s, [v.complement(), u])
 
 
 def neighborhood_base_scan(s: FiniteCoverSpace, x: int) -> Subset:
@@ -165,7 +173,7 @@ def satisfies_cr_oracle(s: FiniteCoverSpace) -> bool:
 def is_strongly_regular_oracle(s: FiniteCoverSpace) -> bool:
     """Strong regularity evaluated on the generator."""
     return all(
-        any(coverspace.strongly_rather_below(s, w, u) for u in s.generator.members)
+        any(strongly_rather_below_oracle(s, w, u) for u in s.generator.members)
         for w in s.generator.members
     )
 
@@ -291,9 +299,7 @@ def locale_of_space_oracle(s: FiniteCoverSpace) -> set[frozenset[int]]:
         [
             v
             for v in range(full + 1)
-            if coverspace.strongly_rather_below(
-                s, Subset(carrier, v), Subset(carrier, u)
-            )
+            if strongly_rather_below_oracle(s, Subset(carrier, v), Subset(carrier, u))
         ]
         for u in range(full + 1)
     ]
@@ -370,7 +376,7 @@ def completion_oracle(s: FiniteCoverSpace, strong: bool = False):
     ``strong`` runs the strong conditions.  Raises like the library when
     the space fails its regularity precondition."""
     if strong:
-        regular, below = is_strongly_regular_oracle, coverspace.strongly_rather_below
+        regular, below = is_strongly_regular_oracle, strongly_rather_below_oracle
     else:
         regular, below = satisfies_cr_oracle, coverspace.rather_below
     if not regular(s):
@@ -428,7 +434,10 @@ def dense_lift_transport(f, x, y, g, z) -> tuple[int, ...]:
     cauchy._check_lift_preconditions(f, x, y, g, z)
     out = []
     for yp in y.carrier.elements():
-        base_z = cauchy._pushed_base(f, x, g, z, y, yp)
+        # yp's neighborhood filter back along f and forward along g: g of
+        # every point of x whose image lies in the star of yp
+        ny = y.star[yp]
+        base_z = Subset.of(z.carrier, {g[i] for i in range(x.size) if ny >> f[i] & 1})
         z_subsets = all_subsets(z.carrier)
         enlarged = [
             u
@@ -452,6 +461,20 @@ def dense_lift_transport(f, x, y, g, z) -> tuple[int, ...]:
             )
         out.append(matches[0])
     return tuple(out)
+
+
+def spaces_isomorphic(a: FiniteCoverSpace, b: FiniteCoverSpace) -> bool:
+    """Whether some bijection of carriers matches the canonical generators,
+    tried over every permutation."""
+    sizes = [sorted(w.bit_count() for w in t.masks) for t in (a, b)]
+    if a.size != b.size or sizes[0] != sizes[1]:
+        return False
+    rows = [points_of(w) for w in a.masks]
+    target = set(b.masks)
+    return any(
+        {sum(1 << perm[i] for i in row) for row in rows} == target
+        for perm in permutations(range(a.size))
+    )
 
 
 def finite_subcover_oracle(domain, cover):

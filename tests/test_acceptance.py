@@ -21,7 +21,6 @@ from coverlab.cauchy import (
     is_cauchy_filter,
     is_complete,
     is_separated,
-    spaces_isomorphic,
     strong_completion,
 )
 from coverlab.coverspace import (
@@ -65,6 +64,7 @@ from helpers import (
     random_partition_space,
     random_subset,
     separated_char_conditions,
+    spaces_isomorphic,
 )
 
 

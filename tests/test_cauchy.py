@@ -19,7 +19,6 @@ from coverlab.cauchy import (
     point_filter,
     principal,
     regular_representative,
-    spaces_isomorphic,
     strong_completion,
     subspace,
 )
@@ -47,6 +46,7 @@ from helpers import (
     random_subset,
     regular_representative_oracle,
     separated_char_conditions,
+    spaces_isomorphic,
 )
 
 

@@ -18,6 +18,7 @@ from coverlab import cauchy, cli, coverspace, finkernel
 from coverlab.cauchy import (
     PrincipalFilter,
     completion,
+    dense_lift,
     is_complete,
     is_filter_regular,
     is_filter_strongly_regular,
@@ -26,6 +27,7 @@ from coverlab.cauchy import (
 )
 from coverlab.coverspace import (
     RegularityError,
+    is_cover_map,
     is_embedding,
     is_strongly_regular,
     regular_reflection,
@@ -47,6 +49,7 @@ from helpers import (
     all_precovers_up_to,
     all_spaces_up_to,
     completion_oracle,
+    dense_lift_transport,
     filter_refinable_oracle,
     is_complete_oracle,
     is_embedding_oracle,
@@ -56,9 +59,11 @@ from helpers import (
     neighborhood_base_scan,
     random_partition_space,
     random_precover_space,
+    random_subset,
     rather_below_scan,
     regular_reflection_oracle,
     satisfies_cr_oracle,
+    strongly_rather_below_oracle,
 )
 
 PRECOVERS_4 = all_precovers_up_to(4)
@@ -182,7 +187,7 @@ class TestFilterRegularity:
                     s, f, coverspace.rather_below
                 )
                 assert is_filter_strongly_regular(s, f) == filter_refinable_oracle(
-                    s, f, coverspace.strongly_rather_below
+                    s, f, strongly_rather_below_oracle
                 )
 
 
@@ -250,7 +255,8 @@ class TestMaximalMasks:
         for _ in range(100):
             masks = {rng.randrange(0, 64) for _ in range(rng.randint(1, 6))} | {63}
             cover = Cover.of_masks(finkernel.Carrier(6), masks)
-            expected = sorted(m.mask for m in canonicalize(cover).members)
+            expected = maximal_masks_oracle(masks)
+            assert sorted(m.mask for m in canonicalize(cover).members) == expected
             assert maximal_masks(masks) == expected
             assert maximal_masks(sorted(masks) * 2) == expected
 
@@ -312,6 +318,94 @@ class TestStarTable:
                       (0, 0b111), (0b001, 0b011, 0b110), (0b011, 0b1100)]:
             with pytest.raises(ValueError):
                 finkernel.FiniteCoverSpace(3, masks)
+
+
+def _check_strong_relation(s, pairs):
+    """Both rather-below relations against the definition of the strong one."""
+    for v, u in pairs:
+        expected = strongly_rather_below_oracle(s, v, u)
+        assert coverspace.rather_below(s, v, u) == expected
+        assert coverspace.strongly_rather_below(s, v, u) == expected
+
+
+class TestStrongRatherBelow:
+    def test_every_pair_exhaustive(self):
+        for s in PRECOVERS_4:
+            subsets = all_subsets(s.carrier)
+            _check_strong_relation(s, itertools.product(subsets, repeat=2))
+
+    def test_seeded_five_to_twelve(self):
+        rng = random.Random(313)
+        for _ in range(200):
+            n = rng.randint(5, 12)
+            make = random_partition_space if rng.random() < 0.5 else random_precover_space
+            s = make(rng, n)
+            pairs = []
+            for _ in range(30):
+                v = random_subset(rng, s.carrier)
+                # u random, or grown from v or from v's star, so that both
+                # answers occur
+                star = finkernel.union(s.star[x] for x in v.members())
+                grown = rng.choice([0, v.mask, star])
+                u = Subset(s.carrier, grown | rng.randrange(s.carrier.full_mask + 1))
+                pairs.append((v, u))
+            _check_strong_relation(s, pairs)
+
+
+def _lift_case(rng):
+    """A seeded dense-lift instance on 5-8 points: the completion unit of a
+    regular space with a cover map into a complete target, or, half the
+    time, the same with one precondition broken."""
+    n = rng.randint(5, 8)
+    x = random_partition_space(rng, n)
+    comp = completion(x)
+    f, y = comp.unit, comp.structure
+    z = discrete(rng.randint(1, 4))
+    zmap = [rng.randrange(z.size) for _ in range(comp.size)]
+    g = tuple(zmap[b] for b in f)
+    broken = rng.choice([None, None, None, None, "x", "y", "g", "z"])
+    if broken == "x":  # x need not be regular, nor f an embedding
+        x = random_precover_space(rng, n)
+    elif broken == "y":  # the image misses the added point: not dense
+        y = discrete(comp.size + 1)
+    elif broken == "g":  # blocks need not go to single points
+        g = tuple(rng.randrange(z.size) for _ in range(n))
+    elif broken == "z":
+        z = random_precover_space(rng, z.size + 1)
+    return f, x, y, g, z
+
+
+def _lift_or_error(lift, f, x, y, g, z):
+    try:
+        return lift(f, x, y, g, z)
+    except (cauchy.FilterError, cauchy.PreconditionError) as e:
+        return type(e), str(e)
+
+
+class TestDenseLift:
+    def test_seeded_five_to_eight(self):
+        rng = random.Random(314)
+        outcomes = set()
+        for _ in range(150):
+            f, x, y, g, z = _lift_case(rng)
+            got = _lift_or_error(dense_lift, f, x, y, g, z)
+            assert got == _lift_or_error(dense_lift_transport, f, x, y, g, z)
+            refused = isinstance(got[0], type)
+            outcomes.add(refused)
+            if not refused:
+                assert tuple(got[i] for i in f) == g
+                assert is_cover_map(got, y, z)
+        assert outcomes == {True, False}  # both tables and refusals occur
+
+
+def _strong_completion_discrete_2000():
+    assert strong_completion(discrete(2000)).unit == tuple(range(2000))
+
+
+def _dense_lift_identity_300():
+    d = discrete(300)
+    identity = tuple(range(300))
+    assert dense_lift(identity, d, d, identity, d) == identity
 
 
 def _space_bytes(n, cover):
@@ -446,6 +540,15 @@ class TestNoEnumeration:
         assert time.perf_counter() - started < 2.0
         assert got == code
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call", [_strong_completion_discrete_2000,
+                                      _dense_lift_identity_300],
+                             ids=["strong-completion-discrete-2000",
+                                  "dense-lift-identity-300"])
+    def test_library_bounded_time(self, no_enumeration, call):
+        started = time.perf_counter()
+        call()
+        assert time.perf_counter() - started < 1.0
 
     def test_guard_is_active(self, no_enumeration):
         with pytest.raises(AssertionError):
