@@ -235,7 +235,7 @@ def cmd_real(args) -> int:
     iv = realexpr.eval_expression(args.expression, eps)
     print(realexpr.format_interval(iv, eps, args.eps))
     if args.bounds:
-        print(f"[{iv.lo}, {iv.hi}]")
+        print(f"[{realexpr.format_fraction(iv.lo)}, {realexpr.format_fraction(iv.hi)}]")
     return 0
 
 

@@ -17,6 +17,8 @@ limit forms: ``limit(inv_n)`` (the sequence 1/n) and
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from fractions import Fraction
 
@@ -27,6 +29,8 @@ APARTNESS_FLOOR = Fraction(1, 2**60)
 # The parser, ``evaluate`` and the answers' queries each recurse once per
 # level of nesting, against the interpreter's limit of about 1000 frames.
 MAX_DEPTH = 100
+# rational operands fold exactly
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ExprError(ValueError):
@@ -56,13 +60,6 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             out.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
     return out
-
-
-def _decimal_to_fraction(text: str) -> Fraction:
-    if "." in text:
-        whole, frac = text.split(".")
-        return Fraction(int(whole or "0") * 10 ** len(frac) + int(frac), 10 ** len(frac))
-    return Fraction(int(text))
 
 
 class Parser:
@@ -137,7 +134,7 @@ class Parser:
         if tok[0] == "num":
             self.take()
             self.depth = 1
-            return ("lit", _decimal_to_fraction(tok[1]))
+            return ("lit", Fraction(tok[1]))
         if tok[1] == "(":
             self.take()
             node = self.expr()
@@ -180,10 +177,10 @@ class Parser:
             self.take()
             sign = Fraction(-1)
         tok = self.take("num")
-        value = sign * _decimal_to_fraction(tok[1])
+        value = sign * Fraction(tok[1])
         if self.peek() and self.peek()[1] == "/":
             self.take()
-            denom = _decimal_to_fraction(self.take("num")[1])
+            denom = Fraction(self.take("num")[1])
             if denom == 0:
                 raise ExprError("zero denominator in literal")
             value /= denom
@@ -202,23 +199,13 @@ def evaluate(node) -> Fraction | Real:
         a = evaluate(node[1])
         b = evaluate(node[2])
         if isinstance(a, Fraction) and isinstance(b, Fraction):
-            if kind == "+":
-                return a + b
-            if kind == "-":
-                return a - b
-            if kind == "*":
-                return a * b
-            if b == 0:
+            if kind == "/" and b == 0:
                 raise ExprError("division by exact zero")
-            return a / b
+            return _FOLD[kind](a, b)
         ra, rb = _to_real(a), _to_real(b)
-        if kind == "+":
-            return xreal.add(ra, rb)
-        if kind == "-":
-            return xreal.sub(ra, rb)
-        if kind == "*":
-            return xreal.mul(ra, rb)
-        return xreal.mul(ra, _inverse(rb))
+        if kind == "/":
+            return xreal.mul(ra, _inverse(rb))
+        return {"+": xreal.add, "-": xreal.sub, "*": xreal.mul}[kind](ra, rb)
     if kind == "inv":
         arg = _to_real(evaluate(node[1]))
         return xreal.inv(arg, node[2])
@@ -251,7 +238,7 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
             raise ExprError("limit(inv_n) takes no arguments")
         seq = ConvergentSeq(
             terms=lambda n: xreal.real_of_rat(Fraction(1, n + 1)),
-            modulus=lambda eps: _ceil(2 / eps),
+            modulus=lambda eps: math.ceil(2 / eps),
         )
         return xreal.limit(seq)
     if form == "geometric":
@@ -266,10 +253,6 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
             tail_index=lambda eps: _geometric_index(r, eps),
         )
     raise ExprError(f"unknown limit form {form!r}")
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 def _geometric_index(r: Fraction, eps: Fraction) -> int:
@@ -334,18 +317,34 @@ def eval_expression(text: str, eps) -> xreal.RInterval:
 
 def format_interval(iv: xreal.RInterval, eps: Fraction, eps_text: str) -> str:
     """Exact-decimal rendering: midpoint rounded to enough digits that the
-    printed value plus-minus eps still encloses the interval."""
-    digits = 0
-    scale = Fraction(1)
-    while scale > eps:
-        scale /= 10
+    printed value plus-minus eps still encloses the interval.  The digit
+    count, least d with 10**d * eps >= 1, steps up from a lower bound read
+    off the bit lengths (1233/4096 < log10 2)."""
+    num, den = eps.numerator, eps.denominator
+    digits = max(0, (den.bit_length() - num.bit_length() - 1) * 1233 >> 12)
+    while 10**digits * num < den:
         digits += 1
-    mid = iv.midpoint
-    scaled = mid * 10**digits
+    scaled = iv.midpoint * 10**digits
     rounded = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    sign = "-" if rounded < 0 else ""
-    rounded = abs(rounded)
-    whole, frac = divmod(rounded, 10**digits)
-    if digits:
-        return f"{sign}{whole}.{frac:0{digits}d} ± {eps_text}"
-    return f"{sign}{whole} ± {eps_text}"
+    whole, frac = divmod(abs(rounded), 10**digits)
+    text = "-" * (rounded < 0) + decimal_digits(whole)
+    tail = f".{decimal_digits(frac).zfill(digits)}" if digits else ""
+    return f"{text}{tail} ± {eps_text}"
+
+
+def format_fraction(q: Fraction) -> str:
+    """str(q), its integers printed by decimal_digits."""
+    text = decimal_digits(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{decimal_digits(q.denominator)}"
+
+
+def decimal_digits(n: int) -> str:
+    """str(n) past the interpreter's int-to-str limit (4300 digits from
+    Python 3.11 on): a long n splits at a power of ten into halves."""
+    if n.bit_length() <= 4000:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_digits(-n)
+    half = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**half)
+    return decimal_digits(high) + decimal_digits(low).zfill(half)

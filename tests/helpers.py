@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -503,3 +505,23 @@ def geometric_index_oracle(r: Fraction, eps: Fraction) -> int:
     while num * t.denominator > den * t.numerator:
         num, den, n = num * a.numerator, den * a.denominator, n + 1
     return n
+
+
+def exp_real_oracle(x: xreal.Real) -> xreal.Real:
+    """The exponential of a real as its power series with Real terms
+    scale(x^k, 1/k!), the powers a shared chain of interval products."""
+    m = xreal._magnitude_bound(x) + 1
+    b = m.numerator // m.denominator + 1
+
+    powers: list[xreal.Real] = [xreal.real_of_rat(1)]
+    powers_lock = threading.Lock()
+
+    def term(k: int) -> xreal.Real:
+        with powers_lock:
+            while len(powers) <= k:
+                powers.append(xreal.mul(powers[-1], x))
+            p = powers[k]
+        return xreal.scale(p, Fraction(1, math.factorial(k)))
+
+    return xreal.sum_series(
+        term, xreal._factorial_tail(b), xreal._factorial_tail_index(b))

@@ -65,6 +65,7 @@ from helpers import (
     random_subset,
     separated_char_conditions,
     spaces_isomorphic,
+    strongly_rather_below_oracle,
 )
 
 
@@ -526,6 +527,7 @@ class TestCriterion12FiniteCoincidences:
             for v in all_subsets(s.carrier):
                 for u in all_subsets(s.carrier):
                     assert rather_below(s, v, u) == strongly_rather_below(s, v, u)
+                    assert rather_below(s, v, u) == strongly_rather_below_oracle(s, v, u)
         # the two completions agree pointwise
         for s in all_spaces_up_to(3):
             a, b = completion(s), strong_completion(s)

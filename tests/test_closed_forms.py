@@ -447,6 +447,16 @@ BOUNDED_TIME = {
     ),
     # needs over 2,000,000 terms: the index search stops at the budget
     "exp-1000000": (["real", "eval", "exp(1000000)", "--eps", "1"], None, 1),
+    # the exponential of a real is two rational exponentials at the ends of
+    # one answer for its argument, not a series of interval products
+    "exp-exp-5": (["real", "eval", "exp(exp(5))", "--eps", "1"], None, 0),
+    # e^20 is about 4.9e8: the bound on e^|x| already passes the term budget
+    "exp-exp-20": (["real", "eval", "exp(exp(20))", "--eps", "1"], None, 1),
+    # past the interpreter's 4300-digit int-to-str limit
+    "third-1e-5000": (["real", "eval", "1/3", "--eps", "1e-5000"], None, 0),
+    "third-1e-100000-bounds": (
+        ["real", "eval", "1/3", "--eps", "1e-100000", "--bounds"], None, 0
+    ),
 }
 BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())
@@ -539,6 +549,14 @@ class TestNoEnumeration:
         got = cli.main(argv)
         assert time.perf_counter() - started < 2.0
         assert got == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_exp_of_a_real_near_300(self, capsys):
+        # e^(1 + 299) at eps 1 used to recurse through 300 levels of products
+        started = time.perf_counter()
+        code = cli.main(["real", "eval", "exp(exp(0) + 299)", "--eps", "1"])
+        assert time.perf_counter() - started < 10
+        assert code == 0
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("call", [_strong_completion_discrete_2000,

@@ -50,6 +50,7 @@ from helpers import (
     random_partition_space,
     random_precover_space,
     random_subset,
+    strongly_rather_below_oracle,
 )
 
 
@@ -155,11 +156,14 @@ class TestRatherBelow:
         assert not strongly_rather_below(i2, sub(i2, [0]), sub(i2, [0]))
 
     def test_two_relations_coincide_exhaustively(self):
-        # classical engine: the complement formulation equals the original
+        # classical engine: the complement formulation, evaluated from its
+        # definition, equals the original and the library's strong relation
         for s in all_precovers_up_to(3):
             for v in all_subsets(s.carrier):
                 for u in all_subsets(s.carrier):
-                    assert rather_below(s, v, u) == strongly_rather_below(s, v, u)
+                    want = strongly_rather_below_oracle(s, v, u)
+                    assert rather_below(s, v, u) == want
+                    assert strongly_rather_below(s, v, u) == want
 
 
 class TestRegularityChecks:

@@ -47,7 +47,7 @@ from coverlab.xreal import (
     SeriesBudgetError,
     Verified,
 )
-from helpers import finite_subcover_oracle
+from helpers import exp_real_oracle, finite_subcover_oracle
 
 EPS_GRID = [F(1, 10), F(1, 1000), F(1, 10**6)]
 
@@ -736,6 +736,38 @@ class TestOutwardRounding:
         inner = exp_bracket(F(1, 2), F(1, 2))
         lo, hi = exp_bracket(*inner)
         assert got.lo <= lo and hi <= got.hi and got.width <= eps
+
+
+class TestExpRealDifferential:
+    """exp_real, the image of one answer for x under two rational
+    exponentials, against the term-wise power series of the same x."""
+
+    PRECISIONS = [F(1), F(1, 10), F(1, 10**3), F(1, 10**12), F(1, 10**50)]
+
+    def _arguments(self, rng):
+        # seeded reals with |x| <= 8, where exp_bracket holds
+        for k in (2, 3, 5, 7):
+            c = F(rng.choice([-9, -7, -4, -2, 1, 3, 5, 8, 9]), 3)
+            yield scale(real_of_cut(sqrt_cut(k), interval(1, k)), c)
+        for _ in range(2):
+            yield exp_rational(F(rng.randint(-30, 20), 10))
+            p, q = (F(rng.randint(-40, 40), rng.randint(1, 10)) for _ in range(2))
+            yield add(real_of_rat(p / 10), real_of_rat(q / 10))
+            p, q = (F(rng.randint(-28, 28), 10) for _ in range(2))
+            yield mul(real_of_rat(p), real_of_rat(q))
+        yield exp_real(scale(real_of_cut(sqrt_cut(2), interval(1, 2)), F(1, 2)))
+
+    def test_matches_term_wise_oracle(self):
+        for x in self._arguments(random.Random(10)):
+            narrow = x.approx(F(1, 10**60))
+            want_lo, want_hi = exp_bracket(narrow.lo, narrow.hi)
+            got_real, oracle = exp_real(x), exp_real_oracle(x)
+            for eps in self.PRECISIONS:
+                got = got_real.approx(eps)
+                assert got.width <= eps
+                assert_short_dyadic(got, eps)
+                assert got.overlaps(oracle.approx(eps)), (x, eps)
+                assert max(got.lo, want_lo) < min(got.hi, want_hi), (x, eps)
 
 
 class TestConcurrency:
