@@ -3,16 +3,19 @@
 Subcommands: ``axioms``, ``complete``, ``reflect``, ``locale
 build|points|roundtrip``, ``real eval --eps``, ``demo heine-borel --eps``.
 Reports are printed as JSON; exit code 0 when every check passes, 1 when
-any fails, 2 on usage or parse errors.  Two bounds keep every answer
+any fails, 2 on usage or parse errors.  Three bounds keep every answer
 finite: ``locale points`` refuses (exit 1) a frame whose points would
-print more than ``MAX_POINT_SUBSETS`` maximal subsets, and a precision
-whose decimal exponent exceeds ``MAX_EPS_EXPONENT`` in magnitude is a
-parse error.
+print more than ``MAX_POINT_SUBSETS`` maximal subsets, ``demo
+heine-borel`` refuses (exit 1) a net of more than ``MAX_NET_POINTS``
+points, and a precision whose decimal exponent exceeds
+``MAX_EPS_EXPONENT`` in magnitude is a parse error.  The argument parser
+is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -30,6 +33,9 @@ MAX_POINT_SUBSETS = 10_000
 # Fraction builds 10**exponent exactly, in time growing with the exponent;
 # 1e-100000 is still admitted.
 MAX_EPS_EXPONENT = 100_000
+# The most points `demo heine-borel` puts in its net over [0, 1], ceil(1/eps)
+# + 1 of them, each a Fraction and a ball: --eps 1/10000 still answers.
+MAX_NET_POINTS = 100_000
 
 
 def _report(check: str, ok: bool, witness=None, started: float | None = None) -> dict:
@@ -241,12 +247,15 @@ def cmd_real(args) -> int:
 
 def cmd_demo_heine_borel(args) -> int:
     eps = _parse_eps(args.eps)
+    bound = (eps.denominator + eps.numerator - 1) // eps.numerator + 1  # ceil(1/eps)+1
+    if bound > MAX_NET_POINTS:
+        raise ValueError(f"a net at eps {args.eps} has {bound} points, "
+                         f"more than {MAX_NET_POINTS}")
     domain = xreal.RInterval(Fraction(0), Fraction(1))
     net = xreal.epsilon_net(domain, eps)
     balls = [xreal.RInterval(q - eps, q + eps) for q in net]
     t0 = time.perf_counter()
     chosen = xreal.finite_subcover(domain, balls)
-    bound = (eps.denominator + eps.numerator - 1) // eps.numerator + 1  # ceil(1/eps)+1
     reports = [
         _report("subcover_covers", True, None, t0),
         _report("subcover_size_bound", len(chosen) <= bound, {"size": len(chosen)}),
@@ -272,6 +281,7 @@ def cmd_demo_heine_borel(args) -> int:
     return _emit(doc)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coverlab",
@@ -316,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     de = sub.add_parser("demo", help="built-in demonstrations")
     de.add_argument("action", choices=["heine-borel"])
-    de.add_argument("--eps", required=True)
+    de.add_argument(
+        "--eps",
+        required=True,
+        help=f"ball radius; the net's ceil(1/eps) + 1 points are at most {MAX_NET_POINTS}",
+    )
     de.set_defaults(fn=cmd_demo_heine_borel)
     return p
 

@@ -8,11 +8,12 @@
             | 'exp' '(' expr ')'
             | 'limit' '(' NAME (';' NUMBER)* ')'
 
-Numbers are integers or exact decimals; rationals like 1/3 arrive through
-the division operator, which folds exactly on rational operands.  Division
-by a non-literal denominator searches for an apartness witness.  Supported
-limit forms: ``limit(inv_n)`` (the sequence 1/n) and
-``limit(geometric; r)`` (the geometric series at ratio r, |r| < 1).
+Numbers are integers or exact decimals of at most ``MAX_LITERAL_DIGITS``
+digits; rationals like 1/3 arrive through the division operator, which
+folds exactly on rational operands.  Division by a non-literal denominator
+searches for an apartness witness.  Supported limit forms:
+``limit(inv_n)`` (the sequence 1/n) and ``limit(geometric; r)`` (the
+geometric series at ratio r, |r| < 1, summed from its ratio).
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ APARTNESS_FLOOR = Fraction(1, 2**60)
 # The parser, ``evaluate`` and the answers' queries each recurse once per
 # level of nesting, against the interpreter's limit of about 1000 frames.
 MAX_DEPTH = 100
+# Fraction reads a literal through int(), which refuses more digits than
+# the interpreter's int-to-str limit, 4300 by default from Python 3.11 on.
+MAX_LITERAL_DIGITS = 4300
 # rational operands fold exactly
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -53,6 +57,9 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             raise ExprError(f"unexpected character {stripped[0]!r} at position {pos}")
         if m.group("num"):
+            if sum(c.isdigit() for c in m.group("num")) > MAX_LITERAL_DIGITS:
+                raise ExprError(f"numeric literal at position {m.start('num')} has more "
+                                f"than {MAX_LITERAL_DIGITS} digits")
             out.append(("num", m.group("num"), m.start("num")))
         elif m.group("name"):
             out.append(("name", m.group("name"), m.start("name")))
@@ -248,7 +255,7 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
         if not abs(r) < 1:
             raise ExprError("geometric ratio must satisfy |r| < 1")
         return xreal.sum_series(
-            terms=(Fraction(1), lambda t, k: t * r),
+            terms=(Fraction(1), lambda k: r),
             tail_bound=lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
             tail_index=lambda eps: _geometric_index(r, eps),
         )

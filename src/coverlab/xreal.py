@@ -8,9 +8,11 @@ enters this module.  The constructors answer exactly; the combinators
 query their arguments at powers of two, so nearby requests share cached
 answers, and round outward onto a dyadic grid, so endpoint sizes follow
 the precision, not the depth of the expression.  Cut locators, interval
-arithmetic with moduli, limits with convergence witnesses, series summed
-as integers on a grid under a term budget, a uniform-convergence refuter,
-rational nets, and the greedy finite subcover all live here.
+arithmetic with moduli, limits with convergence witnesses, series under a
+term budget (Real terms as integers on a grid, exact terms from integer
+bounds on a fixed-point grid, so a term's bits follow the precision, not
+its index), a uniform-convergence refuter, rational nets, and the greedy
+finite subcover all live here.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 class InvariantError(RuntimeError):
@@ -39,7 +40,8 @@ class ApartnessError(ValueError):
 
 
 # The most terms a partial sum may add: limit(geometric; 999/1000) at 1/1000
-# needs about 16,600, while 9999/10000 would need 189,000 and refuses at once.
+# needs about 16,600, 9999/10000 would need 189,000 and refuses at once.  An
+# exact term's bits follow the precision and the series' growth, not its index.
 MAX_SERIES_TERMS = 20_000
 
 
@@ -417,31 +419,51 @@ def limit(seq: ConvergentSeq) -> Real:
     return Real(fn, name="limit")
 
 
-# series terms: a function of the index, or a pair (t_0, step) of exact terms
-Terms = (Callable[[int], Real | Fraction]
-         | tuple[Fraction, Callable[[Fraction, int], Fraction]])
+# series terms: a Real for each index, or exact terms as t_0 and the ratio
+# with t_k = t_{k-1} * ratio(k)
+Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], Fraction]]
 
 
-def partial_sum(terms: Terms, n: int) -> Real:
-    """The sum of terms 0..n as two integers on the grid per = _snap(eps/(2(n+1))):
-    a Real term's answer at per adds its floor and ceil, an exact term q adds
-    ceil(q/per) - 1 and floor(q/per) + 1.  Each spends at most 2*per.  A pair
-    (t_0, step) is walked from t_0 inside each query, t_k = step(t_{k-1}, k)."""
+def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
+    """The sum of terms 0..n.  Real terms add as two integers on the grid
+    per = _snap(eps/(2(n+1))): each term's answer at per adds its floor and
+    ceil, spending at most 2*per.
+
+    Exact terms (t_0, ratio), where 2^growth bounds every product of
+    consecutive |ratio(k)|, k <= n (growth 0 serves |ratio| <= 1), carry
+    integers l_k <= t_k 2^p <= u_k (Brent, J. ACM 23, 1976; Brent &
+    Zimmermann, Modern Computer Arithmetic, 4.4): each step multiplies by
+    the ratio's numerator a and floors (for l) or ceils (for u) the
+    division by its denominator, swapping the two first when a < 0, so the
+    bits of a term follow p, not k.  A floor and a ceil each lose less than
+    one unit, so e_k = u_k - l_k obeys e_0 <= 1 and
+    e_k <= |ratio(k)| e_{k-1} + 2; unrolled, e_k is at most 2 times a sum of
+    k + 1 products of consecutive ratios, so e_k <= 2(k+1)G for G = 2^growth.
+    The sums of the l_k and u_k, one unit further out for strictness, then
+    differ by at most (n+1)(n+2)G + 2 < 2^(2 bits(n+2) + growth + 1) units,
+    which is at most _snap(eps) = 2^-k once p = k + 2 bits(n+2) + growth + 1.
+    """
 
     def fn(eps: Fraction) -> RInterval:
+        if isinstance(terms, tuple):
+            w, (t0, ratio) = _snap(eps), terms
+            k = w.denominator.bit_length() - w.numerator.bit_length()
+            p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
+            lo = l = (t0.numerator << p) // t0.denominator
+            hi = u = -(-t0.numerator << p) // t0.denominator
+            for i in range(1, n + 1):
+                r = ratio(i)
+                a, d = r.numerator, r.denominator
+                if a < 0:
+                    l, u = u, l
+                l, u = l * a // d, -(-u * a // d)
+                lo, hi = lo + l, hi + u
+            return RInterval(Fraction(lo - 1, 1 << p), Fraction(hi + 1, 1 << p))
         per = _snap(eps / (2 * (n + 1)))
         lo = hi = 0
-        if isinstance(terms, tuple):
-            values = accumulate(range(1, n + 1), terms[1], initial=terms[0])
-        else:
-            values = map(terms, range(n + 1))
-        for t in values:
-            if isinstance(t, Fraction):
-                f, r = divmod(t.numerator * per.denominator, t.denominator * per.numerator)
-                lo, hi = lo + f - (r == 0), hi + f + 1
-            else:
-                got = t.approx(per)
-                lo, hi = lo + got.lo // per, hi - (-got.hi // per)
+        for k in range(n + 1):
+            got = terms(k).approx(per)
+            lo, hi = lo + got.lo // per, hi - (-got.hi // per)
         return RInterval(lo * per, hi * per)
 
     return Real(fn, name=lambda: f"partial_sum({n})")
@@ -451,6 +473,7 @@ def sum_series(
     terms: Terms,
     tail_bound: Callable[[int], Fraction],
     tail_index: Callable[[Fraction], int],
+    growth: int = 0,
 ) -> Real:
     """Sum a series whose tails are explicitly bounded.
 
@@ -458,8 +481,11 @@ def sum_series(
     decrease in N; tail_index(eps) must return an N whose bound is at most
     eps (checked at each use; failure raises), and may stop its search at
     MAX_SERIES_TERMS: an index there or past it refuses before any term or
-    tail bound is built.  Partial-sum differences are bounded by two tails,
-    hence the quarter precision below.
+    tail bound is built.  Real terms go through ``limit``: partial-sum
+    differences are bounded by two tails, hence the quarter precision below.
+    Exact terms (t_0, ratio), growth as in partial_sum, answer at once: for
+    s = _snap(eps/4), the sum to the index of s/4 within s, widened by s/4
+    for the tail, is rounded out once, 3s/2 + eps/2 <= eps in all.
     """
 
     def modulus(eps: Fraction) -> int:
@@ -471,15 +497,26 @@ def sum_series(
             raise TailBoundError(f"tail_bound({n}) = {bound} exceeds requested {eps / 4}")
         return n
 
-    return limit(ConvergentSeq(lambda n: partial_sum(terms, n), modulus))
+    if not isinstance(terms, tuple):
+        return limit(ConvergentSeq(lambda n: partial_sum(terms, n), modulus))
+
+    def fn(eps: Fraction) -> RInterval:
+        s = _snap(eps / 4)
+        got = partial_sum(terms, modulus(s), growth).approx(s)
+        return _round_out(got.lo - s / 4, got.hi + s / 4, eps)
+
+    return Real(fn, name="series")
 
 
 def exp_rational(q) -> Real:
-    """The exponential of an exact rational via its power series."""
+    """The exponential of an exact rational via its power series, the ratio
+    q/k.  For the integer b > |q|, a product of consecutive ratios is at
+    most b^m j!/(j+m)! <= b^m/m! <= e^b < 2^ceil(1.4427 b)."""
     q = rat(q)
     b = abs(q).numerator // abs(q).denominator + 1  # integer bound > |q|
-    terms = (Fraction(1), lambda t, k: t * q / k)
-    out = sum_series(terms, _factorial_tail(b), _factorial_tail_index(b))
+    growth = -(-14427 * b // 10000)
+    out = sum_series((Fraction(1), lambda k: q / k), _factorial_tail(b),
+                     _factorial_tail_index(b), growth)
     out.name = f"exp({q})"
     return out
 

@@ -7,7 +7,7 @@ import random
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterator
 
 from coverlab import cauchy, coverspace, xreal
@@ -287,12 +287,32 @@ def is_ideal(
     return _rules_closed(masks, gen_masks, srb_below)
 
 
+@lru_cache(maxsize=None)
+def down_closed_families(size: int) -> tuple[frozenset[int], ...]:
+    """Every downward-closed family of masks over a carrier of this size,
+    generated from the antichains of masks.  They do not depend on the
+    structure, so each size is walked once.  Doubly exponential: 2^(2^n)
+    candidates."""
+    masks = list(range(1 << size))
+    families = {}
+    for bits in range(1 << len(masks)):
+        antichain = [m for k, m in enumerate(masks) if bits >> k & 1]
+        if any(
+            a != b and a & ~b == 0 for a in antichain for b in antichain
+        ):
+            continue
+        down: set[int] = set()
+        for m in antichain:
+            down.update(_submasks(m))
+        families.setdefault(frozenset(down), None)
+    return tuple(families)
+
+
 def locale_of_space_oracle(s: FiniteCoverSpace) -> set[frozenset[int]]:
     """Every ideal of the coverage presentation of s, by brute force.
 
-    Downward-closed families are generated from antichains of masks, then
-    filtered by rule closure; strong rather-below is tabulated from its
-    definition.  Doubly exponential: 2^(2^n) candidates.
+    The downward-closed families of the carrier's size are filtered by
+    rule closure; strong rather-below is tabulated from its definition.
     """
     carrier = s.carrier
     full = carrier.full_mask
@@ -305,25 +325,10 @@ def locale_of_space_oracle(s: FiniteCoverSpace) -> set[frozenset[int]]:
         ]
         for u in range(full + 1)
     ]
-    masks = list(range(full + 1))
-    ideals = set()
-    seen = set()
-    for bits in range(1 << len(masks)):
-        antichain = [m for k, m in enumerate(masks) if bits >> k & 1]
-        if any(
-            a != b and a & ~b == 0 for a in antichain for b in antichain
-        ):
-            continue
-        down: set[int] = set()
-        for m in antichain:
-            down.update(_submasks(m))
-        fam = frozenset(down)
-        if fam in seen:
-            continue
-        seen.add(fam)
-        if is_ideal(fam, gen_masks, srb_below):
-            ideals.add(fam)
-    return ideals
+    return {
+        fam for fam in down_closed_families(carrier.size)
+        if is_ideal(fam, gen_masks, srb_below)
+    }
 
 
 def partitions_are_the_cover_spaces(n: int) -> bool:
@@ -525,3 +530,54 @@ def exp_real_oracle(x: xreal.Real) -> xreal.Real:
 
     return xreal.sum_series(
         term, xreal._factorial_tail(b), xreal._factorial_tail_index(b))
+
+
+def partial_sum_oracle(terms, n: int) -> xreal.Real:
+    """The sum of exact terms 0..n, each divided onto the grid in full.
+
+    terms is a function of the index giving exact fractions, or a pair
+    (t_0, step) walked inside each query with t_k = step(t_{k-1}, k), so
+    the bits of t_k grow with k.  On the grid per = _snap(eps/(2(n+1))) a
+    term q adds ceil(q/per) - 1 and floor(q/per) + 1."""
+
+    def fn(eps: Fraction) -> xreal.RInterval:
+        per = xreal._snap(eps / (2 * (n + 1)))
+        lo = hi = 0
+        if isinstance(terms, tuple):
+            values = accumulate(range(1, n + 1), terms[1], initial=terms[0])
+        else:
+            values = map(terms, range(n + 1))
+        for t in values:
+            f, r = divmod(t.numerator * per.denominator, t.denominator * per.numerator)
+            lo, hi = lo + f - (r == 0), hi + f + 1
+        return xreal.RInterval(lo * per, hi * per)
+
+    return xreal.Real(fn, name=lambda: f"partial_sum_oracle({n})")
+
+
+def sum_series_oracle(terms, tail_bound, tail_index) -> xreal.Real:
+    """A series as the limit of partial_sum_oracle at the tail index of a
+    quarter of the precision, with the library's term budget."""
+
+    def modulus(eps: Fraction) -> int:
+        n = tail_index(eps / 4)
+        if n >= xreal.MAX_SERIES_TERMS:
+            raise xreal.SeriesBudgetError(f"series needs index {n} or more")
+        assert tail_bound(n) <= eps / 4
+        return n
+
+    return xreal.limit(xreal.ConvergentSeq(lambda n: partial_sum_oracle(terms, n), modulus))
+
+
+def exp_rational_oracle(q: Fraction) -> xreal.Real:
+    """e^q from its exact terms q^k/k!, walked as t_k = t_{k-1} * q / k."""
+    b = abs(q).numerator // abs(q).denominator + 1
+    return sum_series_oracle((Fraction(1), lambda t, k: t * q / k),
+                             xreal._factorial_tail(b), xreal._factorial_tail_index(b))
+
+
+def geometric_oracle(r: Fraction) -> xreal.Real:
+    """1 / (1 - r) from its exact terms r^k, walked as t_k = t_{k-1} * r."""
+    return sum_series_oracle((Fraction(1), lambda t, k: t * r),
+                             lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
+                             lambda eps: geometric_index_oracle(r, eps))

@@ -457,6 +457,16 @@ BOUNDED_TIME = {
     "third-1e-100000-bounds": (
         ["real", "eval", "1/3", "--eps", "1e-100000", "--bounds"], None, 0
     ),
+    # exact series terms are carried as integer bounds on a fixed-point grid,
+    # so a term's bits follow the precision, not its index
+    "exp-exp-1/2-1e-1000": (["real", "eval", "exp(exp(1/2))", "--eps", "1e-1000"], None, 0),
+    "exp-7000": (["real", "eval", "exp(7000)", "--eps", "1"], None, 0),
+    "exp-exp-0-plus-999": (["real", "eval", "exp(exp(0) + 999)", "--eps", "1"], None, 0),
+    # past realexpr.MAX_LITERAL_DIGITS: a parse error, not int()'s message
+    "literal-5000-digits": (["real", "eval", "1" * 5000 + "/3", "--eps", "1"], None, 2),
+    # ceil(1/eps) + 1 net points, refused past cli.MAX_NET_POINTS
+    "heine-borel-1/10000": (["demo", "heine-borel", "--eps", "1/10000"], None, 0),
+    "heine-borel-1/100000": (["demo", "heine-borel", "--eps", "1/100000"], None, 1),
 }
 BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())

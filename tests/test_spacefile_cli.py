@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import types
 from fractions import Fraction as F
@@ -363,6 +364,19 @@ class TestCliReal:
     def test_apartness_failure_exit_1(self, capsys):
         assert cli.main(["real", "eval", "inv(0; 1/4)", "--eps", "1/10"]) == 1
 
+    def test_long_literal_exit_2(self, capsys):
+        limit = realexpr.MAX_LITERAL_DIGITS
+        for text in ("1" * (limit + 1) + "/3", "1." + "1" * limit, "inv(2; 1" + "0" * limit + ")"):
+            assert cli.main(["real", "eval", text, "--eps", "1"]) == 2
+            err = capsys.readouterr().err
+            assert f"more than {limit} digits" in err and "Traceback" not in err
+
+    def test_literal_at_the_digit_limit_answers(self, capsys):
+        limit = realexpr.MAX_LITERAL_DIGITS
+        for text in ("9" * limit + "/" + "9" * limit, "0." + "9" * (limit - 1)):
+            assert cli.main(["real", "eval", text, "--eps", "1/10"]) == 0
+            assert capsys.readouterr().out.strip() == "1.0 ± 1/10"
+
 
 class TestCliDemo:
     def test_heine_borel(self, capsys):
@@ -371,3 +385,53 @@ class TestCliDemo:
         assert code == 0
         assert len(out["selected"]) <= out["size_bound"] == 5
         assert out["gap_witness"] is not None
+
+    def test_net_budget_refuses_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the net was built past the budget")
+
+        monkeypatch.setattr(cli.xreal, "epsilon_net", refuse)
+        assert cli.MAX_NET_POINTS == 100_000
+        for eps in ("1/100000", "1e-9", "2/199999"):
+            assert cli.main(["demo", "heine-borel", "--eps", eps]) == 1
+            err = capsys.readouterr().err
+            assert f"more than {cli.MAX_NET_POINTS}" in err and "Traceback" not in err
+
+
+_MS_FIELD = re.compile(r'"ms": [0-9.e+-]+')
+
+
+class TestCliParserOnce:
+    def _session(self, tmp_path, capsys):
+        space = write(tmp_path, "p.json", PRECOVER)
+        out = str(tmp_path / "out.json")
+        calls = [
+            ["axioms", space],
+            ["complete", space, "--out", out],
+            ["reflect", space],
+            ["locale", "build", space],
+            ["locale", "points", space],
+            ["locale", "roundtrip", space],
+            ["real", "eval", "exp(1/3) * 2", "--eps", "1e-12", "--bounds"],
+            ["locale", "spin", space],  # usage error
+            ["demo", "heine-borel", "--eps", "1/7"],
+            [],  # usage error: no subcommand
+            ["real", "eval", "1 +", "--eps", "1"],  # parse error
+            ["axioms", space],
+        ]
+        got = []
+        for argv in calls:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            got.append((code, _MS_FIELD.sub("", captured.out), captured.err))
+        return got
+
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_answers_as_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        reused = self._session(tmp_path, capsys)
+        assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0, 1, 0, 2, 0, 2, 2, 1]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert self._session(tmp_path, capsys) == reused

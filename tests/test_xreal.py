@@ -47,7 +47,13 @@ from coverlab.xreal import (
     SeriesBudgetError,
     Verified,
 )
-from helpers import exp_real_oracle, finite_subcover_oracle
+from helpers import (
+    exp_rational_oracle,
+    exp_real_oracle,
+    finite_subcover_oracle,
+    geometric_oracle,
+    partial_sum_oracle,
+)
 
 EPS_GRID = [F(1, 10), F(1, 1000), F(1, 10**6)]
 
@@ -382,7 +388,7 @@ class TestSeries:
         x = sum_series(term, lambda n: F(0), lambda eps: MAX_SERIES_TERMS)
         with pytest.raises(SeriesBudgetError, match=str(MAX_SERIES_TERMS)):
             x.approx(F(1, 100))
-        within = sum_series(lambda k: F(0), lambda n: F(0), lambda eps: 99)
+        within = sum_series((F(0), lambda k: F(0)), lambda n: F(0), lambda eps: 99)
         assert within.approx(F(1, 100)).contains(F(0))
 
     def test_large_exponent_refuses_at_once(self):
@@ -397,17 +403,18 @@ class TestSeries:
 
 class TestExactTerms:
     def test_walked_terms_match_direct_terms(self):
-        # a (t_0, step) pair walked inside each query sums the same terms
-        # as the function of the index, at every n and precision asked
+        # in the exact-walk oracle, a (t_0, step) pair walked inside each
+        # query sums the same terms as the function of the index, at every
+        # n and precision asked
         q = F(-5, 3)
         walked = (F(1), lambda t, k: t * q / k)
         for n, eps in [(40, F(1, 10**9)), (7, F(1, 3)), (40, F(1, 10**30)), (0, F(1))]:
-            direct = partial_sum(lambda k: q**k / math.factorial(k), n).approx(eps)
-            assert partial_sum(walked, n).approx(eps) == direct
+            direct = partial_sum_oracle(lambda k: q**k / math.factorial(k), n).approx(eps)
+            assert partial_sum_oracle(walked, n).approx(eps) == direct
 
     def test_exact_and_real_term_partial_sums_agree(self):
-        # seeded differential: the exact-term grid sum and the Real-term
-        # path over the same terms both hold the exact partial sum
+        # seeded differential: the fixed-point sum of (t_0, ratio) and the
+        # Real-term path over the same terms both hold the exact partial sum
         rng = random.Random(11)
         for _ in range(80):
             n = rng.randint(0, 60)
@@ -415,15 +422,15 @@ class TestExactTerms:
             if rng.random() < 0.5:
                 c = F(rng.randint(-9, 9), rng.randint(1, 9))
                 r = F(rng.randint(-39, 39), 40)
-                step = lambda t, k, r=r: t * r
+                ratio, growth = (lambda k, r=r: r), 0
             else:
                 c, q = F(1), F(rng.randint(-30, 30), 10)
-                step = lambda t, k, q=q: t * q / k
+                ratio, growth = (lambda k, q=q: q / k), 6  # e^4 < 2^6 bounds q^m/m!
             values = [c]
             for k in range(1, n + 1):
-                values.append(step(values[-1], k))
+                values.append(values[-1] * ratio(k))
             exact = sum(values)
-            grid = partial_sum((c, step), n).approx(eps)
+            grid = partial_sum((c, ratio), n, growth).approx(eps)
             real = partial_sum(lambda k: real_of_rat(values[k]), n).approx(eps)
             for got in (grid, real):
                 assert got.lo < exact < got.hi and got.width <= eps
@@ -439,6 +446,71 @@ class TestExactTerms:
         for _ in range(3):
             want = exp_bracket(*want)
         assert lo <= want[0] and want[1] <= hi and hi - lo <= F(1, 10**6)
+
+
+class TestFixedPointSeries:
+    """exp_rational and limit(geometric; r), summed from integer term bounds
+    on a fixed-point grid, against the exact-term walk of helpers."""
+
+    PRECISIONS = [F(1), F(1, 10**3), F(1, 10**30), F(1, 10**100), F(1, 10**300)]
+
+    def _matches_oracle(self, got_real, oracle_real, finest):
+        # every answer is narrow, short and meets the oracle's answer; the
+        # Real checks each against the narrowest answer before it
+        for eps in self.PRECISIONS:
+            if eps < finest:
+                break
+            got = got_real.approx(eps)
+            assert got.width <= eps
+            assert_short_dyadic(got, eps)
+            assert got.overlaps(oracle_real.approx(eps)), (got_real, eps)
+
+    def test_exp_rational_matches_exact_walk(self):
+        # |q| <= 50 of both signs, dyadic and odd denominators of up to 4000
+        # bits; the exact walk's terms grow to the endpoint bits times the
+        # index, so the finest precision shrinks as the endpoints grow
+        rng = random.Random(12)
+        tiers = [(4000, F(1)), (1000, F(1, 10**3)), (256, F(1, 10**30)),
+                 (64, F(1, 10**100)), (8, F(1, 10**300))]
+        for bits, finest in tiers:
+            for den in (1 << bits, rng.getrandbits(bits) | 1 << (bits - 1) | 1):
+                for sign in (1, -1):
+                    q = sign * F(rng.randint(1, 50 * den), den)
+                    self._matches_oracle(exp_rational(q), exp_rational_oracle(q), finest)
+
+    def test_small_integer_exponents_match_exact_walk(self):
+        for q in (0, 1, -1, 2, -7, 20, -20, 50, -50):
+            self._matches_oracle(exp_rational(q), exp_rational_oracle(F(q)), F(1, 10**300))
+
+    def test_partial_sums_hold_the_exact_sum(self):
+        # seeded ratios of both signs up to 50 in magnitude: a negative
+        # ratio swaps the integer bounds, and the exact partial sum stays
+        # strictly inside an answer of width at most eps
+        rng = random.Random(14)
+        for _ in range(300):
+            n = rng.randint(0, 80)
+            eps = F(1, rng.choice([1, 3, 10, 1000, 2**20]))
+            q = F(rng.randint(-500, 500), 10)
+            b = abs(q).numerator // abs(q).denominator + 1
+            values = [F(1)]
+            for k in range(1, n + 1):
+                values.append(values[-1] * q / k)
+            got = partial_sum((F(1), lambda k: q / k), n, -(-14427 * b // 10000)).approx(eps)
+            assert got.lo < sum(values) < got.hi and got.width <= eps, (q, n, eps)
+
+    def test_geometric_matches_exact_walk(self):
+        rng = random.Random(13)
+        cases = [(F(0), F(1, 10**300)), (F(1, 2), F(1, 10**300)), (F(-1, 2), F(1, 10**300))]
+        for bound, finest in ((F(3, 4), F(1, 10**300)), (F(19, 20), F(1, 10**30))):
+            for _ in range(4):
+                den = rng.randint(2, 1000)
+                r = F(rng.randint(-den, den), den)
+                if abs(r) <= bound:
+                    cases.append((r, finest))
+        for r, finest in cases:
+            got = evaluate(Parser(f"limit(geometric; {r})").parse())
+            self._matches_oracle(got, geometric_oracle(r), finest)
+            assert got.approx(finest).contains(1 / (1 - r))
 
 
 class TestDedekindAxiomsOperationalized:
@@ -649,7 +721,7 @@ def bracketed_reals(draw, depth=2):
             c = draw(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=20))
             r = draw(st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(3, 4), F(-9, 10)]))
             series = sum_series(
-                (c, lambda t, k: t * r),
+                (c, lambda k: r),
                 lambda n: abs(c) * abs(r) ** (n + 1) / (1 - abs(r)),
                 geometric_tail_index(r, abs(c)),
             )
