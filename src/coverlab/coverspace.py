@@ -19,7 +19,6 @@ from .finkernel import (
     Cover,
     FiniteCoverSpace,
     Subset,
-    all_subsets,
     generated_space,
     maximal_masks,
     points_of,
@@ -56,10 +55,11 @@ def close_masks(n: int, covers: Iterable[Iterable[int]]) -> FiniteCoverSpace:
     generated by the meet of all the covers (no covers: the indiscrete
     structure).  It need not satisfy the regularity axiom.
     """
-    acc = {Carrier(n).full_mask}
+    acc = [Carrier(n).full_mask]
     for c in covers:
-        acc = {u & v for u in acc for v in c}
-    return generated_space(n, acc)
+        # u inside u' puts u & v inside u' & v, so pruning early is sound
+        acc = maximal_masks(u & v for u in acc for v in c)
+    return FiniteCoverSpace(n, tuple(acc))
 
 
 def is_cauchy(s: FiniteCoverSpace, d: Cover | Iterable[Subset]) -> bool:
@@ -197,67 +197,71 @@ def is_dense(s: FiniteCoverSpace, d: Subset) -> bool:
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """A finite topological space: a family of opens closed under finite
-    intersection and arbitrary union, containing the empty set and the
-    whole carrier."""
+    """A finite topological space, stored as each point's minimal open
+    neighbourhood: ``nbhd[x]`` is the smallest open holding x, an int mask.
 
-    carrier: Carrier
-    opens: frozenset[Subset]
+    A finite topology is a preorder (Alexandrov 1937), so the table
+    determines it: U is open exactly when the row of each of its points
+    lies inside U.  Each row holds its point and the rows of its points.
+    """
+
+    size: int
+    nbhd: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        masks = {o.mask for o in self.opens}
-        for o in self.opens:
-            if o.carrier != self.carrier:
-                raise CarrierMismatchError("open on a different carrier")
-        if 0 not in masks or self.carrier.full_mask not in masks:
-            raise ValueError("opens must contain the empty set and the carrier")
-        for a in masks:
-            for b in masks:
-                if a & b not in masks or a | b not in masks:
-                    raise ValueError("opens not closed under intersection/union")
+        nbhd, full = tuple(self.nbhd), Carrier(self.size).full_mask
+        holds = (row >> x & 1 and row & ~full == 0 for x, row in enumerate(nbhd))
+        if len(nbhd) != self.size or not all(holds):
+            raise ValueError("each point needs one neighbourhood holding it")
+        # rows shared by several points are checked once
+        if any(nbhd[y] & ~row for row in set(nbhd) for y in points_of(row)):
+            raise ValueError("neighbourhoods are not transitive")
+        object.__setattr__(self, "nbhd", nbhd)
+
+    @property
+    def carrier(self) -> Carrier:
+        return Carrier(self.size)
 
     def is_open(self, u: Subset) -> bool:
-        return u in self.opens
+        _check_subset(self, u)
+        return not any(self.nbhd[x] & ~u.mask for x in points_of(u.mask))
 
     def interior(self, u: Subset) -> Subset:
-        mask = 0
-        for o in self.opens:
-            if o.issubset(u):
-                mask |= o.mask
-        return Subset(self.carrier, mask)
+        """The points whose row lies inside u, so the union of those rows."""
+        _check_subset(self, u)
+        inner = [x for x in points_of(u.mask) if self.nbhd[x] & ~u.mask == 0]
+        return Subset.of(self.carrier, inner)
 
     def closure(self, u: Subset) -> Subset:
-        return self.interior(u.complement()).complement()
+        """The points whose neighbourhood meets u."""
+        _check_subset(self, u)
+        return Subset.of(self.carrier, [x for x, row in enumerate(self.nbhd) if row & u.mask])
 
     def minimal_neighborhood(self, x: int) -> Subset:
-        mask = self.carrier.full_mask
-        for o in self.opens:
-            if o.contains(x):
-                mask &= o.mask
-        return Subset(self.carrier, mask)
+        return Subset(self.carrier, self.nbhd[x])
 
     def rather_below(self, v: Subset, u: Subset) -> bool:
         # X must be covered by opens W with (W meets V implies W inside U);
         # minimal neighborhoods are the worst case.
-        return all(
-            (not self.minimal_neighborhood(x).intersects(v))
-            or self.minimal_neighborhood(x).issubset(u)
-            for x in self.carrier.elements()
-        )
+        _check_subset(self, v)
+        _check_subset(self, u)
+        return not any(row & v.mask and row & ~u.mask for row in self.nbhd)
 
     def is_regular(self) -> bool:
-        """Every open is covered by opens rather below it."""
-        return all(
-            all(self.rather_below(self.minimal_neighborhood(x), o)
-                for x in o.members())
-            for o in self.opens
-        )
+        """Every open is covered by opens rather below it.  At y the row of y
+        must hold every row meeting it, so each row holding y equals it: the
+        distinct rows share no point."""
+        return not shared_points(set(self.nbhd))
 
 
 def to_topology(s: FiniteCoverSpace) -> FiniteTopology:
-    """The topology of open subsets induced by the structure of s."""
-    opens = frozenset(u for u in all_subsets(s.carrier) if is_open(s, u))
-    return FiniteTopology(s.carrier, opens)
+    """The topology of open subsets induced by the structure of s.
+
+    U is open when it holds the stars of its points, so the smallest open
+    holding x is x grown by stars: its block in the regular reflection,
+    which can be larger than its star when s is not regular.
+    """
+    return FiniteTopology(s.size, regular_reflection(s).star)
 
 
 def from_topology(t: FiniteTopology) -> FiniteCoverSpace:
@@ -269,8 +273,7 @@ def from_topology(t: FiniteTopology) -> FiniteCoverSpace:
     """
     if not t.is_regular():
         raise RegularityError("input topology is not regular")
-    members = {t.minimal_neighborhood(x).mask for x in t.carrier.elements()}
-    return generated_space(t.carrier.size, members)
+    return generated_space(t.size, t.nbhd)
 
 
 def is_cover_map(
@@ -313,7 +316,7 @@ def point_images_dense(
     return is_dense(y, image)
 
 
-def _check_subset(s: FiniteCoverSpace, u: Subset) -> None:
+def _check_subset(s: FiniteCoverSpace | FiniteTopology, u: Subset) -> None:
     if u.carrier.size != s.size:
         raise CarrierMismatchError("subset on a different carrier")
 

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Iterable, Iterator, Sequence
 
-# Enumerating all subsets of a carrier is exponential; enumerating all
-# covers is doubly exponential.  These caps keep desk-scale experiments
-# honest about what they can afford.
-SUBSET_ENUM_LIMIT = 12
+# Enumerating all covers is doubly exponential; this cap keeps desk-scale
+# experiments honest about what they can afford.
 COVER_ENUM_LIMIT = 4
 
 
@@ -339,12 +337,6 @@ def preimage_masks(f: Sequence[int], y: FiniteCoverSpace) -> list[int]:
     for i, v in enumerate(f):
         fibre[v] |= 1 << i
     return [sum(fibre[v] for v in points_of(w)) for w in y.masks]
-
-
-def all_subsets(carrier: Carrier, max_carrier: int | None = None) -> list[Subset]:
-    """Every subset of the carrier, by ascending mask.  Guarded."""
-    _check_size(carrier.size, max_carrier or SUBSET_ENUM_LIMIT, "subset")
-    return [Subset(carrier, m) for m in range(carrier.full_mask + 1)]
 
 
 def all_canonical_covers(

@@ -15,6 +15,7 @@ confirms both modes saturate to the same set.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from coverlab.finkernel import Carrier, Cover, Subset
 
@@ -55,6 +56,13 @@ class DerivationOracle:
                 break
             derived = new
         self._derived = derived
+        # Raw subbases rarely saturate to the same derived set, but often
+        # to covers with the same maximal members, which alone decide
+        # refinement; answers are memoised on those.
+        self._maximal = frozenset(
+            frozenset(u for u in c if not any(u != v and u & ~v == 0 for v in c))
+            for c in derived
+        )
 
     def is_cauchy(self, family) -> bool:
         """Membership query: some derived cover refines the family.
@@ -63,14 +71,17 @@ class DerivationOracle:
         it past meets is harmless because meets of coarsenings are
         coarsenings of meets.
         """
-        masks = [
+        masks = frozenset(
             m.mask if isinstance(m, Subset) else int(m) for m in family
-        ]
-        return any(
-            all(any(u & ~v == 0 for v in masks) for u in c)
-            for c in self._derived
         )
+        return _some_refines(self._maximal, masks)
 
     @property
     def derived_count(self) -> int:
         return len(self._derived)
+
+
+@cache
+def _some_refines(covers: frozenset[frozenset[int]], masks: frozenset[int]) -> bool:
+    """Some cover has each member inside a member of the family."""
+    return any(all(any(u & ~v == 0 for v in masks) for u in c) for c in covers)

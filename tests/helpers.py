@@ -13,19 +13,29 @@ from typing import Iterator
 from coverlab import cauchy, coverspace, xreal
 from coverlab.finkernel import (
     COVER_ENUM_LIMIT,
-    SUBSET_ENUM_LIMIT,
     Carrier,
+    CarrierMismatchError,
     Cover,
     FiniteCoverSpace,
     Subset,
     _check_size,
     all_canonical_covers,
-    all_subsets,
+    generated_space,
     meet,
     points_of,
     refines,
     space_from_cover,
 )
+
+# Enumerating all subsets of a carrier is exponential; the cap keeps the
+# oracles honest about what they can afford.
+SUBSET_ENUM_LIMIT = 12
+
+
+def all_subsets(carrier: Carrier, max_carrier: int | None = None) -> list[Subset]:
+    """Every subset of the carrier, by ascending mask.  Guarded."""
+    _check_size(carrier.size, max_carrier or SUBSET_ENUM_LIMIT, "subset")
+    return [Subset(carrier, m) for m in range(carrier.full_mask + 1)]
 
 
 def all_families(
@@ -581,3 +591,127 @@ def geometric_oracle(r: Fraction) -> xreal.Real:
     return sum_series_oracle((Fraction(1), lambda t, k: t * r),
                              lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
                              lambda eps: geometric_index_oracle(r, eps))
+
+
+def close_masks_oracle(n: int, covers) -> FiniteCoverSpace:
+    """The structure generated by covers as masks: every meet formed
+    first, pruned to the maximal masks once at the end."""
+    acc = {Carrier(n).full_mask}
+    for c in covers:
+        acc = {u & v for u in acc for v in c}
+    return generated_space(n, acc)
+
+
+def trisection_steps_oracle(width: Fraction, eps: Fraction) -> int:
+    """Smallest k with width * (2/3)^k <= eps, stepping (3/2)^k up by one
+    Fraction product at a time."""
+    k = 0
+    grow = Fraction(1)
+    target = Fraction(width, 1) / eps
+    while grow < target:
+        grow *= Fraction(3, 2)
+        k += 1
+    return k
+
+
+class FiniteTopologyOracle:
+    """A finite topological space as its explicit family of opens, closed
+    under finite intersection and arbitrary union, containing the empty
+    set and the whole carrier.  Every question is answered by a scan of
+    the family."""
+
+    def __init__(self, carrier: Carrier, opens) -> None:
+        self.carrier = carrier
+        self.opens = frozenset(opens)
+        masks = {o.mask for o in self.opens}
+        for o in self.opens:
+            if o.carrier != self.carrier:
+                raise CarrierMismatchError("open on a different carrier")
+        if 0 not in masks or self.carrier.full_mask not in masks:
+            raise ValueError("opens must contain the empty set and the carrier")
+        for a in masks:
+            for b in masks:
+                if a & b not in masks or a | b not in masks:
+                    raise ValueError("opens not closed under intersection/union")
+
+    def is_open(self, u: Subset) -> bool:
+        return u in self.opens
+
+    def interior(self, u: Subset) -> Subset:
+        mask = 0
+        for o in self.opens:
+            if o.issubset(u):
+                mask |= o.mask
+        return Subset(self.carrier, mask)
+
+    def closure(self, u: Subset) -> Subset:
+        return self.interior(u.complement()).complement()
+
+    def minimal_neighborhood(self, x: int) -> Subset:
+        mask = self.carrier.full_mask
+        for o in self.opens:
+            if o.contains(x):
+                mask &= o.mask
+        return Subset(self.carrier, mask)
+
+    def rather_below(self, v: Subset, u: Subset) -> bool:
+        # X must be covered by opens W with (W meets V implies W inside U);
+        # minimal neighborhoods are the worst case.
+        return all(
+            (not self.minimal_neighborhood(x).intersects(v))
+            or self.minimal_neighborhood(x).issubset(u)
+            for x in self.carrier.elements()
+        )
+
+    def is_regular(self) -> bool:
+        """Every open is covered by opens rather below it."""
+        return all(
+            all(self.rather_below(self.minimal_neighborhood(x), o)
+                for x in o.members())
+            for o in self.opens
+        )
+
+
+def to_topology_oracle(s: FiniteCoverSpace) -> FiniteTopologyOracle:
+    """The opens of s, every subset tried: U is open when the singleton of
+    each of its points is rather below U by the member scan."""
+    return FiniteTopologyOracle(s.carrier, [
+        u for u in all_subsets(s.carrier)
+        if all(rather_below_scan(s, Subset(s.carrier, 1 << x), u) for x in u.members())
+    ])
+
+
+def from_topology_oracle(t: FiniteTopologyOracle) -> FiniteCoverSpace:
+    """The cover space generated by the minimal open neighborhoods of a
+    regular topology."""
+    if not t.is_regular():
+        raise coverspace.RegularityError("input topology is not regular")
+    members = {t.minimal_neighborhood(x).mask for x in t.carrier.elements()}
+    return generated_space(t.carrier.size, members)
+
+
+def topology_from_opens(carrier: Carrier, opens) -> coverspace.FiniteTopology:
+    """The library's topology with an explicit family of opens: each
+    point's row is the intersection of the opens holding it."""
+    t = FiniteTopologyOracle(carrier, opens)
+    return coverspace.FiniteTopology(
+        carrier.size, tuple(t.minimal_neighborhood(x).mask for x in carrier.elements()))
+
+
+def opens_of(t) -> frozenset[Subset]:
+    """Every open of a small topology, every subset tried."""
+    return frozenset(u for u in all_subsets(t.carrier) if t.is_open(u))
+
+
+def all_topologies(carrier: Carrier) -> list[FiniteTopologyOracle]:
+    """Every topology on a small carrier: the families of subsets holding
+    the empty set and the carrier and closed under intersection and
+    union, out of all 2^(2^n) families."""
+    full = carrier.full_mask
+    out = []
+    for family in all_families(carrier):
+        masks = {o.mask for o in family}
+        if (0 in masks and full in masks
+                and all(a & b in masks and a | b in masks for a in masks for b in masks)):
+            out.append(FiniteTopologyOracle(carrier, family))
+    return out

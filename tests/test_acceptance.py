@@ -40,7 +40,6 @@ from coverlab.finkernel import (
     Carrier,
     Subset,
     all_canonical_covers,
-    all_subsets,
     canonicalize,
     discrete,
     space_from_cover,
@@ -60,6 +59,7 @@ from helpers import (
     all_covers,
     all_families,
     all_spaces_up_to,
+    all_subsets,
     dense_lift_transport,
     random_partition_space,
     random_subset,

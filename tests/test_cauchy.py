@@ -32,7 +32,6 @@ from coverlab.coverspace import (
 from coverlab.finkernel import (
     Cover,
     Subset,
-    all_subsets,
     discrete,
     indiscrete,
     product,
@@ -40,6 +39,7 @@ from coverlab.finkernel import (
 )
 from helpers import (
     all_spaces_up_to,
+    all_subsets,
     dense_lift_transport,
     random_partition_space,
     random_precover_space,

@@ -1,15 +1,17 @@
 """The closed forms of the finite kernel against their definition-level
 oracles: regularity, separation, embeddings, filter regularity,
 completeness, completion, the regular reflection, the CLI witnesses, the
-lowest-point antichain walk and the star table.  Exhaustive up to carrier
-size 4, seeded random cases above.  Last, the table of hostile and large
+lowest-point antichain walk, the star table, the induced topology's
+neighbourhood table and the pruned meet of a subbase.  Exhaustive up to
+carrier size 4, seeded random cases above.  Last, the table of hostile and large
 inputs that the CLI answers in bounded time, and a count of the ``Subset``
 values the CLI builds."""
 
+import importlib
 import itertools
 import json
+import pkgutil
 import random
-import sys
 import time
 
 import pytest
@@ -26,17 +28,21 @@ from coverlab.cauchy import (
     strong_completion,
 )
 from coverlab.coverspace import (
+    FiniteTopology,
     RegularityError,
+    close_masks,
+    from_topology,
     is_cover_map,
     is_embedding,
     is_strongly_regular,
     regular_reflection,
     satisfies_cr,
+    to_topology,
 )
 from coverlab.finkernel import (
+    Carrier,
     Cover,
     Subset,
-    all_subsets,
     canonicalize,
     discrete,
     indiscrete,
@@ -45,18 +51,26 @@ from coverlab.finkernel import (
     transfer,
 )
 from helpers import (
+    FiniteTopologyOracle,
+    all_covers,
     all_families,
     all_precovers_up_to,
     all_spaces_up_to,
+    all_subsets,
+    all_topologies,
+    close_masks_oracle,
     completion_oracle,
     dense_lift_transport,
     filter_refinable_oracle,
+    from_topology_oracle,
     is_complete_oracle,
     is_embedding_oracle,
     is_separated_oracle,
     is_strongly_regular_oracle,
     maximal_masks_oracle,
     neighborhood_base_scan,
+    opens_of,
+    random_cover,
     random_partition_space,
     random_precover_space,
     random_subset,
@@ -64,6 +78,8 @@ from helpers import (
     regular_reflection_oracle,
     satisfies_cr_oracle,
     strongly_rather_below_oracle,
+    to_topology_oracle,
+    topology_from_opens,
 )
 
 PRECOVERS_4 = all_precovers_up_to(4)
@@ -352,6 +368,139 @@ class TestStrongRatherBelow:
             _check_strong_relation(s, pairs)
 
 
+def _space_or_error(build, t):
+    try:
+        return build(t)
+    except RegularityError:
+        return RegularityError
+
+
+def _check_topology(t, o, subsets, pairs):
+    """The neighbourhood table t against the enumerating oracle o."""
+    assert t.carrier == o.carrier
+    for x in o.carrier.elements():
+        assert t.minimal_neighborhood(x) == o.minimal_neighborhood(x)
+    assert opens_of(t) == o.opens
+    for u in subsets:
+        assert t.is_open(u) == o.is_open(u)
+        assert t.interior(u) == o.interior(u)
+        assert t.closure(u) == o.closure(u)
+    for v, u in pairs:
+        assert t.rather_below(v, u) == o.rather_below(v, u)
+    # the oracle's regularity scan is quadratic in the opens
+    if len(o.opens) <= 64:
+        assert t.is_regular() == o.is_regular()
+        assert _space_or_error(from_topology, t) == _space_or_error(from_topology_oracle, o)
+
+
+def _random_pairs(rng, t, count=40):
+    """Random (v, u) pairs, u grown from v's neighbourhoods half the time,
+    so that both answers of rather-below occur."""
+    pairs = []
+    for _ in range(count):
+        v = random_subset(rng, t.carrier)
+        grown = finkernel.union(t.nbhd[x] for x in v.members()) if rng.random() < 0.5 else 0
+        pairs.append((v, Subset(t.carrier, grown | rng.randrange(t.carrier.full_mask + 1))))
+    return pairs
+
+
+def _random_topology(rng, n):
+    """The opens generated by unions and intersections from the empty set,
+    the carrier and up to three random subsets: at most 20 opens, most
+    often not regular."""
+    full = (1 << n) - 1
+    opens = {0, full} | {rng.randrange(full + 1) for _ in range(rng.randint(1, 3))}
+    while True:
+        grown = opens.union(*({a & b, a | b} for a in opens for b in opens))
+        if grown == opens:
+            break
+        opens = grown
+    carrier = Carrier(n)
+    return FiniteTopologyOracle(carrier, [Subset(carrier, m) for m in opens])
+
+
+class TestTopologyTable:
+    def test_every_precover_up_to_four_points(self):
+        for s in PRECOVERS_4:
+            subsets = all_subsets(s.carrier)
+            _check_topology(to_topology(s), to_topology_oracle(s), subsets,
+                            itertools.product(subsets, repeat=2))
+
+    def test_every_topology_up_to_three_points(self):
+        regular = []
+        for n in (1, 2, 3):
+            for o in all_topologies(Carrier(n)):
+                t = topology_from_opens(o.carrier, o.opens)
+                subsets = all_subsets(o.carrier)
+                _check_topology(t, o, subsets, itertools.product(subsets, repeat=2))
+                regular.append(t.is_regular())
+        assert len(regular) == 1 + 4 + 29
+        assert 0 < regular.count(False) < len(regular)  # Sierpinski among them
+
+    def test_sierpinski(self):
+        carrier = Carrier(2)
+        t = topology_from_opens(carrier, [Subset.empty(carrier), Subset.of(carrier, [0]),
+                                          Subset.full(carrier)])
+        assert t.nbhd == (0b01, 0b11)
+        assert not t.is_regular()
+        assert t.closure(Subset.of(carrier, [0])) == Subset.full(carrier)
+        assert t.interior(Subset.of(carrier, [1])) == Subset.empty(carrier)
+
+    def test_seeded_spaces_five_to_ten(self):
+        rng = random.Random(316)
+        for s in _random_cases(seed=317):
+            t = to_topology(s)
+            _check_topology(t, to_topology_oracle(s),
+                            [random_subset(rng, s.carrier) for _ in range(40)],
+                            _random_pairs(rng, t))
+
+    def test_seeded_topologies_five_to_ten(self):
+        rng = random.Random(318)
+        for _ in range(60):
+            o = _random_topology(rng, rng.randint(5, 10))
+            t = topology_from_opens(o.carrier, o.opens)
+            _check_topology(t, o, [random_subset(rng, o.carrier) for _ in range(40)],
+                            _random_pairs(rng, t))
+
+    def test_table_is_checked(self):
+        assert FiniteTopology(3, [0b001, 0b011, 0b100]).nbhd == (0b001, 0b011, 0b100)
+        for size, rows in [(3, (0b001, 0b011)),  # one row short
+                           (2, (0b10, 0b10)),  # a row without its point
+                           (2, (0b01, 0b110)),  # a row outside the carrier
+                           (3, (0b011, 0b110, 0b100))]:  # 1 in row 0, row 1 not inside it
+            with pytest.raises(ValueError):
+                FiniteTopology(size, rows)
+
+
+class TestCloseMasks:
+    """Pruning to the maximal masks after each meet against forming every
+    meet first."""
+
+    def _check(self, n, covers):
+        covers = [[m.mask for m in c.members] for c in covers]
+        assert close_masks(n, covers) == close_masks_oracle(n, covers)
+
+    def test_every_canonical_subbase_up_to_three_covers_on_three_points(self):
+        canon = finkernel.all_canonical_covers(Carrier(3))
+        for r in range(4):
+            for subbase in itertools.product(canon, repeat=r):
+                self._check(3, subbase)
+
+    def test_every_pair_of_covers_on_three_points(self):
+        # raw covers: nested members and the empty member included
+        raw = list(all_covers(Carrier(3)))
+        for r in (1, 2):
+            for subbase in itertools.combinations_with_replacement(raw, r):
+                self._check(3, subbase)
+
+    def test_seeded_five_to_eight(self):
+        rng = random.Random(319)
+        for _ in range(300):
+            n = rng.randint(5, 8)
+            self._check(n, [random_cover(rng, n, max_members=6)
+                            for _ in range(rng.randint(1, 4))])
+
+
 def _lift_case(rng):
     """A seeded dense-lift instance on 5-8 points: the completion unit of a
     regular space with a cover map into a complete target, or, half the
@@ -400,6 +549,23 @@ class TestDenseLift:
 
 def _strong_completion_discrete_2000():
     assert strong_completion(discrete(2000)).unit == tuple(range(2000))
+
+
+def _topology_round_trip(s):
+    t = to_topology(s)
+    assert t.is_regular()
+    assert to_topology(from_topology(t)) == t
+
+
+def _topology_discrete_2000():
+    _topology_round_trip(discrete(2000))
+    assert from_topology(to_topology(discrete(2000))) == discrete(2000)
+
+
+def _topology_chain_2000():
+    # not regular: every star overlaps the next, so the only opens are
+    # the empty set and the carrier
+    _topology_round_trip(finkernel.space_from_masks(2000, [[x, x + 1] for x in range(1999)]))
 
 
 def _dense_lift_identity_300():
@@ -472,6 +638,14 @@ BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())
 
 
+def _coverlab_modules():
+    """The coverlab package and every module in it, imported."""
+    import coverlab
+
+    return [coverlab] + [importlib.import_module(f"coverlab.{m.name}")
+                         for m in pkgutil.iter_modules(coverlab.__path__)]
+
+
 class TestNoEnumeration:
     """The CLI's axioms, completion, reflection and locale paths and the
     embedding test run without enumerating subsets or canonical covers."""
@@ -481,11 +655,9 @@ class TestNoEnumeration:
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration on a closed-form path")
 
-        for name, module in list(sys.modules.items()):
-            if name == "coverlab" or name.startswith("coverlab."):
-                for fn in ("all_subsets", "all_canonical_covers"):
-                    if hasattr(module, fn):
-                        monkeypatch.setattr(module, fn, refuse)
+        for module in _coverlab_modules():
+            if hasattr(module, "all_canonical_covers"):
+                monkeypatch.setattr(module, "all_canonical_covers", refuse)
 
     def _run(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "space.json"
@@ -570,9 +742,13 @@ class TestNoEnumeration:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("call", [_strong_completion_discrete_2000,
-                                      _dense_lift_identity_300],
+                                      _dense_lift_identity_300,
+                                      _topology_discrete_2000,
+                                      _topology_chain_2000],
                              ids=["strong-completion-discrete-2000",
-                                  "dense-lift-identity-300"])
+                                  "dense-lift-identity-300",
+                                  "topology-discrete-2000",
+                                  "topology-chain-2000"])
     def test_library_bounded_time(self, no_enumeration, call):
         started = time.perf_counter()
         call()
@@ -580,7 +756,11 @@ class TestNoEnumeration:
 
     def test_guard_is_active(self, no_enumeration):
         with pytest.raises(AssertionError):
-            finkernel.all_subsets(finkernel.Carrier(2))
+            finkernel.all_canonical_covers(finkernel.Carrier(2))
+        # subsets are enumerated only by the test oracles
+        for module in _coverlab_modules():
+            assert not hasattr(module, "all_subsets"), module.__name__
+            assert not hasattr(module, "SUBSET_ENUM_LIMIT"), module.__name__
 
 
 @pytest.mark.parametrize("data", [_DISCRETE_200, _CHAIN_200], ids=["discrete", "chain"])

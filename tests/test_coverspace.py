@@ -4,7 +4,6 @@ import pytest
 
 from coverlab import cauchy
 from coverlab.coverspace import (
-    FiniteTopology,
     RegularityError,
     SubbasePresentation,
     close_subbase,
@@ -31,7 +30,6 @@ from coverlab.finkernel import (
     Cover,
     Subset,
     all_canonical_covers,
-    all_subsets,
     discrete,
     indiscrete,
     refines,
@@ -45,12 +43,15 @@ from helpers import (
     all_families,
     all_precovers_up_to,
     all_spaces_up_to,
+    all_subsets,
     cr_holds_for_cover,
+    opens_of,
     partitions_are_the_cover_spaces,
     random_partition_space,
     random_precover_space,
     random_subset,
     strongly_rather_below_oracle,
+    topology_from_opens,
 )
 
 
@@ -244,14 +245,14 @@ class TestProper:
 class TestTopologyBridge:
     def test_discrete_indiscrete(self):
         t = to_topology(discrete(3))
-        assert len(t.opens) == 8
+        assert len(opens_of(t)) == 8
         t = to_topology(indiscrete(3))
-        assert {o.mask for o in t.opens} == {0, 0b111}
+        assert {o.mask for o in opens_of(t)} == {0, 0b111}
 
     def test_overlapping_generator_opens(self):
         s = space_from_masks(3, [[0, 1], [1, 2]])
         t = to_topology(s)
-        assert {o.mask for o in t.opens} == {0, 0b111}
+        assert {o.mask for o in opens_of(t)} == {0, 0b111}
         assert t.is_regular()
 
     def test_interior_two_routes(self):
@@ -299,13 +300,10 @@ class TestTopologyBridge:
                     assert topological == is_neighborhood(s, u, x)
 
     def test_from_topology_examples(self):
-        full = FiniteTopology(
-            Carrier(2), frozenset(all_subsets(Carrier(2)))
-        )
+        full = topology_from_opens(Carrier(2), all_subsets(Carrier(2)))
         assert from_topology(full) == discrete(2)
-        indis = FiniteTopology(
-            Carrier(2),
-            frozenset({Subset.empty(Carrier(2)), Subset.full(Carrier(2))}),
+        indis = topology_from_opens(
+            Carrier(2), {Subset.empty(Carrier(2)), Subset.full(Carrier(2))}
         )
         assert from_topology(indis) == indiscrete(2)
 
@@ -313,7 +311,7 @@ class TestTopologyBridge:
         carrier = Carrier(4)
         blocks = [Subset.of(carrier, [0, 1]), Subset.of(carrier, [2, 3])]
         opens = {Subset.empty(carrier), Subset.full(carrier), *blocks}
-        got = from_topology(FiniteTopology(carrier, frozenset(opens)))
+        got = from_topology(topology_from_opens(carrier, opens))
         assert {m.mask for m in got.generator.members} == {0b0011, 0b1100}
 
     def test_from_topology_rejects_nonregular(self):
@@ -322,12 +320,12 @@ class TestTopologyBridge:
             {Subset.empty(carrier), Subset.of(carrier, [0]), Subset.full(carrier)}
         )
         with pytest.raises(RegularityError):
-            from_topology(FiniteTopology(carrier, sierpinski))
+            from_topology(topology_from_opens(carrier, sierpinski))
 
     def test_round_trip(self):
         for s in all_spaces_up_to(3):
             t = to_topology(s)
-            assert to_topology(from_topology(t)).opens == t.opens
+            assert opens_of(to_topology(from_topology(t))) == opens_of(t)
 
     def test_dense_subsets(self):
         s = indiscrete(3)
@@ -338,8 +336,8 @@ class TestTopologyBridge:
 
 
 class TestSoberInstances:
-    def _open_filters(self, t: FiniteTopology):
-        opens = sorted(t.opens, key=lambda o: o.mask)
+    def _open_filters(self, t):
+        opens = sorted(opens_of(t), key=lambda o: o.mask)
         import itertools
 
         for r in range(1, len(opens) + 1):
@@ -363,7 +361,7 @@ class TestSoberInstances:
                     yield chosen
 
     def _completely_prime(self, t, filt):
-        opens = list(t.opens)
+        opens = list(opens_of(t))
         import itertools
 
         for r in range(len(opens) + 1):
@@ -387,7 +385,7 @@ class TestSoberInstances:
                 matching = [
                     x
                     for x in s.carrier.elements()
-                    if filt == {o for o in t.opens if t.minimal_neighborhood(x).issubset(o)}
+                    if filt == {o for o in opens_of(t) if t.minimal_neighborhood(x).issubset(o)}
                 ]
                 assert len(matching) == 1
 
@@ -398,7 +396,7 @@ class TestSoberInstances:
                 len([
                     x
                     for x in s.carrier.elements()
-                    if filt == {o for o in t.opens if t.minimal_neighborhood(x).issubset(o)}
+                    if filt == {o for o in opens_of(t) if t.minimal_neighborhood(x).issubset(o)}
                 ]) == 1
                 for filt in self._open_filters(t)
                 if self._completely_prime(t, filt)

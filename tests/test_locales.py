@@ -8,7 +8,6 @@ from coverlab import cauchy, coverspace
 from coverlab.finkernel import (
     Carrier,
     Subset,
-    all_subsets,
     discrete,
     indiscrete,
     maximal_masks,
@@ -33,6 +32,7 @@ from helpers import (
     all_families,
     all_precovers_up_to,
     all_spaces_up_to,
+    all_subsets,
     locale_of_space_oracle,
     random_partition_space,
     random_precover_space,

@@ -53,6 +53,7 @@ from helpers import (
     finite_subcover_oracle,
     geometric_oracle,
     partial_sum_oracle,
+    trisection_steps_oracle,
 )
 
 EPS_GRID = [F(1, 10), F(1, 1000), F(1, 10**6)]
@@ -110,6 +111,24 @@ class TestTrisection:
             k = trisection_steps(w, eps)
             assert w * F(2, 3) ** k <= eps
             assert k == 0 or w * F(2, 3) ** (k - 1) > eps
+
+    def test_steps_match_the_stepping_oracle(self):
+        # widths and precisions of many sizes, eps at or above the width
+        # included, where no step is needed
+        rng = random.Random(315)
+        cases = [(F(1), F(1)), (F(1, 3), F(1, 2)), (F(7, 2), F(7, 2)), (F(2), F(3, 2))]
+        for _ in range(400):
+            w = F(rng.randint(1, 10 ** rng.randint(1, 40)),
+                  rng.randint(1, 10 ** rng.randint(1, 40)))
+            eps = F(rng.randint(1, 10 ** rng.randint(1, 6)), 10 ** rng.randint(0, 80))
+            cases.append((w, eps))
+            cases.append((w, w * rng.randint(1, 5)))
+            cases.append((w, w * F(2, 3) ** rng.randint(0, 200)))  # exact powers
+        for w, eps in cases:
+            k = trisection_steps(w, eps)
+            assert k == trisection_steps_oracle(w, eps), (w, eps)
+            if eps >= w:
+                assert k == 0
 
     def test_cut_at_half(self):
         loc = rational_cut(F(1, 2))
