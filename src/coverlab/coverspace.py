@@ -55,11 +55,10 @@ def close_masks(n: int, covers: Iterable[Iterable[int]]) -> FiniteCoverSpace:
     generated by the meet of all the covers (no covers: the indiscrete
     structure).  It need not satisfy the regularity axiom.
     """
-    acc = [Carrier(n).full_mask]
+    acc = {Carrier(n).full_mask}
     for c in covers:
-        # u inside u' puts u & v inside u' & v, so pruning early is sound
-        acc = maximal_masks(u & v for u in acc for v in c)
-    return FiniteCoverSpace(n, tuple(acc))
+        acc = {u & v for u in acc for v in c}
+    return generated_space(n, acc)
 
 
 def is_cauchy(s: FiniteCoverSpace, d: Cover | Iterable[Subset]) -> bool:

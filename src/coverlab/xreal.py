@@ -225,16 +225,15 @@ def sqrt_cut(k: int) -> CutLocator:
 def trisection_steps(width: Fraction, eps: Fraction) -> int:
     """Smallest k with width * (2/3)^k <= eps: the exact ceiling of the
     base-3/2 logarithm of width/eps = num/den, the least k with
-    3^k den >= 2^k num.  Bit lengths and 1/log2(3/2) = 1.7095... estimate
-    it within a few steps; integer powers correct it exactly."""
+    3^k den >= 2^k num.  log2(num/den) exceeds the bit-length difference
+    less 1, and the constant is below 1/log2(3/2) = 1.70951129135145477...,
+    so the estimate never passes k; integer powers step it up exactly."""
     target = Fraction(width, 1) / eps
     num, den = target.numerator, target.denominator
-    k = max(0, (num.bit_length() - den.bit_length()) * 17095112913514547 // 10**16)
+    k = max(0, (num.bit_length() - den.bit_length() - 1) * 17095112913514547 // 10**16)
     p3, p2 = 3**k * den, 2**k * num
     while p3 < p2:
         k, p3, p2 = k + 1, 3 * p3, 2 * p2
-    while k and 2 * p3 >= 3 * p2:  # k - 1 steps also suffice
-        k, p3, p2 = k - 1, p3 // 3, p2 // 2
     return k
 
 

@@ -593,15 +593,6 @@ def geometric_oracle(r: Fraction) -> xreal.Real:
                              lambda eps: geometric_index_oracle(r, eps))
 
 
-def close_masks_oracle(n: int, covers) -> FiniteCoverSpace:
-    """The structure generated by covers as masks: every meet formed
-    first, pruned to the maximal masks once at the end."""
-    acc = {Carrier(n).full_mask}
-    for c in covers:
-        acc = {u & v for u in acc for v in c}
-    return generated_space(n, acc)
-
-
 def trisection_steps_oracle(width: Fraction, eps: Fraction) -> int:
     """Smallest k with width * (2/3)^k <= eps, stepping (3/2)^k up by one
     Fraction product at a time."""

@@ -30,7 +30,6 @@ from coverlab.cauchy import (
 from coverlab.coverspace import (
     FiniteTopology,
     RegularityError,
-    close_masks,
     from_topology,
     is_cover_map,
     is_embedding,
@@ -52,13 +51,11 @@ from coverlab.finkernel import (
 )
 from helpers import (
     FiniteTopologyOracle,
-    all_covers,
     all_families,
     all_precovers_up_to,
     all_spaces_up_to,
     all_subsets,
     all_topologies,
-    close_masks_oracle,
     completion_oracle,
     dense_lift_transport,
     filter_refinable_oracle,
@@ -70,7 +67,6 @@ from helpers import (
     maximal_masks_oracle,
     neighborhood_base_scan,
     opens_of,
-    random_cover,
     random_partition_space,
     random_precover_space,
     random_subset,
@@ -470,35 +466,6 @@ class TestTopologyTable:
                            (3, (0b011, 0b110, 0b100))]:  # 1 in row 0, row 1 not inside it
             with pytest.raises(ValueError):
                 FiniteTopology(size, rows)
-
-
-class TestCloseMasks:
-    """Pruning to the maximal masks after each meet against forming every
-    meet first."""
-
-    def _check(self, n, covers):
-        covers = [[m.mask for m in c.members] for c in covers]
-        assert close_masks(n, covers) == close_masks_oracle(n, covers)
-
-    def test_every_canonical_subbase_up_to_three_covers_on_three_points(self):
-        canon = finkernel.all_canonical_covers(Carrier(3))
-        for r in range(4):
-            for subbase in itertools.product(canon, repeat=r):
-                self._check(3, subbase)
-
-    def test_every_pair_of_covers_on_three_points(self):
-        # raw covers: nested members and the empty member included
-        raw = list(all_covers(Carrier(3)))
-        for r in (1, 2):
-            for subbase in itertools.combinations_with_replacement(raw, r):
-                self._check(3, subbase)
-
-    def test_seeded_five_to_eight(self):
-        rng = random.Random(319)
-        for _ in range(300):
-            n = rng.randint(5, 8)
-            self._check(n, [random_cover(rng, n, max_members=6)
-                            for _ in range(rng.randint(1, 4))])
 
 
 def _lift_case(rng):
