@@ -252,8 +252,7 @@ def cmd_demo_heine_borel(args) -> int:
         raise ValueError(f"a net at eps {args.eps} has {bound} points, "
                          f"more than {MAX_NET_POINTS}")
     domain = xreal.RInterval(Fraction(0), Fraction(1))
-    net = xreal.epsilon_net(domain, eps)
-    balls = [xreal.RInterval(q - eps, q + eps) for q in net]
+    balls = xreal.ball_cover(domain, eps)
     t0 = time.perf_counter()
     chosen = xreal.finite_subcover(domain, balls)
     reports = [

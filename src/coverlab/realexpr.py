@@ -254,8 +254,9 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
         r = args[0]
         if not abs(r) < 1:
             raise ExprError("geometric ratio must satisfy |r| < 1")
+        ratio = (r.numerator, r.denominator)
         return xreal.sum_series(
-            terms=(Fraction(1), lambda k: r),
+            terms=(Fraction(1), lambda k: ratio),
             tail_bound=lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
             tail_index=lambda eps: _geometric_index(r, eps),
         )
@@ -263,57 +264,11 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
 
 
 def _geometric_index(r: Fraction, eps: Fraction) -> int:
-    """Smallest n >= 0 with |r|^(n+1) / (1 - |r|) <= eps: doubling, then
-    bisection on n + 1 over the exact test, which is monotone in n."""
-    a = abs(r)
-    t = eps * (1 - a)
-    hi = 1
-    while not _power_at_most(a, hi, t):
-        hi *= 2
-    lo = hi // 2  # fails the test, or is 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _power_at_most(a, mid, t):
-            hi = mid
-        else:
-            lo = mid
-    return hi - 1
-
-
-def _power_at_most(a: Fraction, n: int, t: Fraction) -> bool:
-    """Exact test of a^n <= t, without forming a^n.
-
-    Bounds on the n-th powers of a's numerator and denominator, carried
-    to p bits, decide it unless the two sides agree to about n * 2^-p;
-    p then doubles, and once the powers fit in p bits the bounds are exact.
-    """
-    p = 64
-    while True:
-        nl, nh, ns = _power_bounds(a.numerator, n, p)
-        dl, dh, ds = _power_bounds(a.denominator, n, p)
-        m = min(ns, ds)
-        # a^n <= t  iff  num^n * t.den <= den^n * t.num
-        left_lo, left_hi = ((x << (ns - m)) * t.denominator for x in (nl, nh))
-        right_lo, right_hi = ((y << (ds - m)) * t.numerator for y in (dl, dh))
-        if left_hi <= right_lo:
-            return True
-        if left_lo > right_hi:
-            return False
-        p *= 2
-
-
-def _power_bounds(b: int, n: int, p: int) -> tuple[int, int, int]:
-    """(lo, hi, s) with lo * 2^s <= b^n <= hi * 2^s and hi of about p bits,
-    by squaring and multiplying with truncation down for lo, up for hi."""
-    lo = hi = 1
-    s = 0
-    for bit in bin(n)[2:]:
-        lo, hi, s = lo * lo, hi * hi, 2 * s
-        if bit == "1":
-            lo, hi = lo * b, hi * b
-        drop = max(0, hi.bit_length() - p)
-        lo, hi, s = lo >> drop, -(-hi >> drop), s + drop
-    return lo, hi, s
+    """Smallest n >= 0 with |r|^(n+1) / (1 - |r|) <= eps: one less than
+    the least k >= 1 with (a/d)^k <= eps (d - a)/d for |r| = a/d, from
+    ``xreal.least_power`` on integers."""
+    a, d = abs(r.numerator), r.denominator
+    return max(1, xreal.least_power(a, d, eps.numerator * (d - a), eps.denominator * d)) - 1
 
 
 def eval_expression(text: str, eps) -> xreal.RInterval:

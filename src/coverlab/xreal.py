@@ -12,7 +12,10 @@ arithmetic with moduli, limits with convergence witnesses, series under a
 term budget (Real terms as integers on a grid, exact terms from integer
 bounds on a fixed-point grid, so a term's bits follow the precision, not
 its index), a uniform-convergence refuter, rational nets, and the greedy
-finite subcover all live here.
+finite subcover all live here.  The inner loops run on plain integers:
+series ratios are integer pairs, the least power of a ratio below a bound
+starts from an integer log2 estimate, grids are read off bit lengths, and
+a net's points share one denominator.
 """
 
 from __future__ import annotations
@@ -223,18 +226,88 @@ def sqrt_cut(k: int) -> CutLocator:
 
 
 def trisection_steps(width: Fraction, eps: Fraction) -> int:
-    """Smallest k with width * (2/3)^k <= eps: the exact ceiling of the
-    base-3/2 logarithm of width/eps = num/den, the least k with
-    3^k den >= 2^k num.  log2(num/den) exceeds the bit-length difference
-    less 1, and the constant is below 1/log2(3/2) = 1.70951129135145477...,
-    so the estimate never passes k; integer powers step it up exactly."""
-    target = Fraction(width, 1) / eps
-    num, den = target.numerator, target.denominator
-    k = max(0, (num.bit_length() - den.bit_length() - 1) * 17095112913514547 // 10**16)
-    p3, p2 = 3**k * den, 2**k * num
-    while p3 < p2:
-        k, p3, p2 = k + 1, 3 * p3, 2 * p2
+    """Smallest k with width * (2/3)^k <= eps, that is, with
+    (2/3)^k <= eps/width: ``least_power`` on integer pairs."""
+    return least_power(2, 3, eps.numerator * width.denominator,
+                       eps.denominator * width.numerator)
+
+
+def least_power(cn: int, cd: int, tn: int, td: int) -> int:
+    """The least k >= 0 with (cn/cd)^k <= tn/td, for 0 <= cn < cd and
+    tn, td > 0: the ceiling of R = log(td/tn) / log(cd/cn).  A lower bound
+    over an upper bound from ``_log2_bounds`` never passes R.  For
+    s = bits(cd) - bits(cd - cn), log2(cd/cn) > 2^-(s+1) and
+    R < bits(td) 2^(s+1), so 48 + 2s + bits(bits(td)) bits put it short by
+    under 2^-40: one or two exact ``_power_at_most`` tests finish."""
+    if tn >= td:
+        return 0
+    if cn == 0:
+        return 1
+    bits = 48 + 2 * (cd.bit_length() - (cd - cn).bit_length()) + td.bit_length().bit_length()
+    k = max(1, -(-_log2_bounds(td, tn, bits)[0] // _log2_bounds(cd, cn, bits)[1]))
+    while not _power_at_most(cn, cd, k, tn, td):
+        k += 1
     return k
+
+
+def _log2_bounds(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(lo, lo + 2) holding 2^bits log2(num/den), for num > den > 0: the
+    integer part e from the bit lengths, then m = num/(den 2^e) in [1, 2),
+    floored to w = bits + 4 fraction bits, squared bits times, a square of
+    2 or more halved for a 1 bit.  A floor only lowers a square, so the
+    bits read never pass log2(m); they miss it by under 2^-bits for the
+    bits not read and 1.45 * 3 * 2^-w for the floors: under two units."""
+    e = num.bit_length() - den.bit_length()
+    if num < den << e:
+        e -= 1
+    w = bits + 4
+    y, acc = (num << w) // (den << e), e
+    for _ in range(bits):
+        y = y * y >> w
+        acc <<= 1
+        if y >> (w + 1):
+            y >>= 1
+            acc += 1
+    return acc, acc + 2
+
+
+def _power_at_most(an: int, ad: int, n: int, tn: int, td: int) -> bool:
+    """Exact test of (an/ad)^n <= tn/td, without forming the powers.
+
+    Powers of at most 4096 bits are compared at once.  Otherwise bounds on
+    the n-th powers of an and ad, carried to p bits, decide it unless the
+    two sides agree to about n * 2^-p; p then doubles, and once the powers
+    fit in p bits the bounds are exact.
+    """
+    if n * ad.bit_length() <= 4096:
+        return an**n * td <= ad**n * tn
+    p = 64
+    while True:
+        nl, nh, ns = _power_bounds(an, n, p)
+        dl, dh, ds = _power_bounds(ad, n, p)
+        m = min(ns, ds)
+        # an^n td <= ad^n tn, both sides over 2^m
+        left_lo, left_hi = ((x << (ns - m)) * td for x in (nl, nh))
+        right_lo, right_hi = ((y << (ds - m)) * tn for y in (dl, dh))
+        if left_hi <= right_lo:
+            return True
+        if left_lo > right_hi:
+            return False
+        p *= 2
+
+
+def _power_bounds(b: int, n: int, p: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo * 2^s <= b^n <= hi * 2^s and hi of about p bits,
+    by squaring and multiplying with truncation down for lo, up for hi."""
+    lo = hi = 1
+    s = 0
+    for bit in bin(n)[2:]:
+        lo, hi, s = lo * lo, hi * hi, 2 * s
+        if bit == "1":
+            lo, hi = lo * b, hi * b
+        drop = max(0, hi.bit_length() - p)
+        lo, hi, s = lo >> drop, -(-hi >> drop), s + drop
+    return lo, hi, s
 
 
 def real_of_cut(locator: CutLocator, seed: RInterval) -> Real:
@@ -275,9 +348,13 @@ def cut_of_real(x: Real) -> CutLocator:
 
 
 def _snap(e: Fraction) -> Fraction:
-    """The largest power of two at most e: the precisions queried."""
-    g = Fraction(2) ** (e.numerator.bit_length() - e.denominator.bit_length())
-    return g if g <= e else g / 2
+    """The largest power of two at most e: the precisions queried.  It is
+    2^k for k the bit-length difference of e's numerator and denominator,
+    less one when a shift and an integer comparison find e below 2^k."""
+    n, d = e.numerator, e.denominator
+    k = n.bit_length() - d.bit_length()
+    k -= n << -k < d if k < 0 else n < d << k
+    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
 def _round_out(lo: Fraction, hi: Fraction, eps: Fraction) -> RInterval:
@@ -423,8 +500,8 @@ def limit(seq: ConvergentSeq) -> Real:
 
 
 # series terms: a Real for each index, or exact terms as t_0 and the ratio
-# with t_k = t_{k-1} * ratio(k)
-Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], Fraction]]
+# with t_k = t_{k-1} * a/d for (a, d) = ratio(k), integers with d > 0
+Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], tuple[int, int]]]
 
 
 def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
@@ -435,10 +512,11 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
     Exact terms (t_0, ratio), where 2^growth bounds every product of
     consecutive |ratio(k)|, k <= n (growth 0 serves |ratio| <= 1), carry
     integers l_k <= t_k 2^p <= u_k (Brent, J. ACM 23, 1976; Brent &
-    Zimmermann, Modern Computer Arithmetic, 4.4): each step multiplies by
-    the ratio's numerator a and floors (for l) or ceils (for u) the
-    division by its denominator, swapping the two first when a < 0, so the
-    bits of a term follow p, not k.  A floor and a ceil each lose less than
+    Zimmermann, Modern Computer Arithmetic, 4.4).  ratio(k) is a pair of
+    integers (a, d), d > 0, in lowest terms or not: each step multiplies
+    by a and floors (for l) or ceils (for u) the division by d, swapping
+    the two first when a < 0, so the bits of a term follow p, not k, and
+    no step builds a Fraction.  A floor and a ceil each lose less than
     one unit, so e_k = u_k - l_k obeys e_0 <= 1 and
     e_k <= |ratio(k)| e_{k-1} + 2; unrolled, e_k is at most 2 times a sum of
     k + 1 products of consecutive ratios, so e_k <= 2(k+1)G for G = 2^growth.
@@ -455,8 +533,7 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
             lo = l = (t0.numerator << p) // t0.denominator
             hi = u = -(-t0.numerator << p) // t0.denominator
             for i in range(1, n + 1):
-                r = ratio(i)
-                a, d = r.numerator, r.denominator
+                a, d = ratio(i)
                 if a < 0:
                     l, u = u, l
                 l, u = l * a // d, -(-u * a // d)
@@ -486,9 +563,10 @@ def sum_series(
     MAX_SERIES_TERMS: an index there or past it refuses before any term or
     tail bound is built.  Real terms go through ``limit``: partial-sum
     differences are bounded by two tails, hence the quarter precision below.
-    Exact terms (t_0, ratio), growth as in partial_sum, answer at once: for
-    s = _snap(eps/4), the sum to the index of s/4 within s, widened by s/4
-    for the tail, is rounded out once, 3s/2 + eps/2 <= eps in all.
+    Exact terms (t_0, ratio), the ratios integer pairs and growth as in
+    partial_sum, answer at once: for s = _snap(eps/4), the sum to the
+    index of s/4 within s, widened by s/4 for the tail, is rounded out
+    once, 3s/2 + eps/2 <= eps in all.
     """
 
     def modulus(eps: Fraction) -> int:
@@ -513,12 +591,14 @@ def sum_series(
 
 def exp_rational(q) -> Real:
     """The exponential of an exact rational via its power series, the ratio
-    q/k.  For the integer b > |q|, a product of consecutive ratios is at
-    most b^m j!/(j+m)! <= b^m/m! <= e^b < 2^ceil(1.4427 b)."""
+    q/k as the integer pair (q.numerator, q.denominator * k).  For the
+    integer b > |q|, a product of consecutive ratios is at most
+    b^m j!/(j+m)! <= b^m/m! <= e^b < 2^ceil(1.4427 b)."""
     q = rat(q)
     b = abs(q).numerator // abs(q).denominator + 1  # integer bound > |q|
     growth = -(-14427 * b // 10000)
-    out = sum_series((Fraction(1), lambda k: q / k), _factorial_tail(b),
+    a, d = q.numerator, q.denominator
+    out = sum_series((Fraction(1), lambda k: (a, d * k)), _factorial_tail(b),
                      _factorial_tail_index(b), growth)
     out.name = f"exp({q})"
     return out
@@ -551,14 +631,25 @@ def _factorial_tail(b: int) -> Callable[[int], Fraction]:
 
 def _factorial_tail_index(b: int) -> Callable[[Fraction], int]:
     def index(eps: Fraction) -> int:
-        # the bound num/den stepped by b/(n+2) as integers, up to the budget
-        n = 2 * b
+        # the least n >= 2b with 2 b^(n+1) eps.den <= eps.num (n+1)!, or the
+        # budget if that is smaller: steps of s double from 1 while the test
+        # fails, then halve, each multiplying by b^s and (n+2)...(n+1+s)
+        n, step, grow = 2 * b, 1, True
         if n >= MAX_SERIES_TERMS:
             return n
-        num, den = 2 * b ** (n + 1), math.factorial(n + 1)
-        while num * eps.denominator > eps.numerator * den and n < MAX_SERIES_TERMS:
-            n, num, den = n + 1, num * b, den * (n + 2)
-        return n
+        num, den = 2 * b ** (n + 1) * eps.denominator, math.factorial(n + 1) * eps.numerator
+        if num <= den:
+            return n
+        while step:  # the test fails at n
+            ahead = num * b**step, den * math.perm(n + 1 + step, step)
+            if ahead[0] > ahead[1]:
+                n, (num, den) = n + step, ahead
+                if n >= MAX_SERIES_TERMS:
+                    return MAX_SERIES_TERMS
+            else:
+                grow = False
+            step = 2 * step if grow else step // 2
+        return n + 1
 
     return index
 
@@ -620,13 +711,30 @@ def uniform_convergence_check(
     return Verified(grid, eps_values, probes)
 
 
-def epsilon_net(domain: RInterval, eps) -> list[Fraction]:
-    """Evenly spaced rationals covering the closed domain within eps."""
+def _net_numerators(domain: RInterval, eps) -> tuple[Fraction, range, int]:
+    """eps and the net lo + width i/k, i <= k = ceil(width/eps), over one
+    denominator: for lo = a/b and width = c/d, point i is (adk + cbi)/(bdk)."""
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("net radius must be positive")
-    k = math.ceil(domain.width / eps)
-    return [domain.lo + domain.width * i / k for i in range(k + 1)]
+    a, b = domain.lo.numerator, domain.lo.denominator
+    c, d = domain.width.numerator, domain.width.denominator
+    k = -(-c * eps.denominator // (d * eps.numerator))
+    return eps, range(a * d * k, a * d * k + c * b * k + 1, c * b), b * d * k
+
+
+def epsilon_net(domain: RInterval, eps) -> list[Fraction]:
+    """Evenly spaced rationals covering the closed domain within eps."""
+    _, nums, den = _net_numerators(domain, eps)
+    return [Fraction(x, den) for x in nums]
+
+
+def ball_cover(domain: RInterval, eps) -> list[RInterval]:
+    """The open balls of radius eps about the points of epsilon_net, their
+    endpoints integer numerators over one denominator."""
+    eps, nums, den = _net_numerators(domain, eps)
+    e, f, d = eps.numerator * den, eps.denominator, den * eps.denominator
+    return [RInterval(Fraction(x * f - e, d), Fraction(x * f + e, d)) for x in nums]
 
 
 def finite_subcover(
@@ -642,22 +750,24 @@ def finite_subcover(
     The frontier only moves right, so one sweep over the members sorted
     by left endpoint suffices: a member starting left of the frontier
     contains it exactly when it ends right of it, and the furthest-reaching
-    such member is a running maximum of (hi, -index).
+    such member is a running best, one reach and the index that holds it.
     """
     order = sorted(range(len(cover)), key=lambda i: cover[i].lo)
     chosen: list[RInterval] = []
-    best = None
+    reach, best = domain.lo, -1
     j = 0
     pos = domain.lo
     while pos <= domain.hi:
         while j < len(order) and cover[order[j]].lo < pos:
-            reach = (cover[order[j]].hi, -order[j])
-            best = reach if best is None else max(best, reach)
+            i = order[j]
+            hi = cover[i].hi
+            if hi > reach or hi == reach and i < best:
+                reach, best = hi, i
             j += 1
-        if best is None or best[0] <= pos:
+        if reach <= pos:
             raise UncoveredPointError(pos)
-        chosen.append(cover[-best[1]])
-        pos = best[0]
+        chosen.append(cover[best])
+        pos = reach
     return chosen
 
 

@@ -538,8 +538,7 @@ def exp_real_oracle(x: xreal.Real) -> xreal.Real:
             p = powers[k]
         return xreal.scale(p, Fraction(1, math.factorial(k)))
 
-    return xreal.sum_series(
-        term, xreal._factorial_tail(b), xreal._factorial_tail_index(b))
+    return xreal.sum_series(term, xreal._factorial_tail(b), factorial_tail_index_oracle(b))
 
 
 def partial_sum_oracle(terms, n: int) -> xreal.Real:
@@ -547,11 +546,11 @@ def partial_sum_oracle(terms, n: int) -> xreal.Real:
 
     terms is a function of the index giving exact fractions, or a pair
     (t_0, step) walked inside each query with t_k = step(t_{k-1}, k), so
-    the bits of t_k grow with k.  On the grid per = _snap(eps/(2(n+1))) a
-    term q adds ceil(q/per) - 1 and floor(q/per) + 1."""
+    the bits of t_k grow with k.  On the grid per = snap_oracle(eps/(2(n+1)))
+    a term q adds ceil(q/per) - 1 and floor(q/per) + 1."""
 
     def fn(eps: Fraction) -> xreal.RInterval:
-        per = xreal._snap(eps / (2 * (n + 1)))
+        per = snap_oracle(eps / (2 * (n + 1)))
         lo = hi = 0
         if isinstance(terms, tuple):
             values = accumulate(range(1, n + 1), terms[1], initial=terms[0])
@@ -583,7 +582,7 @@ def exp_rational_oracle(q: Fraction) -> xreal.Real:
     """e^q from its exact terms q^k/k!, walked as t_k = t_{k-1} * q / k."""
     b = abs(q).numerator // abs(q).denominator + 1
     return sum_series_oracle((Fraction(1), lambda t, k: t * q / k),
-                             xreal._factorial_tail(b), xreal._factorial_tail_index(b))
+                             xreal._factorial_tail(b), factorial_tail_index_oracle(b))
 
 
 def geometric_oracle(r: Fraction) -> xreal.Real:
@@ -591,6 +590,66 @@ def geometric_oracle(r: Fraction) -> xreal.Real:
     return sum_series_oracle((Fraction(1), lambda t, k: t * r),
                              lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
                              lambda eps: geometric_index_oracle(r, eps))
+
+
+def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
+    """The fixed-point walk of exact terms with the ratio as a Fraction:
+    (t_0, ratio), ratio(k) a Fraction, its numerator and denominator read
+    per term, on the precision snap_oracle(eps)."""
+
+    def fn(eps: Fraction) -> xreal.RInterval:
+        w, (t0, ratio) = snap_oracle(eps), terms
+        k = w.denominator.bit_length() - w.numerator.bit_length()
+        p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
+        lo = l = (t0.numerator << p) // t0.denominator
+        hi = u = -(-t0.numerator << p) // t0.denominator
+        for i in range(1, n + 1):
+            r = ratio(i)
+            a, d = r.numerator, r.denominator
+            if a < 0:
+                l, u = u, l
+            l, u = l * a // d, -(-u * a // d)
+            lo, hi = lo + l, hi + u
+        return xreal.RInterval(Fraction(lo - 1, 1 << p), Fraction(hi + 1, 1 << p))
+
+    return xreal.Real(fn, name=lambda: f"fixed_point_sum_oracle({n})")
+
+
+def factorial_tail_index_oracle(b: int):
+    """The least n >= 2b with 2 b^(n+1)/(n+1)! <= eps, stepping n by one on
+    the integer numerator and denominator, stopped at the term budget."""
+
+    def index(eps: Fraction) -> int:
+        n = 2 * b
+        if n >= xreal.MAX_SERIES_TERMS:
+            return n
+        num, den = 2 * b ** (n + 1), math.factorial(n + 1)
+        while num * eps.denominator > eps.numerator * den and n < xreal.MAX_SERIES_TERMS:
+            n, num, den = n + 1, num * b, den * (n + 2)
+        return n
+
+    return index
+
+
+def snap_oracle(e: Fraction) -> Fraction:
+    """The largest power of two at most e, by a Fraction power and a
+    Fraction comparison."""
+    g = Fraction(2) ** (e.numerator.bit_length() - e.denominator.bit_length())
+    return g if g <= e else g / 2
+
+
+def epsilon_net_oracle(domain, eps) -> list[Fraction]:
+    """The net lo + width i/k, i = 0..k, k = ceil(width/eps), in Fraction
+    arithmetic."""
+    eps = Fraction(eps)
+    k = math.ceil(domain.width / eps)
+    return [domain.lo + domain.width * i / k for i in range(k + 1)]
+
+
+def ball_cover_oracle(domain, eps) -> list[xreal.RInterval]:
+    """The balls q - eps, q + eps about the points of epsilon_net_oracle."""
+    eps = Fraction(eps)
+    return [xreal.RInterval(q - eps, q + eps) for q in epsilon_net_oracle(domain, eps)]
 
 
 def trisection_steps_oracle(width: Fraction, eps: Fraction) -> int:

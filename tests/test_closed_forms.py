@@ -551,6 +551,20 @@ _PAIRS_100 = _space_bytes(200, [[2 * x, 2 * x + 1] for x in range(100)])
 _DISCRETE_1000 = _space_bytes(1000, [[x] for x in range(1000)])
 _DISCRETE_2000 = _space_bytes(2000, [[x] for x in range(2000)])
 _CHAIN_2000 = _space_bytes(2000, [[x, x + 1] for x in range(1999)])
+
+
+def _random_covers_bytes(seed, n, count, members):
+    """count covers of n points, each of members random members holding
+    every point with probability 3/4 (a point missing from a cover, or an
+    empty member, fails the assertion instead of the budget)."""
+    rng = random.Random(seed)
+    covers = [[[x for x in range(n) if rng.random() < 0.75] for _ in range(members)]
+              for _ in range(count)]
+    for cover in covers:
+        assert all(cover) and set().union(*cover) == set(range(n))
+    return json.dumps({"format": 1, "carrier": n, "covers": covers}).encode()
+
+
 BOUNDED_TIME = {
     "deep-nesting": (["axioms"], b"[" * 5000 + b"]" * 5000, 2),
     "not-utf8": (["axioms"], b"\xff\xfe", 2),
@@ -600,6 +614,9 @@ BOUNDED_TIME = {
     # ceil(1/eps) + 1 net points, refused past cli.MAX_NET_POINTS
     "heine-borel-1/10000": (["demo", "heine-borel", "--eps", "1/10000"], None, 0),
     "heine-borel-1/100000": (["demo", "heine-borel", "--eps", "1/100000"], None, 1),
+    # the third meet step would form 29,729 pairs, past coverspace.MAX_MEET_PAIRS:
+    # refused at once instead of meeting and pruning for over 100 s
+    "meets-30-points-four-covers-of-31": (["axioms"], _random_covers_bytes(30, 30, 4, 31), 1),
 }
 BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())

@@ -4,8 +4,11 @@ import pytest
 
 from coverlab import cauchy
 from coverlab.coverspace import (
+    MAX_MEET_PAIRS,
+    MeetBudgetError,
     RegularityError,
     SubbasePresentation,
+    close_masks,
     close_subbase,
     from_topology,
     interior,
@@ -86,6 +89,23 @@ class TestCloseSubbase:
             carrier, (Cover.of_masks(carrier, {0b01, 0b10}),)
         )
         assert close_subbase(b) == discrete(2)
+
+    def test_meet_budget_refuses_before_forming_pairs(self):
+        class Unmet(list):
+            def __iter__(self):
+                raise AssertionError("a pair was formed past the budget")
+
+        rng = random.Random(5)
+        first = [rng.getrandbits(30) | 1 << x for x in range(30)]
+        assert len(set(first)) == 30
+        # 30 meets so far times 667 members passes MAX_MEET_PAIRS = 20,000
+        assert MAX_MEET_PAIRS == 20_000
+        with pytest.raises(MeetBudgetError, match="20010 pairs, more than 20000"):
+            close_masks(30, [first, Unmet([1] * 667)])
+        # 30 * 666 = 19,980 pairs stay within it
+        assert close_masks(30, [first, [(1 << 30) - 1] * 666]) == close_masks(30, [first])
+        # a single cover of MAX_MEET_PAIRS members answers
+        assert close_masks(20_000, [[1 << x for x in range(20_000)]]) == discrete(20_000)
 
 
 class TestIsCauchy:

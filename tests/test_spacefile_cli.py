@@ -391,6 +391,7 @@ class TestCliDemo:
             raise AssertionError("the net was built past the budget")
 
         monkeypatch.setattr(cli.xreal, "epsilon_net", refuse)
+        monkeypatch.setattr(cli.xreal, "ball_cover", refuse)
         assert cli.MAX_NET_POINTS == 100_000
         for eps in ("1/100000", "1e-9", "2/199999"):
             assert cli.main(["demo", "heine-borel", "--eps", eps]) == 1

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab import cli
+from coverlab import cli, xreal
 from coverlab.realexpr import Parser, evaluate
 from coverlab.xreal import (
     MAX_SERIES_TERMS,
@@ -20,6 +20,7 @@ from coverlab.xreal import (
     TailBoundError,
     UncoveredPointError,
     add,
+    ball_cover,
     check_cauchy_witness,
     cut_of_real,
     epsilon_net,
@@ -28,6 +29,7 @@ from coverlab.xreal import (
     find_apartness,
     finite_subcover,
     inv,
+    least_power,
     limit,
     limit_at_zero,
     mul,
@@ -48,11 +50,17 @@ from coverlab.xreal import (
     Verified,
 )
 from helpers import (
+    ball_cover_oracle,
+    epsilon_net_oracle,
     exp_rational_oracle,
     exp_real_oracle,
+    factorial_tail_index_oracle,
     finite_subcover_oracle,
+    fixed_point_sum_oracle,
+    geometric_index_oracle,
     geometric_oracle,
     partial_sum_oracle,
+    snap_oracle,
     trisection_steps_oracle,
 )
 
@@ -129,6 +137,10 @@ class TestTrisection:
             assert k == trisection_steps_oracle(w, eps), (w, eps)
             if eps >= w:
                 assert k == 0
+            # the same least power from pairs not in lowest terms
+            m = rng.randint(2, 99)
+            tn, td = eps.numerator * w.denominator * m, eps.denominator * w.numerator * m
+            assert least_power(2 * m, 3 * m, tn, td) == k
 
     def test_cut_at_half(self):
         loc = rational_cut(F(1, 2))
@@ -407,7 +419,7 @@ class TestSeries:
         x = sum_series(term, lambda n: F(0), lambda eps: MAX_SERIES_TERMS)
         with pytest.raises(SeriesBudgetError, match=str(MAX_SERIES_TERMS)):
             x.approx(F(1, 100))
-        within = sum_series((F(0), lambda k: F(0)), lambda n: F(0), lambda eps: 99)
+        within = sum_series((F(0), lambda k: (0, 1)), lambda n: F(0), lambda eps: 99)
         assert within.approx(F(1, 100)).contains(F(0))
 
     def test_large_exponent_refuses_at_once(self):
@@ -441,13 +453,14 @@ class TestExactTerms:
             if rng.random() < 0.5:
                 c = F(rng.randint(-9, 9), rng.randint(1, 9))
                 r = F(rng.randint(-39, 39), 40)
-                ratio, growth = (lambda k, r=r: r), 0
+                ratio, growth = (lambda k, r=r: (r.numerator, r.denominator)), 0
             else:
                 c, q = F(1), F(rng.randint(-30, 30), 10)
-                ratio, growth = (lambda k, q=q: q / k), 6  # e^4 < 2^6 bounds q^m/m!
+                # e^4 < 2^6 bounds q^m/m!
+                ratio, growth = (lambda k, q=q: (q.numerator, q.denominator * k)), 6
             values = [c]
             for k in range(1, n + 1):
-                values.append(values[-1] * ratio(k))
+                values.append(values[-1] * F(*ratio(k)))
             exact = sum(values)
             grid = partial_sum((c, ratio), n, growth).approx(eps)
             real = partial_sum(lambda k: real_of_rat(values[k]), n).approx(eps)
@@ -465,6 +478,102 @@ class TestExactTerms:
         for _ in range(3):
             want = exp_bracket(*want)
         assert lo <= want[0] and want[1] <= hi and hi - lo <= F(1, 10**6)
+
+
+class TestIntegerPaths:
+    """The integer forms of the grid, the index searches and the walk's
+    ratios against the Fraction forms they replaced."""
+
+    def test_snap_matches_the_fraction_power(self):
+        rng = random.Random(91)
+        cases = []
+        for k in range(-300, 301, 7):
+            two = F(2) ** k
+            cases += [two, two * F(2**64 - 1, 2**64), two * F(2**64 + 1, 2**64),
+                      two - two / 3, two * 2 - two / 10**30]
+        for _ in range(600):
+            cases.append(F(rng.getrandbits(rng.randint(1, 400)) + 1,
+                           rng.getrandbits(rng.randint(1, 400)) + 1))
+        for e in cases:
+            got = xreal._snap(e)
+            assert got == snap_oracle(e) and type(got) is F, e
+
+    def test_log2_bounds_hold_the_logarithm(self):
+        # 2^lo <= (num/den)^(2^bits) <= 2^(lo + 2), checked on exact powers
+        rng = random.Random(92)
+        for _ in range(300):
+            den = rng.randint(1, 10 ** rng.randint(1, 5))
+            num = den + rng.randint(1, 10 ** rng.randint(0, 6))
+            bits = rng.randint(0, 8)
+            lo, hi = xreal._log2_bounds(num, den, bits)
+            assert hi == lo + 2
+            big_n, big_d = num ** 2**bits, den ** 2**bits
+            assert big_d << lo <= big_n <= big_d << hi, (num, den, bits)
+
+    def test_least_power_matches_the_geometric_oracle(self):
+        # ratios of both signs, also near one, and pairs not in lowest terms
+        rng = random.Random(93)
+        cases = [(F(0), F(1, 10**9)), (F(1, 2), F(1, 4)), (F(99, 100), F(1, 10**6))]
+        for _ in range(300):
+            d = rng.randint(1, 10 ** rng.randint(1, 2))
+            cases.append((F(rng.randint(-d + 1, d - 1), d),
+                          F(rng.randint(1, 10**6), 10 ** rng.randint(0, 30))))
+        for r, eps in cases:
+            a, d = abs(r.numerator), r.denominator
+            t = eps * (1 - abs(r))
+            m = rng.randint(1, 50)
+            got = least_power(a * m, d * m, t.numerator, t.denominator)
+            assert max(1, got) - 1 == geometric_index_oracle(r, eps), (r, eps)
+
+    def test_least_power_corrects_a_short_estimate(self, monkeypatch):
+        # a lower bound of log t and an upper bound of log c spread by a
+        # factor put the estimate far below k; the exact tests still step
+        # up to the least power
+        bounds = xreal._log2_bounds
+        for spread in (2, 7, 10**6):
+            def weak(num, den, bits, spread=spread):
+                lo, hi = bounds(num, den, bits)
+                return lo // spread, hi * spread
+
+            monkeypatch.setattr(xreal, "_log2_bounds", weak)
+            for r, e in ((F(1, 2), 12), (F(9, 10), 25), (F(99, 100), 3), (F(-7, 9), 40)):
+                eps = F(1, 10**e)
+                t = eps * (1 - abs(r))
+                got = least_power(abs(r.numerator), r.denominator, t.numerator, t.denominator)
+                assert got - 1 == geometric_index_oracle(r, eps), (spread, r, e)
+
+    def test_factorial_tail_index_matches_the_stepping_oracle(self):
+        # small and large exponents, and searches that stop at the budget
+        rng = random.Random(94)
+        cases = [(b, F(1, 10**e)) for b in (1, 2, 3, 7) for e in (0, 3, 50, 300)]
+        cases += [(7001, F(1, 4)), (9_000, F(1)), (9_999, F(1, 10**9)), (10_000, F(1))]
+        for _ in range(60):
+            cases.append((rng.randint(1, 200),
+                          F(rng.randint(1, 10**6), rng.randint(1, 10 ** rng.randint(0, 200)))))
+        for b, eps in cases:
+            got = xreal._factorial_tail_index(b)(eps)
+            assert got == factorial_tail_index_oracle(b)(eps), (b, eps)
+
+    def test_pair_ratios_match_the_fraction_walk(self):
+        # the same terms, the ratio as a Fraction or as an integer pair that
+        # may not be in lowest terms and may carry the sign in a negative
+        # numerator: the walks give the same answers
+        rng = random.Random(95)
+        for _ in range(200):
+            n = rng.randint(0, 60)
+            eps = F(1, rng.choice([1, 3, 10, 1000, 2**20, 10**9, 7 * 10**30]))
+            c = F(rng.randint(-9, 9), rng.randint(1, 9))
+            m = rng.randint(1, 12)
+            if rng.random() < 0.5:
+                r = F(rng.randint(-39, 39), 40)
+                fraction, growth = (lambda k, r=r: r), 0
+                pair = (lambda k, r=r, m=m: (r.numerator * m, r.denominator * m))
+            else:
+                q = F(rng.randint(-30, 30), 10)
+                fraction, growth = (lambda k, q=q: q / k), 6
+                pair = (lambda k, q=q, m=m: (q.numerator * m, q.denominator * k * m))
+            got = partial_sum((c, pair), n, growth).approx(eps)
+            assert got == fixed_point_sum_oracle((c, fraction), n, growth).approx(eps)
 
 
 class TestFixedPointSeries:
@@ -514,7 +623,8 @@ class TestFixedPointSeries:
             values = [F(1)]
             for k in range(1, n + 1):
                 values.append(values[-1] * q / k)
-            got = partial_sum((F(1), lambda k: q / k), n, -(-14427 * b // 10000)).approx(eps)
+            got = partial_sum((F(1), lambda k: (q.numerator, q.denominator * k)), n,
+                              -(-14427 * b // 10000)).approx(eps)
             assert got.lo < sum(values) < got.hi and got.width <= eps, (q, n, eps)
 
     def test_geometric_matches_exact_walk(self):
@@ -688,6 +798,34 @@ class TestNetsAndSubcover:
             rng.shuffle(cover)
             self._same_picks(domain, cover)
 
+    def test_sweep_matches_scan_on_equal_reaches_and_left_ends(self):
+        # many members share a right end, a left end or both, in shuffled
+        # order: the first in input order among equal reaches is picked
+        rng = random.Random(72)
+        ends = [F(i, 3) for i in range(-3, 8)]
+        for _ in range(300):
+            cover = []
+            for _ in range(rng.randint(1, 14)):
+                a, b = sorted(rng.sample(ends, 2))
+                cover.append(RInterval(a, b))
+            for _ in range(rng.randint(1, 6)):
+                iv = rng.choice(cover)
+                cover.append(RInterval(iv.lo, iv.hi))  # an equal copy
+            rng.shuffle(cover)
+            self._same_picks(interval(0, 1), cover)
+
+    def test_net_and_balls_match_fraction_arithmetic(self):
+        # seeded domains of both signs and radii, wide and narrow
+        rng = random.Random(73)
+        cases = [(interval(0, 1), F(1, 1000)), (interval(0, 1), F(2)), (interval(-1, 1), F(3, 7))]
+        for _ in range(200):
+            lo = F(rng.randint(-50, 50), rng.randint(1, 30))
+            domain = RInterval(lo, lo + F(rng.randint(1, 60), rng.randint(1, 30)))
+            cases.append((domain, F(rng.randint(1, 40), rng.randint(1, 400))))
+        for domain, eps in cases:
+            assert epsilon_net(domain, eps) == epsilon_net_oracle(domain, eps)
+            assert ball_cover(domain, eps) == ball_cover_oracle(domain, eps)
+
     def test_sweep_matches_scan_on_ball_covers(self):
         for eps in (F(1, 10), F(1, 100), F(1, 1000)):
             net = epsilon_net(interval(0, 1), eps)
@@ -740,7 +878,7 @@ def bracketed_reals(draw, depth=2):
             c = draw(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=20))
             r = draw(st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(3, 4), F(-9, 10)]))
             series = sum_series(
-                (c, lambda k: r),
+                (c, lambda k: (r.numerator, r.denominator)),
                 lambda n: abs(c) * abs(r) ** (n + 1) / (1 - abs(r)),
                 geometric_tail_index(r, abs(c)),
             )
