@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -48,7 +47,7 @@ def _report(check: str, ok: bool, witness=None, started: float | None = None) ->
 
 
 def _emit(doc: dict) -> int:
-    print(json.dumps(doc, indent=2))
+    print(spacefile.json_text(doc))
     reports = doc.get("reports", [])
     return 0 if all(r["verdict"] == "pass" for r in reports) else 1
 
@@ -154,12 +153,12 @@ def cmd_complete(args) -> int:
 
 
 def _space_doc(s, out):
-    """The space file of s as JSON, also written to ``out`` when given."""
-    text = spacefile.emit_spacefile(spacefile.of_space(s))
+    """The space file of s as a document, also written to ``out`` when given."""
+    sf = spacefile.of_space(s)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return json.loads(text)
+            fh.write(spacefile.emit_spacefile(sf))
+    return spacefile.document(sf)
 
 
 def cmd_reflect(args) -> int:

@@ -254,10 +254,11 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
         r = args[0]
         if not abs(r) < 1:
             raise ExprError("geometric ratio must satisfy |r| < 1")
-        ratio = (r.numerator, r.denominator)
+        ratio = a, d = r.numerator, r.denominator
         return xreal.sum_series(
             terms=(Fraction(1), lambda k: ratio),
-            tail_bound=lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
+            # |r|^(n+1) / (1 - |r|)
+            tail_bound=lambda n: (abs(a) ** (n + 1), d**n * (d - abs(a))),
             tail_index=lambda eps: _geometric_index(r, eps),
         )
     raise ExprError(f"unknown limit form {form!r}")

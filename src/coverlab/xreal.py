@@ -13,13 +13,14 @@ term budget (Real terms as integers on a grid, exact terms from integer
 bounds on a fixed-point grid, so a term's bits follow the precision, not
 its index), a uniform-convergence refuter, rational nets, and the greedy
 finite subcover all live here.  The inner loops run on plain integers:
-series ratios are integer pairs, the least power of a ratio below a bound
-starts from an integer log2 estimate, grids are read off bit lengths, and
-a net's points share one denominator.
+series ratios and tail bounds are integer pairs, the least power of a
+ratio below a bound starts from an integer log2 estimate, grids are read
+off bit lengths, and a net's points share one denominator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -244,10 +245,17 @@ def least_power(cn: int, cd: int, tn: int, td: int) -> int:
     if cn == 0:
         return 1
     bits = 48 + 2 * (cd.bit_length() - (cd - cn).bit_length()) + td.bit_length().bit_length()
-    k = max(1, -(-_log2_bounds(td, tn, bits)[0] // _log2_bounds(cd, cn, bits)[1]))
+    k = max(1, -(-_log2_bounds(td, tn, bits)[0] // _log2_ceiling(cd, cn, bits)))
     while not _power_at_most(cn, cd, k, tn, td):
         k += 1
     return k
+
+
+@functools.lru_cache(maxsize=64)
+def _log2_ceiling(num: int, den: int, bits: int) -> int:
+    """The upper bound of ``_log2_bounds``, kept for the ratios that recur:
+    3/2 in ``trisection_steps`` and a series' ratio across its queries."""
+    return _log2_bounds(num, den, bits)[1]
 
 
 def _log2_bounds(num: int, den: int, bits: int) -> tuple[int, int]:
@@ -551,15 +559,16 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
 
 def sum_series(
     terms: Terms,
-    tail_bound: Callable[[int], Fraction],
+    tail_bound: Callable[[int], tuple[int, int]],
     tail_index: Callable[[Fraction], int],
     growth: int = 0,
 ) -> Real:
     """Sum a series whose tails are explicitly bounded.
 
-    tail_bound(N) must bound the absolute value of the sum beyond N and
-    decrease in N; tail_index(eps) must return an N whose bound is at most
-    eps (checked at each use; failure raises), and may stop its search at
+    tail_bound(N) must bound the absolute value of the sum beyond N by the
+    integer pair (num, den), num/den with den > 0, and decrease in N;
+    tail_index(eps) must return an N whose bound is at most eps (checked at
+    each use by a cross product; failure raises), and may stop its search at
     MAX_SERIES_TERMS: an index there or past it refuses before any term or
     tail bound is built.  Real terms go through ``limit``: partial-sum
     differences are bounded by two tails, hence the quarter precision below.
@@ -574,8 +583,10 @@ def sum_series(
         if n >= MAX_SERIES_TERMS:
             raise SeriesBudgetError(
                 f"series needs index {n} or more, past {MAX_SERIES_TERMS} terms")
-        if (bound := tail_bound(n)) > eps / 4:
-            raise TailBoundError(f"tail_bound({n}) = {bound} exceeds requested {eps / 4}")
+        num, den = tail_bound(n)
+        if 4 * num * eps.denominator > eps.numerator * den:
+            raise TailBoundError(
+                f"tail_bound({n}) = {Fraction(num, den)} exceeds requested {eps / 4}")
         return n
 
     if not isinstance(terms, tuple):
@@ -624,9 +635,9 @@ def exp_real(x: Real) -> Real:
     return Real(fn, name=lambda: f"exp({x.name})")
 
 
-def _factorial_tail(b: int) -> Callable[[int], Fraction]:
+def _factorial_tail(b: int) -> Callable[[int], tuple[int, int]]:
     # valid bound for the tail of sum b^k/k! once n+1 >= 2b
-    return lambda n: 2 * Fraction(b) ** (n + 1) / math.factorial(n + 1)
+    return lambda n: (2 * b ** (n + 1), math.factorial(n + 1))
 
 
 def _factorial_tail_index(b: int) -> Callable[[Fraction], int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import threading
@@ -26,6 +27,7 @@ from coverlab.finkernel import (
     refines,
     space_from_cover,
 )
+from coverlab.spacefile import SpaceFileError
 
 # Enumerating all subsets of a carrier is exponential; the cap keeps the
 # oracles honest about what they can afford.
@@ -572,7 +574,7 @@ def sum_series_oracle(terms, tail_bound, tail_index) -> xreal.Real:
         n = tail_index(eps / 4)
         if n >= xreal.MAX_SERIES_TERMS:
             raise xreal.SeriesBudgetError(f"series needs index {n} or more")
-        assert tail_bound(n) <= eps / 4
+        assert Fraction(*tail_bound(n)) <= eps / 4
         return n
 
     return xreal.limit(xreal.ConvergentSeq(lambda n: partial_sum_oracle(terms, n), modulus))
@@ -588,7 +590,7 @@ def exp_rational_oracle(q: Fraction) -> xreal.Real:
 def geometric_oracle(r: Fraction) -> xreal.Real:
     """1 / (1 - r) from its exact terms r^k, walked as t_k = t_{k-1} * r."""
     return sum_series_oracle((Fraction(1), lambda t, k: t * r),
-                             lambda n: abs(r) ** (n + 1) / (1 - abs(r)),
+                             lambda n: (abs(r) ** (n + 1) / (1 - abs(r))).as_integer_ratio(),
                              lambda eps: geometric_index_oracle(r, eps))
 
 
@@ -650,6 +652,46 @@ def ball_cover_oracle(domain, eps) -> list[xreal.RInterval]:
     """The balls q - eps, q + eps about the points of epsilon_net_oracle."""
     eps = Fraction(eps)
     return [xreal.RInterval(q - eps, q + eps) for q in epsilon_net_oracle(domain, eps)]
+
+
+def parse_spacefile_oracle(text: str) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The carrier and covers of a space file, each subset a sorted tuple
+    of its points and each cover a sorted tuple of distinct subsets, with
+    the same checks and messages as ``spacefile.parse_spacefile`` but no
+    carrier budget: the parser as it was before subsets became masks."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpaceFileError(f"not valid JSON at line {e.lineno} column {e.colno}") from e
+    except RecursionError as e:
+        raise SpaceFileError("JSON nested too deeply") from e
+    if not isinstance(doc, dict):
+        raise SpaceFileError("top level must be an object")
+    fmt = doc.get("format")
+    if fmt != 1 or isinstance(fmt, bool):
+        raise SpaceFileError(f"format must be 1, got {fmt!r}")
+    n = doc.get("carrier")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise SpaceFileError(f"carrier must be a positive integer, got {n!r}")
+    raw = doc.get("covers")
+    if not isinstance(raw, list):
+        raise SpaceFileError("covers must be a list")
+    covers = []
+    for i, cover in enumerate(raw):
+        if not isinstance(cover, list) or not cover:
+            raise SpaceFileError(f"covers[{i}] must be a nonempty list of subsets")
+        subsets = []
+        for j, subset in enumerate(cover):
+            if not isinstance(subset, list):
+                raise SpaceFileError(f"covers[{i}][{j}] must be a list of indices")
+            for k, x in enumerate(subset):
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                    raise SpaceFileError(
+                        f"covers[{i}][{j}][{k}]: index {x!r} outside 0..{n - 1}"
+                    )
+            subsets.append(tuple(sorted(set(subset))))
+        covers.append(tuple(sorted(set(subsets))))
+    return n, tuple(covers)
 
 
 def trisection_steps_oracle(width: Fraction, eps: Fraction) -> int:

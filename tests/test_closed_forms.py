@@ -551,6 +551,7 @@ _PAIRS_100 = _space_bytes(200, [[2 * x, 2 * x + 1] for x in range(100)])
 _DISCRETE_1000 = _space_bytes(1000, [[x] for x in range(1000)])
 _DISCRETE_2000 = _space_bytes(2000, [[x] for x in range(2000)])
 _CHAIN_2000 = _space_bytes(2000, [[x, x + 1] for x in range(1999)])
+_DISCRETE_10000 = _space_bytes(10_000, [[x] for x in range(10_000)])
 
 
 def _random_covers_bytes(seed, n, count, members):
@@ -617,9 +618,26 @@ BOUNDED_TIME = {
     # the third meet step would form 29,729 pairs, past coverspace.MAX_MEET_PAIRS:
     # refused at once instead of meeting and pruning for over 100 s
     "meets-30-points-four-covers-of-31": (["axioms"], _random_covers_bytes(30, 30, 4, 31), 1),
+    # past spacefile.MAX_CARRIER: refused before any mask or point set is built
+    "carrier-1e9": (["axioms"], _space_bytes(10**9, [[0]]), 2),
+    # at the budget: the slowest subcommand on a discrete file, and a cover
+    # of one point that lists the other 9,999 as missing
+    "roundtrip-discrete-10000": (["locale", "roundtrip"], _DISCRETE_10000, 0),
+    "axioms-one-point-cover-10000": (["axioms"], _space_bytes(10_000, [[0]]), 1),
 }
 BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())
+
+
+def test_cross_python_runs_every_bounded_time_row():
+    # tests/cross_python.py repeats the table without pytest, for interpreters
+    # that lack it; the two lists hold the same rows
+    import cross_python
+
+    rows = [(argv, None) for argv in cross_python.BOUNDED_ARGV_ROWS]
+    rows += cross_python.bounded_file_rows()
+    assert sorted(rows, key=repr) == sorted(((argv, data) for argv, data, _ in BOUNDED_TIME_CASES),
+                                            key=repr)
 
 
 def _coverlab_modules():

@@ -1,13 +1,16 @@
 import json
+import random
 import re
 import time
 import types
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverlab import cauchy, cli, realexpr, spacefile
-from coverlab.finkernel import Subset
+from coverlab.finkernel import Subset, points_of
+from helpers import parse_spacefile_oracle
 
 
 def write(tmp_path, name, doc):
@@ -53,6 +56,155 @@ class TestSpaceFile:
         sf = spacefile.parse_spacefile(json.dumps(BLOCKS))
         s = spacefile.to_space(sf)
         assert {m.mask for m in s.generator.members} == {0b001, 0b110}
+
+
+# every malformed shape the tests here use, and a few more; each is refused
+# with the same message by the parser and by parse_spacefile_oracle
+MALFORMED = [
+    '{"carrier": 2, "covers": []}',
+    '{"format": 1, "carrier": 2, "covers": [[[0, 5]]]}',
+    "{nope",
+    "[" * 5000 + "]" * 5000,
+    '{"format": 1, "carrier": true, "covers": [[[0]]]}',
+    '{"format": true, "carrier": 1, "covers": [[[0]]]}',
+    '{"format": 1, "carrier": 3, "covers": [[[0], [1]], [[0, 9]]]}',
+    "[]",
+    '"space"',
+    '{"format": 2, "carrier": 1, "covers": [[[0]]]}',
+    '{"format": "1", "carrier": 1, "covers": [[[0]]]}',
+    '{"format": 1, "carrier": 0, "covers": [[[0]]]}',
+    '{"format": 1, "carrier": -3, "covers": [[[0]]]}',
+    '{"format": 1, "carrier": 2.0, "covers": [[[0]]]}',
+    '{"format": 1, "carrier": null, "covers": [[[0]]]}',
+    '{"format": 1, "carrier": 1}',
+    '{"format": 1, "carrier": 1, "covers": {}}',
+    '{"format": 1, "carrier": 1, "covers": [[]]}',
+    '{"format": 1, "carrier": 1, "covers": [3]}',
+    '{"format": 1, "carrier": 1, "covers": [[[0]], [[0], 7]]}',
+    '{"format": 1, "carrier": 2, "covers": [[[1, true]]]}',
+    '{"format": 1, "carrier": 2, "covers": [[[0, 1.0]]]}',
+    '{"format": 1, "carrier": 2, "covers": [[[-1]]]}',
+    '{"format": 1, "carrier": 2, "covers": [[["0"]]]}',
+    '{"format": 1, "carrier": 2, "covers": [[[null]]]}',
+    '{"format": 1, "carrier": 2, "covers": [[[[0]]]]}',
+    '{"format": 1, "carrier": 2, "covers": [[[1000000000000000000000000000000]]]}',
+]
+
+
+def _listing(rng, members):
+    """One cover as a file may list it: members in any order, the first
+    of them twice, each with its indices reversed and its first repeated."""
+    out = [m[::-1] + m[:1] for m in members] + [members[0]]
+    rng.shuffle(out)
+    return out
+
+
+class TestParseDifferential:
+    """parse_spacefile and covers_valid against the parser that kept each
+    subset as a sorted tuple of points."""
+
+    def _check(self, text, round_trip=True):
+        n, want = parse_spacefile_oracle(text)
+        sf = spacefile.parse_spacefile(text)
+        assert sf.carrier == n
+        assert [tuple(sorted(tuple(points_of(m)) for m in c)) for c in sf.covers] == list(want)
+        for cover, members in zip(sf.covers, want):
+            assert list(cover) == sorted(set(cover))  # distinct masks, ascending
+            missing = sorted(set(range(n)).difference(*members))
+            got = spacefile.covers_valid(spacefile.SpaceFile(n, (cover,)))
+            assert got == ((False, {"cover": 0, "missing_points": missing}) if missing
+                           else (True, {}))
+        if round_trip:
+            assert spacefile.parse_spacefile(spacefile.emit_spacefile(sf)) == sf
+
+    def test_every_cover_up_to_four_points(self):
+        # each nonempty family of subsets (the empty one too) as one cover
+        rng = random.Random(141)
+        for n in range(1, 5):
+            subsets = [points_of(m) for m in range(1 << n)]
+            covers = [_listing(rng, [subsets[i] for i in points_of(family)])
+                      for family in range(1, 1 << (1 << n))]
+            self._check(json.dumps({"format": 1, "carrier": n, "covers": covers}),
+                        round_trip=n < 4)
+
+    def test_seeded_files_five_to_two_hundred_points(self):
+        rng = random.Random(142)
+        for _ in range(200):
+            n = rng.choice([5, 6, 7, 8, 10, 12, 30, 64, 200])
+            covers = []
+            for _ in range(rng.randint(1, 3)):
+                members = [rng.sample(range(n), rng.randint(0, n))
+                           for _ in range(rng.randint(1, 12))]
+                covers.append(_listing(rng, members))
+            self._check(json.dumps({"format": 1, "carrier": n, "covers": covers}))
+
+    @pytest.mark.parametrize("text", MALFORMED, ids=range(len(MALFORMED)))
+    def test_same_message_on_malformed_files(self, text):
+        with pytest.raises(spacefile.SpaceFileError) as want:
+            parse_spacefile_oracle(text)
+        with pytest.raises(spacefile.SpaceFileError) as got:
+            spacefile.parse_spacefile(text)
+        assert str(got.value) == str(want.value)
+
+    def test_carrier_budget_refuses_before_reading_covers(self):
+        # the budget comes before the covers, so a bad index past it is not
+        # reached; at the budget the same file parses
+        limit = spacefile.MAX_CARRIER
+        for n in (limit + 1, 10**9, 10**100):
+            text = json.dumps({"format": 1, "carrier": n, "covers": [[[0], [-1]]]})
+            with pytest.raises(spacefile.SpaceFileError,
+                               match=f"carrier {n} is more than {limit} points"):
+                spacefile.parse_spacefile(text)
+        text = json.dumps({"format": 1, "carrier": limit, "covers": [[[0], [limit - 1]]]})
+        assert spacefile.parse_spacefile(text).covers == ((1, 1 << (limit - 1)),)
+
+
+def _json_containers(inner):
+    return (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=5), inner, max_size=4))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+                 | st.floats() | st.text())
+# nested lists, tuples and dicts of scalars, non-ASCII and control
+# characters, large ints, and floats with nan and the infinities among them
+_JSON_DOCUMENTS = _json_containers(st.recursive(_JSON_SCALARS, _json_containers,
+                                                max_leaves=30))
+
+
+class TestJsonText:
+    """spacefile.json_text writes what json.dumps(doc, indent=2) writes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_JSON_DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        assert spacefile.json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_edge_cases(self):
+        docs = [
+            {}, [], (), [[]], [{}], {"a": {}, "b": [], "c": [[], {}]},
+            [True, 1, False, 0, None, 1.0, 0.0, -0.0],
+            ["é", "\u2028", "\x00\x1f\x7f", '"\\/', "\ud83d\ude00", "\U0001f600"],
+            {"": 1, "é\n": "x", "\t": [True]},
+            [10**4000, -(10**4000), 2**63, 1e308, -1e-308, 5e-324, 1.5, 1e16, 123456789.125],
+            [float("nan"), float("inf"), float("-inf")],
+            ((1, (2, [3])), {"k": (4,)}),
+        ]
+        for doc in docs:
+            assert spacefile.json_text(doc) == json.dumps(doc, indent=2), doc
+
+    def test_refuses_what_json_refuses(self):
+        for doc in ({1, 2}, {"a": object()}, [b"bytes"], [F(1, 2)]):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2)
+            with pytest.raises(TypeError):
+                spacefile.json_text(doc)
+        # past the interpreter's int-to-str digit limit both raise ValueError
+        for doc in ([10**5000], {"n": -(10**5000)}):
+            with pytest.raises(ValueError):
+                json.dumps(doc, indent=2)
+            with pytest.raises(ValueError):
+                spacefile.json_text(doc)
 
 
 class TestCliAxioms:

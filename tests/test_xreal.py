@@ -384,14 +384,14 @@ class TestSeries:
 
     def test_zero_series(self):
         z = sum_series(
-            lambda n: real_of_rat(0), lambda n: F(0), lambda eps: 0
+            lambda n: real_of_rat(0), lambda n: (0, 1), lambda eps: 0
         )
         assert z.approx(F(1, 1000)).contains(F(0))
 
     def test_alternating_geometric(self):
         x = sum_series(
             lambda n: real_of_rat(F(-1, 2) ** n),
-            lambda n: F(1, 2**n),
+            lambda n: (1, 2**n),
             lambda eps: next(k for k in range(200) if F(1, 2**k) <= eps),
         )
         for eps in EPS_GRID:
@@ -400,11 +400,23 @@ class TestSeries:
     def test_bad_tail_index_raises(self):
         x = sum_series(
             lambda n: real_of_rat(F(1, n + 1)),
-            lambda n: F(1),  # never shrinks
+            lambda n: (1, 1),  # never shrinks
             lambda eps: 5,
         )
         with pytest.raises(TailBoundError):
             x.approx(F(1, 100))
+
+    def test_bad_index_fails_the_factorial_tail_check(self):
+        # e's terms 1/k! with the bound 2 * 2^(n+1)/(n+1)! for b = 2: at
+        # n = 4 it is 8/15, past a quarter of 1/100, at n = 12 under it
+        for n, fails in ((4, True), (12, False)):
+            x = sum_series((F(1), lambda k: (1, k)), xreal._factorial_tail(2), lambda eps: n)
+            if fails:
+                with pytest.raises(TailBoundError, match="exceeds"):
+                    x.approx(F(1, 100))
+            else:
+                got = x.approx(F(1, 100))  # holds e, 2.7182818 < e < 2.7182819
+                assert got.lo < F(27182819, 10**7) and got.hi > F(27182818, 10**7)
 
     def test_exp_of_real_argument(self):
         x = real_of_cut(sqrt_cut(2), interval(1, 2))
@@ -416,10 +428,10 @@ class TestSeries:
         def term(k):
             raise AssertionError("a term was built past the budget")
 
-        x = sum_series(term, lambda n: F(0), lambda eps: MAX_SERIES_TERMS)
+        x = sum_series(term, lambda n: (0, 1), lambda eps: MAX_SERIES_TERMS)
         with pytest.raises(SeriesBudgetError, match=str(MAX_SERIES_TERMS)):
             x.approx(F(1, 100))
-        within = sum_series((F(0), lambda k: (0, 1)), lambda n: F(0), lambda eps: 99)
+        within = sum_series((F(0), lambda k: (0, 1)), lambda n: (0, 1), lambda eps: 99)
         assert within.approx(F(1, 100)).contains(F(0))
 
     def test_large_exponent_refuses_at_once(self):
@@ -536,6 +548,8 @@ class TestIntegerPaths:
                 return lo // spread, hi * spread
 
             monkeypatch.setattr(xreal, "_log2_bounds", weak)
+            monkeypatch.setattr(xreal, "_log2_ceiling",
+                                lambda num, den, bits, weak=weak: weak(num, den, bits)[1])
             for r, e in ((F(1, 2), 12), (F(9, 10), 25), (F(99, 100), 3), (F(-7, 9), 40)):
                 eps = F(1, 10**e)
                 t = eps * (1 - abs(r))
@@ -879,7 +893,7 @@ def bracketed_reals(draw, depth=2):
             r = draw(st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(3, 4), F(-9, 10)]))
             series = sum_series(
                 (c, lambda k: (r.numerator, r.denominator)),
-                lambda n: abs(c) * abs(r) ** (n + 1) / (1 - abs(r)),
+                lambda n: (abs(c) * abs(r) ** (n + 1) / (1 - abs(r))).as_integer_ratio(),
                 geometric_tail_index(r, abs(c)),
             )
             return series, (c / (1 - r), c / (1 - r)), True
@@ -920,7 +934,7 @@ def bracketed_reals(draw, depth=2):
         bound = max(abs(a), abs(b)) + 1
         series = sum_series(
             lambda n: scale(x, r**n),
-            lambda n: bound * abs(r) ** (n + 1) / (1 - abs(r)),
+            lambda n: (bound * abs(r) ** (n + 1) / (1 - abs(r))).as_integer_ratio(),
             geometric_tail_index(r, bound),
         )
         return series, tuple(sorted((a / (1 - r), b / (1 - r)))), True
