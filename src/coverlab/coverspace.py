@@ -19,6 +19,7 @@ from .finkernel import (
     Cover,
     FiniteCoverSpace,
     Subset,
+    distinct_masks,
     generated_space,
     maximal_masks,
     points_of,
@@ -67,13 +68,13 @@ def close_masks(n: int, covers: Iterable[Sequence[int]]) -> FiniteCoverSpace:
     structure).  It need not satisfy the regularity axiom.  A meet step
     past MAX_MEET_PAIRS refuses before forming any of its pairs.
     """
-    acc = {Carrier(n).full_mask}
+    acc = [Carrier(n).full_mask]
     for c in covers:
         if len(acc) * len(c) > MAX_MEET_PAIRS:
             raise MeetBudgetError(
                 f"meeting {len(acc)} masks with a cover of {len(c)} members forms "
                 f"{len(acc) * len(c)} pairs, more than {MAX_MEET_PAIRS}")
-        acc = {u & v for u in acc for v in c}
+        acc = distinct_masks([u & v for u in acc for v in c])
     return generated_space(n, acc)
 
 
@@ -229,7 +230,7 @@ class FiniteTopology:
         if len(nbhd) != self.size or not all(holds):
             raise ValueError("each point needs one neighbourhood holding it")
         # rows shared by several points are checked once
-        if any(nbhd[y] & ~row for row in set(nbhd) for y in points_of(row)):
+        if any(nbhd[y] & ~row for row in distinct_masks(nbhd) for y in points_of(row)):
             raise ValueError("neighbourhoods are not transitive")
         object.__setattr__(self, "nbhd", nbhd)
 
@@ -266,7 +267,7 @@ class FiniteTopology:
         """Every open is covered by opens rather below it.  At y the row of y
         must hold every row meeting it, so each row holding y equals it: the
         distinct rows share no point."""
-        return not shared_points(set(self.nbhd))
+        return not shared_points(distinct_masks(self.nbhd))
 
 
 def to_topology(s: FiniteCoverSpace) -> FiniteTopology:

@@ -54,6 +54,13 @@ def union(masks: Iterable[int]) -> int:
     return reduce(operator.or_, masks, 0)
 
 
+def distinct_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct masks, ascending.  Sorted and grouped, not hashed: the
+    hash of 1 << x is 2 ** (x % 61), so a set of wide masks probes long
+    chains of equal hashes."""
+    return [m for m, _ in itertools.groupby(sorted(masks))]
+
+
 def shared_points(masks: Iterable[int]) -> int:
     """The mask of the points held by more than one of the masks."""
     seen = shared = 0
@@ -222,7 +229,7 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     O(k^2) at worst, O(k) for disjoint or chained masks."""
     kept: list[int] = []
     held: dict[int, list[int]] = {}  # point -> kept masks holding it
-    for w in sorted(set(masks), reverse=True):
+    for w in reversed(distinct_masks(masks)):
         # the empty mask lies inside every other mask
         larger = held.get((w & -w).bit_length() - 1, ()) if w else kept
         if any(w & ~v == 0 for v in larger):
@@ -339,11 +346,9 @@ def preimage_masks(f: Sequence[int], y: FiniteCoverSpace) -> list[int]:
     return [sum(fibre[v] for v in points_of(w)) for w in y.masks]
 
 
-def all_canonical_covers(
-    carrier: Carrier, max_carrier: int | None = None
-) -> list[Cover]:
+def all_canonical_covers(carrier: Carrier) -> list[Cover]:
     """Every covering antichain, i.e. every canonical generator."""
-    _check_size(carrier.size, max_carrier or COVER_ENUM_LIMIT, "cover")
+    _check_size(carrier.size, COVER_ENUM_LIMIT, "cover")
     full = carrier.full_mask
     return [
         Cover.of_masks(carrier, combo)

@@ -16,12 +16,12 @@ the CLI prints its reports with it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from .coverspace import close_masks
-from .finkernel import FiniteCoverSpace, points_of, union
+from .finkernel import FiniteCoverSpace, distinct_masks, points_of, union
 
 FORMAT_VERSION = 1
 # The largest carrier a file may declare, refused before any mask is built.
@@ -48,14 +48,17 @@ def parse_spacefile(text: str) -> SpaceFile:
         raise SpaceFileError(f"not valid JSON at line {e.lineno} column {e.colno}") from e
     except RecursionError as e:
         raise SpaceFileError("JSON nested too deeply") from e
+    except ValueError as e:  # int() refuses a literal past sys.get_int_max_str_digits()
+        raise SpaceFileError(f"integer literal of more than {sys.get_int_max_str_digits()} "
+                             "digits") from e
     if not isinstance(doc, dict):
         raise SpaceFileError("top level must be an object")
     fmt = doc.get("format")
     if fmt != FORMAT_VERSION or isinstance(fmt, bool):
-        raise SpaceFileError(f"format must be {FORMAT_VERSION}, got {fmt!r}")
+        raise SpaceFileError(f"format must be {FORMAT_VERSION}, got {_quote(fmt)}")
     n = doc.get("carrier")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise SpaceFileError(f"carrier must be a positive integer, got {n!r}")
+        raise SpaceFileError(f"carrier must be a positive integer, got {_quote(n)}")
     if n > MAX_CARRIER:
         raise SpaceFileError(f"carrier {n} is more than {MAX_CARRIER} points")
     raw = doc.get("covers")
@@ -74,17 +77,18 @@ def parse_spacefile(text: str) -> SpaceFile:
                 # json.loads gives exact ints, so this also refuses bools
                 if type(x) is not int or not 0 <= x < n:
                     raise SpaceFileError(
-                        f"covers[{i}][{j}][{k}]: index {x!r} outside 0..{n - 1}"
+                        f"covers[{i}][{j}][{k}]: index {_quote(x)} outside 0..{n - 1}"
                     )
                 mask |= 1 << x
             masks.append(mask)
-        # sort, then drop repeats: the hash of 1 << x is 2 ** (x % 61), so a
-        # set of wide masks would probe long chains of equal hashes.  A list,
-        # not a generator: over 20,000 `axioms` runs in one process a
-        # generator per cover left the peak RSS 0.6 MB higher.
-        masks.sort()
-        covers.append(tuple([m for m, _ in groupby(masks)]))
+        covers.append(tuple(distinct_masks(masks)))
     return SpaceFile(n, tuple(covers))
+
+
+def _quote(value) -> str:
+    """repr(value) for a message, cut past 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def covers_valid(sf: SpaceFile) -> tuple[bool, dict]:

@@ -102,9 +102,6 @@ class RInterval:
     def hull(self, other: "RInterval") -> "RInterval":
         return RInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def widen(self, per_side: Fraction) -> "RInterval":
-        return RInterval(self.lo - per_side, self.hi + per_side)
-
     def gap(self, other: "RInterval") -> Fraction:
         """Separation between the intervals; nonpositive when they meet."""
         return max(self.lo, other.lo) - min(self.hi, other.hi)

@@ -69,6 +69,8 @@ def bounded_file_rows() -> list[tuple[list[str], bytes]]:
     """The rows of test_closed_forms.BOUNDED_TIME that read a space file."""
     discrete = {n: _space(n, [[x] for x in range(n)]) for n in (200, 1000, 2000, 10_000)}
     chain = {n: _space(n, [[x, x + 1] for x in range(n - 1)]) for n in (200, 2000)}
+    star = _space(10_000, [[x, 9999] for x in range(9999)])
+    big_int = b"9" * 5000
     return [
         (["axioms"], b"[" * 5000 + b"]" * 5000),
         (["axioms"], b"\xff\xfe"),
@@ -84,6 +86,11 @@ def bounded_file_rows() -> list[tuple[list[str], bytes]]:
         (["axioms"], _space(10**9, [[0]])),
         (["locale", "roundtrip"], discrete[10_000]),
         (["axioms"], _space(10_000, [[0]])),
+        (["axioms"], b'{"format": 1, "carrier": 1, "covers": [[[' + big_int + b"]]]}"),
+        (["axioms"], b'{"format": 1, "carrier": ' + big_int + b', "covers": [[[0]]]}'),
+        (["locale", "points"], _space(2000, [list(range(1000)), list(range(1000, 2000))])),
+        (["axioms"], star),
+        (["locale", "build"], star),
     ]
 
 

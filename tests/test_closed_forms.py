@@ -44,8 +44,10 @@ from coverlab.finkernel import (
     Subset,
     canonicalize,
     discrete,
+    distinct_masks,
     indiscrete,
     maximal_masks,
+    points_of,
     refines,
     transfer,
 )
@@ -293,6 +295,30 @@ class TestMaximalMasks:
                 masks = [rng.randrange(1 << n) for _ in range(k)]
             masks += rng.sample(masks, min(len(masks), 3))
             assert maximal_masks(masks) == maximal_masks_oracle(masks)
+
+
+class TestDistinctMasks:
+    """distinct_masks against sorted(set(...))."""
+
+    def test_every_family_up_to_four_points(self):
+        # every family, descending, with its first mask repeated at the end
+        for n in range(1, 5):
+            for family in range(1 << (1 << n)):
+                masks = points_of(family)[::-1]
+                assert distinct_masks(masks + masks[:1]) == sorted(set(masks))
+
+    def test_seeded_wide_masks(self):
+        # masks up to 10,000 bits, many of them single high bits whose
+        # hashes collide, with repeats
+        rng = random.Random(316)
+        for _ in range(300):
+            n = rng.choice([5, 12, 61, 64, 200, 10_000])
+            masks = [1 << rng.randrange(n) if rng.random() < 0.5 else rng.getrandbits(n)
+                     for _ in range(rng.randint(0, 60))]
+            masks += rng.sample(masks, min(len(masks), 5))
+            rng.shuffle(masks)
+            assert distinct_masks(masks) == sorted(set(masks))
+            assert distinct_masks(iter(masks)) == sorted(set(masks))
 
 
 def _check_star_table(s, pairs):
@@ -552,6 +578,11 @@ _DISCRETE_1000 = _space_bytes(1000, [[x] for x in range(1000)])
 _DISCRETE_2000 = _space_bytes(2000, [[x] for x in range(2000)])
 _CHAIN_2000 = _space_bytes(2000, [[x, x + 1] for x in range(1999)])
 _DISCRETE_10000 = _space_bytes(10_000, [[x] for x in range(10_000)])
+# every member holds the last point: each meet, maximal-mask and star step
+# handles 9,999 distinct 10,000-bit masks
+_STAR_10000 = _space_bytes(10_000, [[x, 9999] for x in range(9999)])
+_TWO_BLOCKS_1000 = _space_bytes(2000, [list(range(1000)), list(range(1000, 2000))])
+_BIG_INT = b"9" * 5000
 
 
 def _random_covers_bytes(seed, n, count, members):
@@ -624,6 +655,18 @@ BOUNDED_TIME = {
     # of one point that lists the other 9,999 as missing
     "roundtrip-discrete-10000": (["locale", "roundtrip"], _DISCRETE_10000, 0),
     "axioms-one-point-cover-10000": (["axioms"], _space_bytes(10_000, [[0]]), 1),
+    # past the interpreter's 4300-digit int limit, which json.loads enforces
+    "index-5000-digits": (
+        ["axioms"], b'{"format": 1, "carrier": 1, "covers": [[[' + _BIG_INT + b"]]]}", 2
+    ),
+    "carrier-5000-digits": (
+        ["axioms"], b'{"format": 1, "carrier": ' + _BIG_INT + b', "covers": [[[0]]]}', 2
+    ),
+    # 2,000 subsets of 1,999 points, past cli.MAX_POINTS_PRINTED: refused
+    # before any is built instead of printing 54 MB
+    "points-two-blocks-of-1000": (["locale", "points"], _TWO_BLOCKS_1000, 1),
+    "axioms-star-10000": (["axioms"], _STAR_10000, 1),
+    "build-star-10000": (["locale", "build"], _STAR_10000, 0),
 }
 BOUNDED_TIME_IDS = list(BOUNDED_TIME)
 BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 import time
 import types
 from fractions import Fraction as F
@@ -320,6 +321,33 @@ class TestHostileFiles:
         code, err = self._axioms(tmp_path, capsys, json.dumps(doc).encode())
         assert code == 2 and "format must be 1" in err
 
+    @pytest.mark.parametrize("where", ["index", "carrier"])
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, where):
+        # json.loads raises a plain ValueError there, not a JSONDecodeError
+        big = "9" * 5000
+        text = ('{"format": 1, "carrier": 1, "covers": [[[%s]]]}' % big if where == "index"
+                else '{"format": 1, "carrier": %s, "covers": [[[0]]]}' % big)
+        code, err = self._axioms(tmp_path, capsys, text.encode())
+        assert code == 2
+        assert err == f"error: integer literal of more than {sys.get_int_max_str_digits()} digits\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"format": 1, "carrier": 2, "covers": [[["x" * 100_000]]]},
+        {"format": 1, "carrier": "x" * 100_000, "covers": [[[0]]]},
+        {"format": ["x"] * 100_000, "carrier": 1, "covers": [[[0]]]},
+        {"format": 1, "carrier": 2, "covers": [[[{"k": list(range(50_000))}]]]},
+    ], ids=["index", "carrier", "format", "nested-index"])
+    def test_quoted_values_are_cut(self, tmp_path, capsys, doc):
+        # the message shows the start of a long value and its length
+        code, err = self._axioms(tmp_path, capsys, json.dumps(doc).encode())
+        assert code == 2 and len(err) < 200 and "characters)" in err
+
+    def test_short_values_quoted_whole(self):
+        doc = {"format": 1, "carrier": 2, "covers": [[["x" * 78]]]}
+        with pytest.raises(spacefile.SpaceFileError) as got:
+            spacefile.parse_spacefile(json.dumps(doc))
+        assert str(got.value) == f"covers[0][0][0]: index {'x' * 78!r} outside 0..1"
+
 
 @pytest.mark.parametrize("argv", [
     ["complete"], ["reflect"],
@@ -444,6 +472,25 @@ class TestCliLocale:
         assert time.perf_counter() - started < 1.0
         captured = capsys.readouterr()
         assert captured.out == "" and str(100 * 2**99) in captured.err
+
+    def test_printed_points_bound(self, tmp_path, capsys):
+        # 2,000 subsets, under MAX_POINT_SUBSETS, of 1,999 points each
+        blocks = {"format": 1, "carrier": 2000,
+                  "covers": [[list(range(1000)), list(range(1000, 2000))]]}
+        started = time.perf_counter()
+        assert cli.main(["locale", "points", write(tmp_path, "b.json", blocks)]) == 1
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: locale points would print 3998000 points in its "
+                                f"maximal subsets, more than {cli.MAX_POINTS_PRINTED}\n")
+        # at the budget: two blocks of 500 print 1,000 subsets of 999 points
+        blocks = {"format": 1, "carrier": 1000,
+                  "covers": [[list(range(500)), list(range(500, 1000))]]}
+        assert 1000 * 999 <= cli.MAX_POINTS_PRINTED
+        assert cli.main(["locale", "points", write(tmp_path, "b.json", blocks)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sum(len(u) for p in out["points"] for u in p) == 1000 * 999
 
     def test_roundtrip_discrete(self, tmp_path, capsys):
         code = cli.main(["locale", "roundtrip", write(tmp_path, "d2.json", DISCRETE2)])

