@@ -225,11 +225,12 @@ def canonicalize(c: Cover) -> Cover:
 def maximal_masks(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal masks of a family, ascending.  A strict
     superset is larger and holds the subset's lowest point, so walking
-    downward each mask meets only the kept masks at its lowest point:
-    O(k^2) at worst, O(k) for disjoint or chained masks."""
+    downward each mask meets only the kept masks at its lowest point, a
+    repeated mask among them its first copy: O(k^2) at worst, O(k) for
+    disjoint or chained masks."""
     kept: list[int] = []
     held: dict[int, list[int]] = {}  # point -> kept masks holding it
-    for w in reversed(distinct_masks(masks)):
+    for w in sorted(masks, reverse=True):
         # the empty mask lies inside every other mask
         larger = held.get((w & -w).bit_length() - 1, ()) if w else kept
         if any(w & ~v == 0 for v in larger):

@@ -257,8 +257,9 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
         ratio = a, d = r.numerator, r.denominator
         return xreal.sum_series(
             terms=(Fraction(1), lambda k: ratio),
-            # |r|^(n+1) / (1 - |r|)
-            tail_bound=lambda n: (abs(a) ** (n + 1), d**n * (d - abs(a))),
+            # |r|^(n+1) / (1 - |r|) <= e: the test _geometric_index ends on
+            tail_within=lambda n, e: xreal._power_at_most(
+                abs(a), d, n + 1, e.numerator * (d - abs(a)), e.denominator * d),
             tail_index=lambda eps: _geometric_index(r, eps),
         )
     raise ExprError(f"unknown limit form {form!r}")

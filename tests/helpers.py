@@ -8,7 +8,7 @@ import random
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, groupby, permutations
 from typing import Iterator
 
 from coverlab import cauchy, coverspace, xreal
@@ -92,6 +92,22 @@ def maximal_masks_oracle(masks) -> list[int]:
     return sorted(
         m for m in family if not any(o != m and m & ~o == 0 for o in family)
     )
+
+
+def maximal_masks_grouped(masks) -> list[int]:
+    """``finkernel.maximal_masks`` as it was: the same downward walk over
+    the distinct masks, sorted and grouped first."""
+    kept: list[int] = []
+    held: dict[int, list[int]] = {}
+    for w in reversed([m for m, _ in groupby(sorted(masks))]):
+        larger = held.get((w & -w).bit_length() - 1, ()) if w else kept
+        if any(w & ~v == 0 for v in larger):
+            continue
+        kept.append(w)
+        for x in points_of(w):
+            held.setdefault(x, []).append(w)
+    kept.reverse()
+    return kept
 
 
 def rather_below_scan(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
@@ -584,7 +600,8 @@ def exp_rational_oracle(q: Fraction) -> xreal.Real:
     """e^q from its exact terms q^k/k!, walked as t_k = t_{k-1} * q / k."""
     b = abs(q).numerator // abs(q).denominator + 1
     return sum_series_oracle((Fraction(1), lambda t, k: t * q / k),
-                             xreal._factorial_tail(b), factorial_tail_index_oracle(b))
+                             lambda n: (2 * b ** (n + 1), math.factorial(n + 1)),
+                             factorial_tail_index_oracle(b))
 
 
 def geometric_oracle(r: Fraction) -> xreal.Real:

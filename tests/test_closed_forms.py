@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from bounded_time import BOUNDED_TIME, CHAIN_200, DISCRETE_200
 from coverlab import cauchy, cli, coverspace, finkernel
 from coverlab.cauchy import (
     PrincipalFilter,
@@ -66,6 +67,7 @@ from helpers import (
     is_embedding_oracle,
     is_separated_oracle,
     is_strongly_regular_oracle,
+    maximal_masks_grouped,
     maximal_masks_oracle,
     neighborhood_base_scan,
     opens_of,
@@ -295,6 +297,22 @@ class TestMaximalMasks:
                 masks = [rng.randrange(1 << n) for _ in range(k)]
             masks += rng.sample(masks, min(len(masks), 3))
             assert maximal_masks(masks) == maximal_masks_oracle(masks)
+
+    def test_matches_the_grouped_walk(self):
+        # against the walk over distinct_masks that it replaced: every
+        # family up to four points with each of its masks twice, then seeded
+        # families up to 200 points with repeats and empty masks
+        for n in range(1, 5):
+            for family in range(1 << (1 << n)):
+                masks = points_of(family) * 2
+                assert maximal_masks(masks) == maximal_masks_grouped(masks)
+        rng = random.Random(317)
+        for _ in range(2000):
+            n = rng.choice([5, 8, 12, 30, 200])
+            masks = [rng.getrandbits(rng.randint(0, n)) for _ in range(rng.randint(0, 40))]
+            masks += rng.choices(masks, k=min(len(masks), 5)) + [0] * rng.randint(0, 2)
+            rng.shuffle(masks)
+            assert maximal_masks(masks) == maximal_masks_grouped(masks)
 
 
 class TestDistinctMasks:
@@ -567,120 +585,16 @@ def _dense_lift_identity_300():
     assert dense_lift(identity, d, d, identity, d) == identity
 
 
-def _space_bytes(n, cover):
-    return json.dumps({"format": 1, "carrier": n, "covers": [cover]}).encode()
-
-
-_DISCRETE_200 = _space_bytes(200, [[x] for x in range(200)])
-_CHAIN_200 = _space_bytes(200, [[x, x + 1] for x in range(199)])
-_PAIRS_100 = _space_bytes(200, [[2 * x, 2 * x + 1] for x in range(100)])
-_DISCRETE_1000 = _space_bytes(1000, [[x] for x in range(1000)])
-_DISCRETE_2000 = _space_bytes(2000, [[x] for x in range(2000)])
-_CHAIN_2000 = _space_bytes(2000, [[x, x + 1] for x in range(1999)])
-_DISCRETE_10000 = _space_bytes(10_000, [[x] for x in range(10_000)])
-# every member holds the last point: each meet, maximal-mask and star step
-# handles 9,999 distinct 10,000-bit masks
-_STAR_10000 = _space_bytes(10_000, [[x, 9999] for x in range(9999)])
-_TWO_BLOCKS_1000 = _space_bytes(2000, [list(range(1000)), list(range(1000, 2000))])
-_BIG_INT = b"9" * 5000
-
-
-def _random_covers_bytes(seed, n, count, members):
-    """count covers of n points, each of members random members holding
-    every point with probability 3/4 (a point missing from a cover, or an
-    empty member, fails the assertion instead of the budget)."""
-    rng = random.Random(seed)
-    covers = [[[x for x in range(n) if rng.random() < 0.75] for _ in range(members)]
-              for _ in range(count)]
-    for cover in covers:
-        assert all(cover) and set().union(*cover) == set(range(n))
-    return json.dumps({"format": 1, "carrier": n, "covers": covers}).encode()
-
-
-BOUNDED_TIME = {
-    "deep-nesting": (["axioms"], b"[" * 5000 + b"]" * 5000, 2),
-    "not-utf8": (["axioms"], b"\xff\xfe", 2),
-    "carrier-true": (["axioms"], b'{"format": 1, "carrier": true, "covers": [[[0]]]}', 2),
-    "format-true": (["axioms"], b'{"format": true, "carrier": 1, "covers": [[[0]]]}', 2),
-    "eps-1e999999999": (["real", "eval", "1", "--eps", "1e999999999"], None, 2),
-    "eps-1e-999999999": (["real", "eval", "1", "--eps", "1e-999999999"], None, 2),
-    "build-discrete-200": (["locale", "build"], _DISCRETE_200, 0),
-    "points-discrete-200": (["locale", "points"], _DISCRETE_200, 0),
-    "roundtrip-discrete-200": (["locale", "roundtrip"], _DISCRETE_200, 0),
-    "build-chain-200": (["locale", "build"], _CHAIN_200, 0),
-    "points-chain-200": (["locale", "points"], _CHAIN_200, 0),
-    "roundtrip-chain-200": (["locale", "roundtrip"], _CHAIN_200, 1),
-    "points-100-pairs": (["locale", "points"], _PAIRS_100, 1),
-    "points-discrete-1000": (["locale", "points"], _DISCRETE_1000, 0),
-    "axioms-discrete-2000": (["axioms"], _DISCRETE_2000, 0),
-    "complete-discrete-2000": (["complete"], _DISCRETE_2000, 0),
-    "reflect-discrete-2000": (["reflect"], _DISCRETE_2000, 0),
-    "roundtrip-discrete-2000": (["locale", "roundtrip"], _DISCRETE_2000, 0),
-    "axioms-chain-2000": (["axioms"], _CHAIN_2000, 1),
-    "complete-chain-2000": (["complete"], _CHAIN_2000, 0),
-    "reflect-chain-2000": (["reflect"], _CHAIN_2000, 0),
-    "roundtrip-chain-2000": (["locale", "roundtrip"], _CHAIN_2000, 1),
-    # about 189,000 terms, past xreal.MAX_SERIES_TERMS: refused at once
-    "geometric-9999/10000": (
-        ["real", "eval", "limit(geometric; 9999/10000)", "--eps", "1/1000"], None, 1
-    ),
-    # needs over 2,000,000 terms: the index search stops at the budget
-    "exp-1000000": (["real", "eval", "exp(1000000)", "--eps", "1"], None, 1),
-    # the exponential of a real is two rational exponentials at the ends of
-    # one answer for its argument, not a series of interval products
-    "exp-exp-5": (["real", "eval", "exp(exp(5))", "--eps", "1"], None, 0),
-    # e^20 is about 4.9e8: the bound on e^|x| already passes the term budget
-    "exp-exp-20": (["real", "eval", "exp(exp(20))", "--eps", "1"], None, 1),
-    # past the interpreter's 4300-digit int-to-str limit
-    "third-1e-5000": (["real", "eval", "1/3", "--eps", "1e-5000"], None, 0),
-    "third-1e-100000-bounds": (
-        ["real", "eval", "1/3", "--eps", "1e-100000", "--bounds"], None, 0
-    ),
-    # exact series terms are carried as integer bounds on a fixed-point grid,
-    # so a term's bits follow the precision, not its index
-    "exp-exp-1/2-1e-1000": (["real", "eval", "exp(exp(1/2))", "--eps", "1e-1000"], None, 0),
-    "exp-7000": (["real", "eval", "exp(7000)", "--eps", "1"], None, 0),
-    "exp-exp-0-plus-999": (["real", "eval", "exp(exp(0) + 999)", "--eps", "1"], None, 0),
-    # past realexpr.MAX_LITERAL_DIGITS: a parse error, not int()'s message
-    "literal-5000-digits": (["real", "eval", "1" * 5000 + "/3", "--eps", "1"], None, 2),
-    # ceil(1/eps) + 1 net points, refused past cli.MAX_NET_POINTS
-    "heine-borel-1/10000": (["demo", "heine-borel", "--eps", "1/10000"], None, 0),
-    "heine-borel-1/100000": (["demo", "heine-borel", "--eps", "1/100000"], None, 1),
-    # the third meet step would form 29,729 pairs, past coverspace.MAX_MEET_PAIRS:
-    # refused at once instead of meeting and pruning for over 100 s
-    "meets-30-points-four-covers-of-31": (["axioms"], _random_covers_bytes(30, 30, 4, 31), 1),
-    # past spacefile.MAX_CARRIER: refused before any mask or point set is built
-    "carrier-1e9": (["axioms"], _space_bytes(10**9, [[0]]), 2),
-    # at the budget: the slowest subcommand on a discrete file, and a cover
-    # of one point that lists the other 9,999 as missing
-    "roundtrip-discrete-10000": (["locale", "roundtrip"], _DISCRETE_10000, 0),
-    "axioms-one-point-cover-10000": (["axioms"], _space_bytes(10_000, [[0]]), 1),
-    # past the interpreter's 4300-digit int limit, which json.loads enforces
-    "index-5000-digits": (
-        ["axioms"], b'{"format": 1, "carrier": 1, "covers": [[[' + _BIG_INT + b"]]]}", 2
-    ),
-    "carrier-5000-digits": (
-        ["axioms"], b'{"format": 1, "carrier": ' + _BIG_INT + b', "covers": [[[0]]]}', 2
-    ),
-    # 2,000 subsets of 1,999 points, past cli.MAX_POINTS_PRINTED: refused
-    # before any is built instead of printing 54 MB
-    "points-two-blocks-of-1000": (["locale", "points"], _TWO_BLOCKS_1000, 1),
-    "axioms-star-10000": (["axioms"], _STAR_10000, 1),
-    "build-star-10000": (["locale", "build"], _STAR_10000, 0),
-}
-BOUNDED_TIME_IDS = list(BOUNDED_TIME)
-BOUNDED_TIME_CASES = list(BOUNDED_TIME.values())
-
-
-def test_cross_python_runs_every_bounded_time_row():
-    # tests/cross_python.py repeats the table without pytest, for interpreters
-    # that lack it; the two lists hold the same rows
+def test_cross_python_runs_every_bounded_time_row(tmp_path):
+    # tests/cross_python.py prints what each row gives under interpreters
+    # that lack pytest, each space file written as tmp/<row id>.json
     import cross_python
 
-    rows = [(argv, None) for argv in cross_python.BOUNDED_ARGV_ROWS]
-    rows += cross_python.bounded_file_rows()
-    assert sorted(rows, key=repr) == sorted(((argv, data) for argv, data, _ in BOUNDED_TIME_CASES),
-                                            key=repr)
+    argvs = [argv for argv, _ in cross_python.runs(str(tmp_path))]
+    for row, (argv, data, _) in BOUNDED_TIME.items():
+        path = tmp_path / f"{row}.json"
+        assert (argv if data is None else [*argv, str(path)]) in argvs
+        assert data is None or path.read_bytes() == data
 
 
 def _coverlab_modules():
@@ -762,8 +676,8 @@ class TestNoEnumeration:
         comp = completion(s)
         assert is_embedding(comp.unit, s, comp.structure)
 
-    @pytest.mark.parametrize("argv, data, code", BOUNDED_TIME_CASES,
-                             ids=BOUNDED_TIME_IDS)
+    @pytest.mark.parametrize("argv, data, code", list(BOUNDED_TIME.values()),
+                             ids=list(BOUNDED_TIME))
     def test_bounded_time_table(
         self, tmp_path, capsys, no_enumeration, argv, data, code
     ):
@@ -808,7 +722,7 @@ class TestNoEnumeration:
             assert not hasattr(module, "SUBSET_ENUM_LIMIT"), module.__name__
 
 
-@pytest.mark.parametrize("data", [_DISCRETE_200, _CHAIN_200], ids=["discrete", "chain"])
+@pytest.mark.parametrize("data", [DISCRETE_200, CHAIN_200], ids=["discrete", "chain"])
 @pytest.mark.parametrize("argv", [["axioms"], ["complete"], ["reflect"],
                                   ["locale", "roundtrip"]], ids=" ".join)
 def test_subset_values_stay_linear(tmp_path, capsys, monkeypatch, argv, data):

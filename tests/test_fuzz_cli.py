@@ -4,10 +4,11 @@ QuickCheck, ICFP 2000).
 Hypothesis generates space files and real expressions with hostile shapes:
 deep nesting, carriers up to and past ``spacefile.MAX_CARRIER``, covers that
 miss points, bool, float, string and huge-int values, long literals, nesting
-near ``realexpr.MAX_DEPTH`` and divisors near zero.  Every case runs through
-``cli.main`` in-process and must end in under 2 s with exit code 0, 1 or 2
-and no traceback, and with exit code 2 exactly when the parser refuses the
-input.  ``derandomize`` fixes the cases, so a run is repeatable.
+near ``realexpr.MAX_DEPTH``, divisors near zero, and series whose ratio or
+exponent has up to 4,000 digits, at precisions down to 1e-20000.  Every case
+runs through ``cli.main`` in-process and must end in under 2 s with exit code
+0, 1 or 2 and no traceback, and with exit code 2 exactly when the parser
+refuses the input.  ``derandomize`` fixes the cases, so a run is repeatable.
 """
 
 import contextlib
@@ -187,3 +188,14 @@ def test_expressions(text, eps, bounds):
             pass
         else:
             raise AssertionError("exit 2 on an expression the parser and evaluation accept")
+
+
+@settings(_FUZZ, max_examples=25)
+@given(form=st.sampled_from(["limit(geometric; {})", "exp({})", "exp(-{})",
+                             "limit(geometric; -{})"]),
+       digits=st.sampled_from([4000, 300, 40, 2]),
+       eps=st.sampled_from(["1e-20000", "1e-3000", "1e-1000", "1e-300", "1e-50"]))
+def test_series_of_long_decimals(form, digits, eps):
+    # the ratio or exponent 0.333...3; its bits multiply the work of every
+    # term, so the walk's budget must count them, not only the terms
+    assert _run(["real", "eval", form.format("0." + "3" * (digits - 1)), "--eps", eps]) in (0, 1)

@@ -4,12 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from coverlab import cli
+from coverlab import cli, xreal
 from coverlab.realexpr import (
     MAX_DEPTH,
     ExprError,
     Parser,
     _geometric_index,
+    _limit_form,
     eval_expression,
     evaluate,
     format_interval,
@@ -148,6 +149,24 @@ class TestGeometricIndex:
                     eps = abs(r) ** big_n * nudge / (1 - abs(r))
                     want = big_n - 1 if nudge > 1 else big_n
                     assert _geometric_index(r, eps) == want == geometric_index_oracle(r, eps)
+
+    def test_tail_test_matches_the_full_powers(self, monkeypatch):
+        # the series' exact tail test against |r|^(n+1) / (1 - |r|) <= e
+        # with both powers built, around the index and at near ties, for
+        # short ratios and a 300-digit one
+        got = {}
+        monkeypatch.setattr(xreal, "sum_series", lambda **kw: got.update(kw))
+        for r, k in ((F(1, 2), 200), (F(-9, 10), 200), (F(99, 100), 200),
+                     (F(int("3" * 300), 10**300), 40)):
+            _limit_form("geometric", (r,))
+            a, d = abs(r.numerator), r.denominator
+            for e in (F(1, 10**3), F(7, 10**k)):
+                n = _geometric_index(r, e)
+                ties = [abs(r) ** n * (1 + F(s, 2**200)) / (1 - abs(r)) for s in (-1, 0, 1)]
+                cases = [(m, e) for m in (n - 1, n, n + 1) if m >= 0]
+                for m, t in cases + [(n - 1, t) for t in ties]:
+                    want = a ** (m + 1) * t.denominator <= t.numerator * d**m * (d - a)
+                    assert got["tail_within"](m, t) == want, (r, e, m)
 
     def test_ratio_near_one_is_quick(self):
         started = time.perf_counter()

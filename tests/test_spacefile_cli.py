@@ -307,6 +307,28 @@ class TestHostileFiles:
         code, err = self._axioms(tmp_path, capsys, b"[" * 5000 + b"]" * 5000)
         assert code == 2 and "nested too deeply" in err
 
+    @pytest.mark.parametrize("shape, at_the_bound", [
+        ("[%s]", "top level must be an object"),
+        ('{"format": 1, "carrier": 1, "covers": %s}', "covers[0][0][0]: index [[[[["),
+        ('{"format": 1, "carrier": 1, "covers": [[[0]]], "x": %s}', None),
+    ], ids=["top", "covers", "unread-key"])
+    def test_nesting_bound(self, shape, at_the_bound):
+        # one level past MAX_NESTING is refused with one message, whether or
+        # not this interpreter's json.loads reads it; at the bound the file
+        # parses or gets its own message
+        def text(depth):
+            return shape % ("[" * (depth - 1) + "]" * (depth - 1))
+
+        limit = spacefile.MAX_NESTING
+        with pytest.raises(spacefile.SpaceFileError, match="^JSON nested too deeply$"):
+            spacefile.parse_spacefile(text(limit + 1))
+        if at_the_bound is None:
+            assert spacefile.parse_spacefile(text(limit)).carrier == 1
+        else:
+            with pytest.raises(spacefile.SpaceFileError) as got:
+                spacefile.parse_spacefile(text(limit))
+            assert str(got.value).startswith(at_the_bound)
+
     def test_not_utf8(self, tmp_path, capsys):
         code, err = self._axioms(tmp_path, capsys, b"\xff\xfe")
         assert code == 2 and "UTF-8" in err

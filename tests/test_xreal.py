@@ -384,14 +384,14 @@ class TestSeries:
 
     def test_zero_series(self):
         z = sum_series(
-            lambda n: real_of_rat(0), lambda n: (0, 1), lambda eps: 0
+            lambda n: real_of_rat(0), lambda n, e: True, lambda eps: 0
         )
         assert z.approx(F(1, 1000)).contains(F(0))
 
     def test_alternating_geometric(self):
         x = sum_series(
             lambda n: real_of_rat(F(-1, 2) ** n),
-            lambda n: (1, 2**n),
+            lambda n, e: F(1, 2**n) <= e,
             lambda eps: next(k for k in range(200) if F(1, 2**k) <= eps),
         )
         for eps in EPS_GRID:
@@ -400,7 +400,7 @@ class TestSeries:
     def test_bad_tail_index_raises(self):
         x = sum_series(
             lambda n: real_of_rat(F(1, n + 1)),
-            lambda n: (1, 1),  # never shrinks
+            lambda n, e: 1 <= e,  # never shrinks
             lambda eps: 5,
         )
         with pytest.raises(TailBoundError):
@@ -428,11 +428,31 @@ class TestSeries:
         def term(k):
             raise AssertionError("a term was built past the budget")
 
-        x = sum_series(term, lambda n: (0, 1), lambda eps: MAX_SERIES_TERMS)
+        x = sum_series(term, lambda n, e: True, lambda eps: MAX_SERIES_TERMS)
         with pytest.raises(SeriesBudgetError, match=str(MAX_SERIES_TERMS)):
             x.approx(F(1, 100))
-        within = sum_series((F(0), lambda k: (0, 1)), lambda n: (0, 1), lambda eps: 99)
+        within = sum_series((F(0), lambda k: (0, 1)), lambda n, e: True, lambda eps: 99)
         assert within.approx(F(1, 100)).contains(F(0))
+
+    def test_work_budget_refuses_before_the_walk(self, monkeypatch):
+        # 100 terms at 2^-1000: p = 1000 + 2 bits(102) + 1 = 1015 bits, and
+        # the last ratio has q = 301 + 309 bits, so the walk is
+        # 100 * 1015 * (1 + q // 256) = 304,500 units; past a budget one
+        # unit smaller it refuses, asking only for the last ratio
+        asked = []
+
+        def ratio(k):
+            asked.append(k)
+            return 2**300, 3 * 2**300 * k
+
+        eps = F(1, 2**1000)
+        monkeypatch.setattr(xreal, "MAX_SERIES_WORK", 304_499)
+        with pytest.raises(SeriesBudgetError, match="304500 units"):
+            partial_sum((F(1), ratio), 100).approx(eps)
+        assert asked == [100]
+        monkeypatch.setattr(xreal, "MAX_SERIES_WORK", 304_500)
+        got = partial_sum((F(1), ratio), 100).approx(eps)
+        assert got.contains(sum(F(1, 3**k * math.factorial(k)) for k in range(101)))
 
     def test_large_exponent_refuses_at_once(self):
         # e^q needs about e*q terms; the index search starts at 2q and stops
@@ -893,7 +913,7 @@ def bracketed_reals(draw, depth=2):
             r = draw(st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(3, 4), F(-9, 10)]))
             series = sum_series(
                 (c, lambda k: (r.numerator, r.denominator)),
-                lambda n: (abs(c) * abs(r) ** (n + 1) / (1 - abs(r))).as_integer_ratio(),
+                lambda n, e: abs(c) * abs(r) ** (n + 1) / (1 - abs(r)) <= e,
                 geometric_tail_index(r, abs(c)),
             )
             return series, (c / (1 - r), c / (1 - r)), True
@@ -934,7 +954,7 @@ def bracketed_reals(draw, depth=2):
         bound = max(abs(a), abs(b)) + 1
         series = sum_series(
             lambda n: scale(x, r**n),
-            lambda n: (bound * abs(r) ** (n + 1) / (1 - abs(r))).as_integer_ratio(),
+            lambda n, e: bound * abs(r) ** (n + 1) / (1 - abs(r)) <= e,
             geometric_tail_index(r, bound),
         )
         return series, tuple(sorted((a / (1 - r), b / (1 - r)))), True
