@@ -215,9 +215,8 @@ def cmd_demo_heine_borel(args) -> int:
         raise ValueError(f"a net at eps {args.eps} has {bound} points, "
                          f"more than {MAX_NET_POINTS}")
     domain = xreal.RInterval(Fraction(0), Fraction(1))
-    balls = xreal.ball_cover(domain, eps)
     t0 = time.perf_counter()
-    chosen = xreal.finite_subcover(domain, balls)
+    chosen = xreal.ball_subcover(domain, eps)
     reports = [
         _report("subcover_covers", True, None, t0),
         _report("subcover_size_bound", len(chosen) <= bound, {"size": len(chosen)}),
@@ -235,7 +234,7 @@ def cmd_demo_heine_borel(args) -> int:
         reports.append(_report("gap_certificate", True))
     doc = {
         "eps": args.eps,
-        "selected": [[str(iv.lo), str(iv.hi)] for iv in chosen],
+        "selected": [[str(lo), str(hi)] for lo, hi in chosen],
         "size_bound": bound,
         "gap_witness": witness,
         "reports": reports,

@@ -3,23 +3,19 @@
 A real is a function from a positive rational precision to an open
 rational interval of width at most that precision; all answers of one real
 pairwise overlap, and the number denoted sits strictly inside every
-answer.  Endpoints are exact fractions throughout; no floating point
-enters this module.  The constructors answer exactly; the combinators
-query their arguments at powers of two, so nearby requests share cached
-answers, and round outward onto a dyadic grid, so endpoint sizes follow
-the precision, not the depth of the expression.  Cut locators, interval
-arithmetic with moduli, limits with convergence witnesses, series under a
-term budget (Real terms as integers on a grid, exact terms from integer
-bounds on a fixed-point grid, so a term's bits follow the precision, not
-its index), a uniform-convergence refuter, rational nets, and the greedy
-finite subcover all live here.  The inner loops run on plain integers:
-series ratios and tail bounds are integer pairs, the least power of a
-ratio below a bound starts from an integer log2 estimate, grids are read
-off bit lengths, and a net's points share one denominator.
+answer.  No floating point enters this module.  Inside it an answer is an
+integer triple (lo, hi, den), den > 0, for (lo/den, hi/den), as in Boehm's
+constructive reals (LFP 1986; J. Logic and Algebraic Programming 64, 2005).
+Constructors answer exactly; combinators query their arguments at powers
+of two, so nearby requests share cached answers, and floor and ceil onto a
+grid 2^k, so their answers are integers over a power of two whose sizes
+follow the precision, not the depth of the expression.  ``Real.approx`` is
+the boundary, where the Fractions of an ``RInterval`` are built.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import threading
@@ -27,6 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
+
+Answer = tuple[int, int, int]  # the interval (lo/den, hi/den), den > 0
+
 
 class InvariantError(RuntimeError):
     """An answer violated the width or overlap contract."""
@@ -36,9 +35,7 @@ class ApartnessError(ValueError):
     """The apartness witness failed; carries the offending interval."""
 
     def __init__(self, interval: "RInterval", delta: Fraction):
-        super().__init__(
-            f"interval {interval} is not outside (-{delta}, {delta})"
-        )
+        super().__init__(f"interval {interval} is not outside (-{delta}, {delta})")
         self.interval = interval
         self.delta = delta
 
@@ -47,15 +44,17 @@ class ApartnessError(ValueError):
 # needs about 16,600, 9999/10000 would need 189,000 and refuses at once.  An
 # exact term's bits follow the precision and the series' growth, not its index.
 MAX_SERIES_TERMS = 20_000
-# The most work a fixed-point walk of exact terms may do, in units of
-# n * (p + growth) * (1 + q // 256) for n terms, integers of at most
-# p + growth bits and a last ratio of q bits: each step multiplies by the
-# ratio's numerator and divides by its denominator.  Walks timed in-process
-# (2-core x86-64 VM, Python 3.11.7): exp(7000) at eps 1, 3.9e8 units, 0.28 s;
+# The most work the fixed-point walks of exact terms may do in one evaluation,
+# the outermost query under way, whose units _SERIES_WORK holds.  A walk of n
+# terms, integers of at most p + growth bits and a last ratio of q bits is
+# n * (p + growth) * (1 + q // 256) units: each step multiplies by the ratio's
+# numerator and divides by its denominator.  Walks timed in-process (2-core
+# x86-64 VM, Python 3.11.7): exp(7000) at eps 1, 3.9e8 units, 0.28 s;
 # exp(exp(1/2)) at 1e-3000, two of 9.9e8, 0.41 s each; limit(geometric; r)
 # for r = 0.333...3 of 4000 digits at 1e-2000, 2.9e9, 1.25 s, and at 1e-3000,
 # 6.5e9, 2.6 s; exp(1/3) at 1e-70000, 4.3e9, 1.6 s.
 MAX_SERIES_WORK = 1_200_000_000
+_SERIES_WORK = contextvars.ContextVar("series_work", default=None)
 
 
 class TailBoundError(ValueError):
@@ -64,7 +63,7 @@ class TailBoundError(ValueError):
 
 class SeriesBudgetError(ValueError):
     """A series would need more than MAX_SERIES_TERMS terms, or its walk
-    more than MAX_SERIES_WORK work."""
+    would take its evaluation past MAX_SERIES_WORK work."""
 
 
 class UncoveredPointError(ValueError):
@@ -121,24 +120,20 @@ class RInterval:
 
 
 class Real:
-    """A number presented by its precision-indexed interval answers.
-
-    Answers are cached; the cache is guarded by a lock so concurrent
-    queries stay invisible.  Each new answer is checked for width and for
-    overlap with the narrowest answer seen so far.  A name given as a
-    function is built on first read: names of deep expressions and long
-    fractions are costly and are read only in error messages.
-    """
+    """A number presented by its precision-indexed interval answers:
+    ``approx`` answers an RInterval, ``_get`` the triple, and ``fn`` either.
+    Each new answer is checked by integer cross-products for width and for
+    overlap with the narrowest so far, then cached.  The outermost query in a
+    context opens the evaluation MAX_SERIES_WORK bounds."""
 
     __slots__ = ("_fn", "_cache", "_lock", "_narrowest", "_name")
 
-    def __init__(
-        self, fn: Callable[[Fraction], RInterval], name: str | Callable[[], str] = "real"
-    ):
+    def __init__(self, fn: Callable[[Fraction], RInterval | Answer],
+                 name: str | Callable[[], str] = "real"):
         self._fn = fn
-        self._cache: dict[Fraction, RInterval] = {}
+        self._cache: dict[Fraction, Answer] = {}
         self._lock = threading.Lock()
-        self._narrowest: RInterval | None = None
+        self._narrowest: Answer | None = None
         self._name = name
 
     @property
@@ -147,29 +142,36 @@ class Real:
             self._name = self._name()
         return self._name
 
-    @name.setter
-    def name(self, name: str | Callable[[], str]) -> None:
-        self._name = name
-
     def approx(self, eps) -> RInterval:
         eps = rat(eps)
         if eps <= 0:
             raise ValueError("precision must be positive")
-        with self._lock:
-            got = self._cache.get(eps)
-        if got is not None:
+        return _interval(*self._get(eps))
+
+    def _get(self, eps: Fraction) -> Answer:
+        if _SERIES_WORK.get() is None:
+            token = _SERIES_WORK.set([0])
+            try:
+                return self._get(eps)
+            finally:
+                _SERIES_WORK.reset(token)
+        if (got := self._cache.get(eps)) is not None:
             return got
         ans = self._fn(eps)
-        if ans.width > eps:
-            raise InvariantError(
-                f"{self.name}: answer {ans} wider than requested {eps}"
-            )
+        if isinstance(ans, RInterval):
+            a, b = ans.lo, ans.hi
+            ans = (a.numerator * b.denominator, b.numerator * a.denominator,
+                   a.denominator * b.denominator)
+        lo, hi, den = ans
+        if (hi - lo) * eps.denominator > eps.numerator * den:
+            raise InvariantError(f"{self.name}: answer {_interval(*ans)} wider than "
+                                 f"requested {eps}")
         with self._lock:
-            if self._narrowest is not None and not ans.overlaps(self._narrowest):
-                raise InvariantError(
-                    f"{self.name}: answer {ans} disjoint from {self._narrowest}"
-                )
-            if self._narrowest is None or ans.width < self._narrowest.width:
+            n = self._narrowest or ans
+            if not (lo * n[2] < n[1] * den and n[0] * den < hi * n[2]):
+                raise InvariantError(f"{self.name}: answer {_interval(*ans)} disjoint "
+                                     f"from {_interval(*n)}")
+            if n is ans or (hi - lo) * n[2] < (n[1] - n[0]) * den:
                 self._narrowest = ans
             self._cache[eps] = ans
         return ans
@@ -178,9 +180,17 @@ class Real:
         return f"<Real {self.name}>"
 
 
+def _interval(lo: int, hi: int, den: int) -> RInterval:
+    return RInterval(Fraction(lo, den), Fraction(hi, den))
+
+
 def real_of_rat(q) -> Real:
+    """q -+ eps/3, exactly over 3 q.den eps.den."""
     q = rat(q)
-    return Real(lambda eps: RInterval(q - eps / 3, q + eps / 3), name=lambda: f"rat({q})")
+    n, d = 3 * q.numerator, q.denominator
+    return Real(lambda eps: (n * eps.denominator - d * eps.numerator,
+                             n * eps.denominator + d * eps.numerator, 3 * d * eps.denominator),
+                name=lambda: f"rat({q})")
 
 
 class Side(Enum):
@@ -213,11 +223,7 @@ def rational_cut(q) -> CutLocator:
     q = rat(q)
 
     def fn(a: Fraction, b: Fraction) -> Side:
-        if b <= q:
-            return Side.LEFT
-        if a >= q:
-            return Side.RIGHT
-        return Side.LEFT if q - a >= b - q else Side.RIGHT
+        return Side.LEFT if b <= q or a < q and q - a >= b - q else Side.RIGHT
 
     return CutLocator(fn, name=f"cut@{q}")
 
@@ -226,9 +232,7 @@ def sqrt_cut(k: int) -> CutLocator:
     """The cut under the square root of a positive non-square integer."""
 
     def fn(a: Fraction, b: Fraction) -> Side:
-        if a <= 0 or a * a < k:
-            return Side.LEFT
-        return Side.RIGHT
+        return Side.LEFT if a <= 0 or a * a < k else Side.RIGHT
 
     return CutLocator(fn, name=f"cut@sqrt({k})")
 
@@ -236,8 +240,7 @@ def sqrt_cut(k: int) -> CutLocator:
 def trisection_steps(width: Fraction, eps: Fraction) -> int:
     """Smallest k with width * (2/3)^k <= eps, that is, with
     (2/3)^k <= eps/width: ``least_power`` on integer pairs."""
-    return least_power(2, 3, eps.numerator * width.denominator,
-                       eps.denominator * width.numerator)
+    return least_power(2, 3, eps.numerator * width.denominator, eps.denominator * width.numerator)
 
 
 def least_power(cn: int, cd: int, tn: int, td: int) -> int:
@@ -272,9 +275,7 @@ def _log2_bounds(num: int, den: int, bits: int) -> tuple[int, int]:
     2 or more halved for a 1 bit.  A floor only lowers a square, so the
     bits read never pass log2(m); they miss it by under 2^-bits for the
     bits not read and 1.45 * 3 * 2^-w for the floors: under two units."""
-    e = num.bit_length() - den.bit_length()
-    if num < den << e:
-        e -= 1
+    e = _exponent(num, den)
     w = bits + 4
     y, acc = (num << w) // (den << e), e
     for _ in range(bits):
@@ -362,37 +363,53 @@ def cut_of_real(x: Real) -> CutLocator:
     return CutLocator(fn, name=f"cut_of({x.name})")
 
 
-def _snap(e: Fraction) -> Fraction:
-    """The largest power of two at most e: the precisions queried.  It is
-    2^k for k the bit-length difference of e's numerator and denominator,
-    less one when a shift and an integer comparison find e below 2^k."""
-    n, d = e.numerator, e.denominator
+def _exponent(n: int, d: int) -> int:
+    """The k with 2^k <= n/d < 2^(k+1), for n, d > 0, from bit lengths."""
     k = n.bit_length() - d.bit_length()
-    k -= n << -k < d if k < 0 else n < d << k
+    return k - (n << -k < d if k < 0 else n < d << k)
+
+
+@functools.lru_cache(maxsize=256)
+def _power_of_two(k: int) -> Fraction:
+    """2^k, a precision queried: one object per k, found by identity."""
     return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
-def _round_out(lo: Fraction, hi: Fraction, eps: Fraction) -> RInterval:
-    """Floor lo and ceil hi onto the grid _snap(eps/4).  The interval keeps
-    everything it held and grows by at most eps/2, so a combinator that
-    spends half its width budget on its arguments may round its answer."""
-    g = _snap(eps / 4)
-    return RInterval(lo // g * g, -(-hi // g) * g)
+def _grid(eps: Fraction) -> int:
+    """The k of the grid 2^k, the largest power of two at most eps/4."""
+    return _exponent(eps.numerator, 4 * eps.denominator)
+
+
+def _round_out(lo: int, hi: int, den: int, k: int) -> Answer:
+    """Floor lo/den and ceil hi/den onto the grid 2^k, for k = _grid(eps) a
+    growth of at most eps/2: half of a combinator's width budget."""
+    if k >= 0:
+        den <<= k
+        return lo // den << k, -(-hi // den) << k, 1
+    return (lo << -k) // den, -((-hi << -k) // den), 1 << -k
+
+
+def _pad(lo: int, hi: int, den: int, j: int) -> Answer:
+    """lo/den - 2^j and hi/den + 2^j over one denominator."""
+    if j >= 0:
+        return lo - (den << j), hi + (den << j), den
+    return (lo << -j) - den, (hi << -j) + den, den << -j
 
 
 def add(x: Real, y: Real) -> Real:
-    def fn(eps: Fraction) -> RInterval:
-        s = _snap(eps / 4)
-        a, b = x.approx(s), y.approx(s)
-        return _round_out(a.lo + b.lo, a.hi + b.hi, eps)
+    def fn(eps: Fraction) -> Answer:
+        k = _grid(eps)
+        alo, ahi, ad = x._get(_power_of_two(k))
+        blo, bhi, bd = y._get(_power_of_two(k))
+        return _round_out(alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd, k)
 
     return Real(fn, name=lambda: f"({x.name}+{y.name})")
 
 
 def neg(x: Real) -> Real:
-    def fn(eps: Fraction) -> RInterval:
-        a = x.approx(eps)
-        return RInterval(-a.hi, -a.lo)
+    def fn(eps: Fraction) -> Answer:
+        lo, hi, den = x._get(eps)
+        return -hi, -lo, den
 
     return Real(fn, name=lambda: f"(-{x.name})")
 
@@ -406,11 +423,12 @@ def scale(x: Real, c) -> Real:
     c = rat(c)
     if c == 0:
         return real_of_rat(0)
+    cn, cd, twice = c.numerator, c.denominator, 2 * abs(c.numerator)
 
-    def fn(eps: Fraction) -> RInterval:
-        a = x.approx(_snap(eps / (2 * abs(c))))
-        lo, hi = sorted((a.lo * c, a.hi * c))
-        return _round_out(lo, hi, eps)
+    def fn(eps: Fraction) -> Answer:  # x at eps/(2|c|)
+        lo, hi, den = x._get(_power_of_two(_exponent(eps.numerator * cd, twice * eps.denominator)))
+        lo, hi = (lo * cn, hi * cn) if cn > 0 else (hi * cn, lo * cn)
+        return _round_out(lo, hi, den * cd, _grid(eps))
 
     return Real(fn, name=lambda: f"({c}*{x.name})")
 
@@ -420,22 +438,22 @@ def mul(x: Real, y: Real) -> Real:
     factor, and the precision split charges each factor with the other's
     bound plus one, within half the width; the rounding takes the rest."""
 
-    def fn(eps: Fraction) -> RInterval:
-        bx = _magnitude_bound(x)
-        by = _magnitude_bound(y)
-        ex = _snap(min(Fraction(1), eps / (4 * (by + 1))))
-        ey = _snap(min(Fraction(1), eps / (4 * (bx + 1))))
-        a = x.approx(ex)
-        b = y.approx(ey)
-        products = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
-        return _round_out(min(products), max(products), eps)
+    def fn(eps: Fraction) -> Answer:
+        en, ed = eps.numerator, eps.denominator
+        (bxn, bxd), (byn, byd) = _magnitude_bound(x), _magnitude_bound(y)
+        # each factor at min(1, eps / (4 (b + 1))), b the other's bound
+        alo, ahi, ad = x._get(_power_of_two(min(0, _exponent(en * byd, 4 * ed * (byn + byd)))))
+        blo, bhi, bd = y._get(_power_of_two(min(0, _exponent(en * bxd, 4 * ed * (bxn + bxd)))))
+        products = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+        return _round_out(min(products), max(products), ad * bd, _grid(eps))
 
     return Real(fn, name=lambda: f"({x.name}*{y.name})")
 
 
-def _magnitude_bound(x: Real) -> Fraction:
-    a = x.approx(Fraction(1))
-    return max(abs(a.lo), abs(a.hi))
+def _magnitude_bound(x: Real) -> tuple[int, int]:
+    """n/d at least |x|, from x's answer at precision 1."""
+    lo, hi, den = x._get(_power_of_two(0))
+    return max(-lo, hi), den
 
 
 def inv(x: Real, delta) -> Real:
@@ -450,16 +468,18 @@ def inv(x: Real, delta) -> Real:
     delta = rat(delta)
     if delta <= 0:
         raise ValueError("apartness radius must be positive")
-    witness = x.approx(delta)
-    if not (witness.lo >= delta or witness.hi <= -delta):
-        raise ApartnessError(witness, delta)
+    dn, dd = delta.numerator, delta.denominator
+    wlo, whi, wd = x._get(delta)
+    if not (wlo * dd >= dn * wd or whi * dd <= -dn * wd):
+        raise ApartnessError(_interval(wlo, whi, wd), delta)
 
-    def fn(eps: Fraction) -> RInterval:
-        e = eps / 2
-        got = x.approx(_snap(e * delta * delta / (1 + e * delta)))
-        lo = max(got.lo, witness.lo)
-        hi = min(got.hi, witness.hi)
-        return _round_out(1 / hi, 1 / lo, eps)
+    def fn(eps: Fraction) -> Answer:
+        en, ed = eps.numerator, eps.denominator
+        glo, ghi, gd = x._get(_power_of_two(_exponent(en * dn * dn, dd * (2 * ed * dd + en * dn))))
+        ln, ld = (glo, gd) if glo * wd >= wlo * gd else (wlo, wd)
+        hn, hd = (ghi, gd) if ghi * wd <= whi * gd else (whi, wd)
+        # 1/hi and 1/lo over hn * ln, positive: both ends have the witness's sign
+        return _round_out(hd * ln, ld * hn, hn * ln, _grid(eps))
 
     return Real(fn, name=lambda: f"inv({x.name};{delta})")
 
@@ -502,14 +522,14 @@ def check_cauchy_witness(seq: ConvergentSeq, eps, n: int) -> bool:
 
 
 def limit(seq: ConvergentSeq) -> Real:
-    """The limit: query the term at the modulus index of s = _snap(eps/4)
+    """The limit: query the term at the modulus index of s = 2^_grid(eps)
     at s, pad by the convergence slack s/2 and round; the term and the
     padding take half the width, the rounding the other half."""
 
-    def fn(eps: Fraction) -> RInterval:
-        s = _snap(eps / 4)
-        inner = seq.terms(seq.modulus(s)).approx(s)
-        return _round_out(inner.lo - s / 2, inner.hi + s / 2, eps)
+    def fn(eps: Fraction) -> Answer:
+        k = _grid(eps)
+        s = _power_of_two(k)
+        return _round_out(*_pad(*seq.terms(seq.modulus(s))._get(s), k - 1), k)
 
     return Real(fn, name="limit")
 
@@ -521,8 +541,8 @@ Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], tuple[int, int]]
 
 def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
     """The sum of terms 0..n.  Real terms add as two integers on the grid
-    per = _snap(eps/(2(n+1))): each term's answer at per adds its floor and
-    ceil, spending at most 2*per.
+    per, the largest power of two at most eps/(2(n+1)): each term's answer
+    at per adds its floor and ceil, spending at most 2*per.
 
     Exact terms (t_0, ratio), where 2^growth bounds every product of
     consecutive |ratio(k)|, k <= n (growth 0 serves |ratio| <= 1), carry
@@ -537,20 +557,25 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
     k + 1 products of consecutive ratios, so e_k <= 2(k+1)G for G = 2^growth.
     The sums of the l_k and u_k, one unit further out for strictness, then
     differ by at most (n+1)(n+2)G + 2 < 2^(2 bits(n+2) + growth + 1) units,
-    which is at most _snap(eps) = 2^-k once p = k + 2 bits(n+2) + growth + 1.
-    A walk past MAX_SERIES_WORK refuses before its first step.
+    which is at most 2^-k <= eps once p = k + 2 bits(n+2) + growth + 1.
+    A walk that would take its evaluation past MAX_SERIES_WORK refuses
+    before its first step.
     """
 
-    def fn(eps: Fraction) -> RInterval:
+    def fn(eps: Fraction) -> Answer:
         if isinstance(terms, tuple):
-            w, (t0, ratio) = _snap(eps), terms
-            k = w.denominator.bit_length() - w.numerator.bit_length()
+            t0, ratio = terms
+            k = -_exponent(eps.numerator, eps.denominator)
             p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
             a, d = ratio(n) if n else (0, 1)
             q = abs(a).bit_length() + d.bit_length()
-            if (work := n * (p + growth) * (1 + q // 256)) > MAX_SERIES_WORK:
-                raise SeriesBudgetError(f"summing {n} terms at {p} bits with {q}-bit ratios is "
-                                        f"{work} units of work, more than {MAX_SERIES_WORK}")
+            work, spent = n * (p + growth) * (1 + q // 256), _SERIES_WORK.get()
+            if spent[0] + work > MAX_SERIES_WORK:
+                before = f" after {spent[0]} in this evaluation" if spent[0] else ""
+                raise SeriesBudgetError(
+                    f"summing {n} terms at {p} bits with {q}-bit ratios is {work} units of "
+                    f"work{before}, more than {MAX_SERIES_WORK}")
+            spent[0] += work
             lo = l = (t0.numerator << p) // t0.denominator
             hi = u = -(-t0.numerator << p) // t0.denominator
             for i in range(1, n + 1):
@@ -559,13 +584,13 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
                     l, u = u, l
                 l, u = l * a // d, -(-u * a // d)
                 lo, hi = lo + l, hi + u
-            return RInterval(Fraction(lo - 1, 1 << p), Fraction(hi + 1, 1 << p))
-        per = _snap(eps / (2 * (n + 1)))
+            return lo - 1, hi + 1, 1 << p
+        j = _exponent(eps.numerator, 2 * (n + 1) * eps.denominator)
         lo = hi = 0
-        for k in range(n + 1):
-            got = terms(k).approx(per)
-            lo, hi = lo + got.lo // per, hi - (-got.hi // per)
-        return RInterval(lo * per, hi * per)
+        for i in range(n + 1):
+            l, h, den = _round_out(*terms(i)._get(_power_of_two(j)), j)
+            lo, hi = lo + l, hi + h
+        return lo, hi, den
 
     return Real(fn, name=lambda: f"partial_sum({n})")
 
@@ -586,27 +611,27 @@ def sum_series(
     through ``limit``: partial-sum differences are bounded by two tails,
     hence the quarter precision below.
     Exact terms (t_0, ratio), the ratios integer pairs and growth as in
-    partial_sum, answer at once: for s = _snap(eps/4), the sum to the
+    partial_sum, answer at once: for s = 2^_grid(eps), the sum to the
     index of s/4 within s, widened by s/4 for the tail, is rounded out
     once, 3s/2 + eps/2 <= eps in all.
     """
 
-    def modulus(eps: Fraction) -> int:
-        n = tail_index(eps / 4)
+    def index(e: Fraction) -> int:  # a checked N whose tail bound is at most e
+        n = tail_index(e)
         if n >= MAX_SERIES_TERMS:
             raise SeriesBudgetError(
                 f"series needs index {n} or more, past {MAX_SERIES_TERMS} terms")
-        if not tail_within(n, eps / 4):
-            raise TailBoundError(f"the tail bound at index {n} exceeds requested {eps / 4}")
+        if not tail_within(n, e):
+            raise TailBoundError(f"the tail bound at index {n} exceeds requested {e}")
         return n
 
     if not isinstance(terms, tuple):
-        return limit(ConvergentSeq(lambda n: partial_sum(terms, n), modulus))
+        return limit(ConvergentSeq(lambda n: partial_sum(terms, n), lambda eps: index(eps / 4)))
 
-    def fn(eps: Fraction) -> RInterval:
-        s = _snap(eps / 4)
-        got = partial_sum(terms, modulus(s), growth).approx(s)
-        return _round_out(got.lo - s / 4, got.hi + s / 4, eps)
+    def fn(eps: Fraction) -> Answer:
+        k = _grid(eps)
+        n = index(_power_of_two(k - 2))
+        return _round_out(*_pad(*partial_sum(terms, n, growth)._get(_power_of_two(k)), k - 2), k)
 
     return Real(fn, name="series")
 
@@ -622,7 +647,7 @@ def exp_rational(q) -> Real:
     a, d = q.numerator, q.denominator
     out = sum_series((Fraction(1), lambda k: (a, d * k)), _factorial_tail(b),
                      _factorial_tail_index(b), growth)
-    out.name = f"exp({q})"
+    out._name = lambda: f"exp({q})"
     return out
 
 
@@ -633,15 +658,17 @@ def exp_real(x: Real) -> Real:
     has |a.lo|, |a.hi| < b, so e^a.hi - e^a.lo <= g * width(a) (mean value
     theorem): x at eps/(4g) takes eps/4, each endpoint at eps/8 another
     eps/8, the rounding the remaining half."""
-    m = _magnitude_bound(x) + 1
-    b = m.numerator // m.denominator + 1
-    g = exp_rational(b).approx(Fraction(1)).hi
+    n, d = _magnitude_bound(x)
+    b = n // d + 2
+    _, gn, gd = exp_rational(b)._get(_power_of_two(0))  # g = gn/gd
 
-    def fn(eps: Fraction) -> RInterval:
-        a = x.approx(_snap(min(Fraction(1), eps / (4 * g))))
-        e = _snap(eps / 8)
-        return _round_out(exp_rational(a.lo).approx(e).lo,
-                          exp_rational(a.hi).approx(e).hi, eps)
+    def fn(eps: Fraction) -> Answer:
+        en, ed = eps.numerator, eps.denominator
+        alo, ahi, ad = x._get(_power_of_two(min(0, _exponent(en * gd, 4 * ed * gn))))
+        e = _power_of_two(_exponent(en, 8 * ed))
+        lo, _, ld = exp_rational(Fraction(alo, ad))._get(e)
+        _, hi, hd = exp_rational(Fraction(ahi, ad))._get(e)
+        return _round_out(lo * hd, hi * ld, ld * hd, _grid(eps))
 
     return Real(fn, name=lambda: f"exp({x.name})")
 
@@ -751,44 +778,58 @@ def epsilon_net(domain: RInterval, eps) -> list[Fraction]:
     return [Fraction(x, den) for x in nums]
 
 
-def ball_cover(domain: RInterval, eps) -> list[RInterval]:
-    """The open balls of radius eps about the points of epsilon_net, their
-    endpoints integer numerators over one denominator."""
+def _balls(domain: RInterval, eps) -> tuple[list[int], list[int], int]:
+    """The ends of ball_cover's balls, integer numerators over one denominator."""
     eps, nums, den = _net_numerators(domain, eps)
-    e, f, d = eps.numerator * den, eps.denominator, den * eps.denominator
-    return [RInterval(Fraction(x * f - e, d), Fraction(x * f + e, d)) for x in nums]
+    e, f = eps.numerator * den, eps.denominator
+    return [x * f - e for x in nums], [x * f + e for x in nums], den * f
 
 
-def finite_subcover(
-    domain: RInterval, cover: Sequence[RInterval]
-) -> list[RInterval]:
+def ball_cover(domain: RInterval, eps) -> list[RInterval]:
+    """The open balls of radius eps about the points of epsilon_net."""
+    los, his, d = _balls(domain, eps)
+    return [RInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(los, his)]
+
+
+def ball_subcover(domain: RInterval, eps) -> list[tuple[Fraction, Fraction]]:
+    """The ends of the balls finite_subcover(domain, ball_cover(domain, eps))
+    picks, swept on numerators over the balls' denominator d, a multiple of
+    the domain's: Fractions are built only for the balls picked."""
+    los, his, d = _balls(domain, eps)
+    ends = (x.numerator * d // x.denominator for x in (domain.lo, domain.hi))
+    return [(Fraction(los[i], d), Fraction(his[i], d)) for i in _sweep(*ends, los, his)]
+
+
+def finite_subcover(domain: RInterval, cover: Sequence[RInterval]) -> list[RInterval]:
     """Greedy left-to-right selection covering the closed domain.
 
     At each step the frontier point must lie strictly inside some member;
     the member reaching furthest right is chosen, the first in input order
     among equals.  If no member contains the frontier, that rational point
     is an uncovered-point certificate.
-
-    The frontier only moves right, so one sweep over the members sorted
-    by left endpoint suffices: a member starting left of the frontier
-    contains it exactly when it ends right of it, and the furthest-reaching
-    such member is a running best, one reach and the index that holds it.
     """
-    order = sorted(range(len(cover)), key=lambda i: cover[i].lo)
-    chosen: list[RInterval] = []
-    reach, best = domain.lo, -1
-    j = 0
-    pos = domain.lo
-    while pos <= domain.hi:
-        while j < len(order) and cover[order[j]].lo < pos:
+    picks = _sweep(domain.lo, domain.hi, [iv.lo for iv in cover], [iv.hi for iv in cover])
+    return [cover[i] for i in picks]
+
+
+def _sweep(start, end, los: Sequence, his: Sequence) -> list[int]:
+    """The indices of the members (los[i], his[i]) that finite_subcover picks
+    for the closed domain [start, end], on any ordered endpoints.  The
+    frontier only moves right, so one sweep over the members sorted by left
+    end suffices: a member starting left of the frontier contains it exactly
+    when it ends right of it, and the furthest-reaching one is a running best."""
+    order = sorted(range(len(los)), key=los.__getitem__)
+    chosen: list[int] = []
+    reach, best, j, pos = start, -1, 0, start
+    while pos <= end:
+        while j < len(order) and los[order[j]] < pos:
             i = order[j]
-            hi = cover[i].hi
-            if hi > reach or hi == reach and i < best:
-                reach, best = hi, i
+            if his[i] > reach or his[i] == reach and i < best:
+                reach, best = his[i], i
             j += 1
         if reach <= pos:
             raise UncoveredPointError(pos)
-        chosen.append(cover[best])
+        chosen.append(best)
         pos = reach
     return chosen
 
@@ -801,18 +842,17 @@ def limit_at_zero(
 
     f(x, apart) evaluates at a nonzero rational x with apartness witness;
     limit_modulus(eps) must return delta > 0 with |f(x) - y| < eps
-    whenever 0 < |x| < delta, y being the limit.  Each answer samples at
-    half the modulus of m = _snap(eps/8) for a quarter of the precision,
-    pads by m and rounds outward, as ``limit`` does.
+    whenever 0 < |x| < delta, y being the limit.  For s = 2^_grid(eps),
+    each answer samples at half the modulus of s/2 for precision s, pads by
+    s/2 and rounds outward, as ``limit`` does.
     """
 
-    def fn(eps: Fraction) -> RInterval:
-        m = _snap(eps / 8)
-        delta = rat(limit_modulus(m))
+    def fn(eps: Fraction) -> Answer:
+        k = _grid(eps)
+        delta = rat(limit_modulus(_power_of_two(k - 1)))
         if delta <= 0:
             raise ValueError("limit modulus must be positive")
         q = delta / 2
-        inner = f(q, q / 2).approx(_snap(eps / 4))
-        return _round_out(inner.lo - m, inner.hi + m, eps)
+        return _round_out(*_pad(*f(q, q / 2)._get(_power_of_two(k)), k - 1), k)
 
     return Real(fn, name="limit_at_zero")

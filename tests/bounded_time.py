@@ -125,6 +125,12 @@ BOUNDED_TIME = {
         ["real", "eval", f"exp({_THIRD_4000})", "--eps", "1e-20000"], None, 1
     ),
     "exp-1/3-1e-70000": (["real", "eval", "exp(1/3)", "--eps", "1e-70000"], None, 1),
+    # MAX_SERIES_WORK bounds the walks of one evaluation together: six of the
+    # terms above took 2 s, each walk under the budget alone
+    "geometric-4000-digits-six-terms-1e-1000": (
+        ["real", "eval", " + ".join([f"limit(geometric; {_THIRD_4000})"] * 6), "--eps", "1e-1000"],
+        None, 1,
+    ),
     # past spacefile.MAX_NESTING, though Python 3.13's json.loads reads it
     "deep-nesting-in-covers": (
         ["axioms"], b'{"format": 1, "carrier": 1, "covers": ' + b"[" * 5000 + b"]" * 5000 + b"}", 2

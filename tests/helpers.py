@@ -27,7 +27,7 @@ from coverlab.finkernel import (
     refines,
     space_from_cover,
 )
-from coverlab.spacefile import SpaceFileError
+from coverlab.spacefile import MAX_NESTING, SpaceFileError
 
 # Enumerating all subsets of a carrier is exponential; the cap keeps the
 # oracles honest about what they can afford.
@@ -540,23 +540,23 @@ def geometric_index_oracle(r: Fraction, eps: Fraction) -> int:
     return n
 
 
-def exp_real_oracle(x: xreal.Real) -> xreal.Real:
+def exp_termwise_oracle(x: xreal.Real) -> xreal.Real:
     """The exponential of a real as its power series with Real terms
-    scale(x^k, 1/k!), the powers a shared chain of interval products."""
-    m = xreal._magnitude_bound(x) + 1
-    b = m.numerator // m.denominator + 1
+    scale(x^k, 1/k!), the powers a shared chain of interval products, all
+    in the Fraction combinators below."""
+    b = math.floor(magnitude_bound_oracle(x) + 1) + 1
 
-    powers: list[xreal.Real] = [xreal.real_of_rat(1)]
+    powers: list[xreal.Real] = [rat_oracle(1)]
     powers_lock = threading.Lock()
 
     def term(k: int) -> xreal.Real:
         with powers_lock:
             while len(powers) <= k:
-                powers.append(xreal.mul(powers[-1], x))
+                powers.append(mul_oracle(powers[-1], x))
             p = powers[k]
-        return xreal.scale(p, Fraction(1, math.factorial(k)))
+        return scale_oracle(p, Fraction(1, math.factorial(k)))
 
-    return xreal.sum_series(term, xreal._factorial_tail(b), factorial_tail_index_oracle(b))
+    return sum_series_oracle(term, factorial_tail_within(b), factorial_tail_index_oracle(b))
 
 
 def partial_sum_oracle(terms, n: int) -> xreal.Real:
@@ -582,7 +582,7 @@ def partial_sum_oracle(terms, n: int) -> xreal.Real:
     return xreal.Real(fn, name=lambda: f"partial_sum_oracle({n})")
 
 
-def sum_series_oracle(terms, tail_bound, tail_index) -> xreal.Real:
+def exact_series_oracle(terms, tail_bound, tail_index) -> xreal.Real:
     """A series as the limit of partial_sum_oracle at the tail index of a
     quarter of the precision, with the library's term budget."""
 
@@ -593,22 +593,22 @@ def sum_series_oracle(terms, tail_bound, tail_index) -> xreal.Real:
         assert Fraction(*tail_bound(n)) <= eps / 4
         return n
 
-    return xreal.limit(xreal.ConvergentSeq(lambda n: partial_sum_oracle(terms, n), modulus))
+    return limit_oracle(xreal.ConvergentSeq(lambda n: partial_sum_oracle(terms, n), modulus))
 
 
 def exp_rational_oracle(q: Fraction) -> xreal.Real:
     """e^q from its exact terms q^k/k!, walked as t_k = t_{k-1} * q / k."""
     b = abs(q).numerator // abs(q).denominator + 1
-    return sum_series_oracle((Fraction(1), lambda t, k: t * q / k),
-                             lambda n: (2 * b ** (n + 1), math.factorial(n + 1)),
-                             factorial_tail_index_oracle(b))
+    return exact_series_oracle((Fraction(1), lambda t, k: t * q / k),
+                               lambda n: (2 * b ** (n + 1), math.factorial(n + 1)),
+                               factorial_tail_index_oracle(b))
 
 
 def geometric_oracle(r: Fraction) -> xreal.Real:
     """1 / (1 - r) from its exact terms r^k, walked as t_k = t_{k-1} * r."""
-    return sum_series_oracle((Fraction(1), lambda t, k: t * r),
-                             lambda n: (abs(r) ** (n + 1) / (1 - abs(r))).as_integer_ratio(),
-                             lambda eps: geometric_index_oracle(r, eps))
+    return exact_series_oracle((Fraction(1), lambda t, k: t * r),
+                               lambda n: (abs(r) ** (n + 1) / (1 - abs(r))).as_integer_ratio(),
+                               lambda eps: geometric_index_oracle(r, eps))
 
 
 def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
@@ -632,6 +632,175 @@ def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
         return xreal.RInterval(Fraction(lo - 1, 1 << p), Fraction(hi + 1, 1 << p))
 
     return xreal.Real(fn, name=lambda: f"fixed_point_sum_oracle({n})")
+
+
+# The combinators of xreal as they were in Fraction arithmetic, before their
+# answers became integer triples: each answer is an RInterval of Fractions,
+# rounded out onto the grid snap_oracle(eps/4) by Fraction floor and ceiling.
+# None of them calls an xreal combinator; xreal.Real only caches and checks.
+
+
+def rat_oracle(q) -> xreal.Real:
+    q = Fraction(q)
+    return xreal.Real(lambda eps: xreal.RInterval(q - eps / 3, q + eps / 3))
+
+
+def round_out_oracle(lo: Fraction, hi: Fraction, eps: Fraction) -> xreal.RInterval:
+    g = snap_oracle(eps / 4)
+    return xreal.RInterval(lo // g * g, -(-hi // g) * g)
+
+
+def add_oracle(x: xreal.Real, y: xreal.Real) -> xreal.Real:
+    def fn(eps: Fraction) -> xreal.RInterval:
+        s = snap_oracle(eps / 4)
+        a, b = x.approx(s), y.approx(s)
+        return round_out_oracle(a.lo + b.lo, a.hi + b.hi, eps)
+
+    return xreal.Real(fn)
+
+
+def neg_oracle(x: xreal.Real) -> xreal.Real:
+    def fn(eps: Fraction) -> xreal.RInterval:
+        a = x.approx(eps)
+        return xreal.RInterval(-a.hi, -a.lo)
+
+    return xreal.Real(fn)
+
+
+def scale_oracle(x: xreal.Real, c) -> xreal.Real:
+    c = Fraction(c)
+    if c == 0:
+        return rat_oracle(0)
+
+    def fn(eps: Fraction) -> xreal.RInterval:
+        a = x.approx(snap_oracle(eps / (2 * abs(c))))
+        lo, hi = sorted((a.lo * c, a.hi * c))
+        return round_out_oracle(lo, hi, eps)
+
+    return xreal.Real(fn)
+
+
+def magnitude_bound_oracle(x: xreal.Real) -> Fraction:
+    a = x.approx(Fraction(1))
+    return max(abs(a.lo), abs(a.hi))
+
+
+def mul_oracle(x: xreal.Real, y: xreal.Real) -> xreal.Real:
+    def fn(eps: Fraction) -> xreal.RInterval:
+        bx = magnitude_bound_oracle(x)
+        by = magnitude_bound_oracle(y)
+        ex = snap_oracle(min(Fraction(1), eps / (4 * (by + 1))))
+        ey = snap_oracle(min(Fraction(1), eps / (4 * (bx + 1))))
+        a = x.approx(ex)
+        b = y.approx(ey)
+        products = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
+        return round_out_oracle(min(products), max(products), eps)
+
+    return xreal.Real(fn)
+
+
+def inv_oracle(x: xreal.Real, delta) -> xreal.Real:
+    delta = Fraction(delta)
+    witness = x.approx(delta)
+    if not (witness.lo >= delta or witness.hi <= -delta):
+        raise xreal.ApartnessError(witness, delta)
+
+    def fn(eps: Fraction) -> xreal.RInterval:
+        e = eps / 2
+        got = x.approx(snap_oracle(e * delta * delta / (1 + e * delta)))
+        lo = max(got.lo, witness.lo)
+        hi = min(got.hi, witness.hi)
+        return round_out_oracle(1 / hi, 1 / lo, eps)
+
+    return xreal.Real(fn)
+
+
+def limit_oracle(seq: xreal.ConvergentSeq) -> xreal.Real:
+    def fn(eps: Fraction) -> xreal.RInterval:
+        s = snap_oracle(eps / 4)
+        inner = seq.terms(seq.modulus(s)).approx(s)
+        return round_out_oracle(inner.lo - s / 2, inner.hi + s / 2, eps)
+
+    return xreal.Real(fn)
+
+
+def real_terms_sum_oracle(terms, n: int) -> xreal.Real:
+    """partial_sum's Real-term path: each term's answer at per, floored and
+    ceiled onto per = snap_oracle(eps/(2(n+1)))."""
+
+    def fn(eps: Fraction) -> xreal.RInterval:
+        per = snap_oracle(eps / (2 * (n + 1)))
+        lo = hi = 0
+        for k in range(n + 1):
+            got = terms(k).approx(per)
+            lo, hi = lo + got.lo // per, hi - (-got.hi // per)
+        return xreal.RInterval(lo * per, hi * per)
+
+    return xreal.Real(fn)
+
+
+def sum_series_oracle(terms, tail_within, tail_index, growth: int = 0) -> xreal.Real:
+    """sum_series: Real terms through limit_oracle, exact terms (t_0, ratio),
+    ratio(k) an integer pair, walked by fixed_point_sum_oracle."""
+
+    def modulus(eps: Fraction) -> int:
+        n = tail_index(eps / 4)
+        if n >= xreal.MAX_SERIES_TERMS:
+            raise xreal.SeriesBudgetError(f"series needs index {n} or more")
+        if not tail_within(n, eps / 4):
+            raise xreal.TailBoundError(f"the tail bound at index {n} exceeds requested {eps / 4}")
+        return n
+
+    if not isinstance(terms, tuple):
+        return limit_oracle(xreal.ConvergentSeq(lambda n: real_terms_sum_oracle(terms, n), modulus))
+    t0, ratio = terms
+
+    def fn(eps: Fraction) -> xreal.RInterval:
+        s = snap_oracle(eps / 4)
+        walk = fixed_point_sum_oracle((t0, lambda k: Fraction(*ratio(k))), modulus(s), growth)
+        got = walk.approx(s)
+        return round_out_oracle(got.lo - s / 4, got.hi + s / 4, eps)
+
+    return xreal.Real(fn)
+
+
+def factorial_tail_within(b: int):
+    """2 b^(n+1)/(n+1)! <= e, the tail test of e^q for |q| < b."""
+    return lambda n, e: 2 * b ** (n + 1) <= e * math.factorial(n + 1)
+
+
+def exp_series_oracle(q) -> xreal.Real:
+    """exp_rational's sum, the ratio q/k as a pair, on the oracles above."""
+    q = Fraction(q)
+    b = abs(q).numerator // abs(q).denominator + 1
+    return sum_series_oracle((Fraction(1), lambda k: (q.numerator, q.denominator * k)),
+                             factorial_tail_within(b), factorial_tail_index_oracle(b),
+                             -(-14427 * b // 10000))
+
+
+def exp_real_oracle(x: xreal.Real) -> xreal.Real:
+    """exp_real: the ends of one answer for x under exp_series_oracle."""
+    b = math.floor(magnitude_bound_oracle(x) + 1) + 1
+    g = exp_series_oracle(b).approx(Fraction(1)).hi
+
+    def fn(eps: Fraction) -> xreal.RInterval:
+        a = x.approx(snap_oracle(min(Fraction(1), eps / (4 * g))))
+        e = snap_oracle(eps / 8)
+        return round_out_oracle(exp_series_oracle(a.lo).approx(e).lo,
+                                exp_series_oracle(a.hi).approx(e).hi, eps)
+
+    return xreal.Real(fn)
+
+
+def limit_at_zero_oracle(f, limit_modulus) -> xreal.Real:
+    def fn(eps: Fraction) -> xreal.RInterval:
+        m = snap_oracle(eps / 8)
+        delta = Fraction(limit_modulus(m))
+        q = delta / 2
+        inner = f(q, q / 2).approx(snap_oracle(eps / 4))
+        return round_out_oracle(inner.lo - m, inner.hi + m, eps)
+
+    return xreal.Real(fn)
 
 
 def factorial_tail_index_oracle(b: int):
@@ -682,6 +851,8 @@ def parse_spacefile_oracle(text: str) -> tuple[int, tuple[tuple[tuple[int, ...],
         raise SpaceFileError(f"not valid JSON at line {e.lineno} column {e.colno}") from e
     except RecursionError as e:
         raise SpaceFileError("JSON nested too deeply") from e
+    if nesting_depth_oracle(doc) > MAX_NESTING:  # no document that reads is this deep
+        raise SpaceFileError("JSON nested too deeply")
     if not isinstance(doc, dict):
         raise SpaceFileError("top level must be an object")
     fmt = doc.get("format")
@@ -709,6 +880,18 @@ def parse_spacefile_oracle(text: str) -> tuple[int, tuple[tuple[tuple[int, ...],
             subsets.append(tuple(sorted(set(subset))))
         covers.append(tuple(sorted(set(subsets))))
     return n, tuple(covers)
+
+
+def nesting_depth_oracle(value) -> int:
+    """How deep lists and objects nest in value, the outermost counting one,
+    walked depth first on an explicit stack."""
+    depth, stack = 0, [(value, 1)]
+    while stack:
+        v, d = stack.pop()
+        if isinstance(v, (list, dict)):
+            depth = max(depth, d)
+            stack.extend((c, d + 1) for c in (v.values() if isinstance(v, dict) else v))
+    return depth
 
 
 def trisection_steps_oracle(width: Fraction, eps: Fraction) -> int:

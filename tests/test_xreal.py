@@ -21,6 +21,7 @@ from coverlab.xreal import (
     UncoveredPointError,
     add,
     ball_cover,
+    ball_subcover,
     check_cauchy_witness,
     cut_of_real,
     epsilon_net,
@@ -50,17 +51,29 @@ from coverlab.xreal import (
     Verified,
 )
 from helpers import (
+    add_oracle,
     ball_cover_oracle,
     epsilon_net_oracle,
     exp_rational_oracle,
     exp_real_oracle,
+    exp_series_oracle,
+    exp_termwise_oracle,
     factorial_tail_index_oracle,
     finite_subcover_oracle,
     fixed_point_sum_oracle,
     geometric_index_oracle,
     geometric_oracle,
+    inv_oracle,
+    limit_at_zero_oracle,
+    limit_oracle,
+    mul_oracle,
+    neg_oracle,
     partial_sum_oracle,
+    rat_oracle,
+    round_out_oracle,
+    scale_oracle,
     snap_oracle,
+    sum_series_oracle,
     trisection_steps_oracle,
 )
 
@@ -111,6 +124,27 @@ class TestRealOfRat:
         bad._fn = lambda eps: interval(0, 1)
         with pytest.raises(InvariantError):
             bad.approx(F(1, 2))
+
+    def test_touching_and_wide_answers_are_refused(self):
+        # open answers that share only an end are disjoint, and an answer a
+        # hair wider than asked is refused, whether fn answers an RInterval
+        # or an integer triple (lo, hi, den)
+        for first, touching, meeting in [
+            ((0, 1, 1), [(2, 3, 2), (-1, 0, 2)], (1, 2, 2)),
+            (interval(0, 1), [interval(1, "3/2"), interval("-1/2", 0)], interval("1/2", 1)),
+        ]:
+            for touch in touching:  # at the narrowest answer's upper, then lower end
+                answers = iter([first, touch])
+                x = Real(lambda eps: next(answers))
+                x.approx(1)
+                with pytest.raises(InvariantError, match="disjoint"):
+                    x.approx(F(1, 2))
+            answers = iter([first, meeting])
+            y = Real(lambda eps: next(answers))
+            assert y.approx(1) == interval(0, 1) and y.approx(2) == interval("1/2", 1)
+        assert Real(lambda eps: (0, 10**9, 10**9)).approx(1) == interval(0, 1)
+        with pytest.raises(InvariantError, match="wider"):
+            Real(lambda eps: (0, 10**9 + 1, 10**9)).approx(1)
 
 
 class TestTrisection:
@@ -527,7 +561,7 @@ class TestIntegerPaths:
             cases.append(F(rng.getrandbits(rng.randint(1, 400)) + 1,
                            rng.getrandbits(rng.randint(1, 400)) + 1))
         for e in cases:
-            got = xreal._snap(e)
+            got = xreal._power_of_two(xreal._exponent(e.numerator, e.denominator))
             assert got == snap_oracle(e) and type(got) is F, e
 
     def test_log2_bounds_hold_the_logarithm(self):
@@ -860,6 +894,21 @@ class TestNetsAndSubcover:
             assert epsilon_net(domain, eps) == epsilon_net_oracle(domain, eps)
             assert ball_cover(domain, eps) == ball_cover_oracle(domain, eps)
 
+    def test_integer_sweep_matches_the_fraction_sweep(self):
+        # ball_subcover against finite_subcover(ball_cover(...)): radii 1/n
+        # on [0, 1] for every n up to 400 and a stride on to 2000 (every n
+        # to 2000 takes 30 s), then seeded domains of both signs
+        unit = interval(0, 1)
+        cases = [(unit, F(1, n)) for n in [*range(1, 401), *range(401, 2000, 53), 2000]]
+        rng = random.Random(74)
+        for _ in range(300):
+            lo = F(rng.randint(-50, 50), rng.randint(1, 30))
+            domain = RInterval(lo, lo + F(rng.randint(1, 60), rng.randint(1, 30)))
+            cases.append((domain, F(rng.randint(1, 40), rng.randint(1, 400))))
+        for domain, eps in cases:
+            want = [(iv.lo, iv.hi) for iv in finite_subcover(domain, ball_cover(domain, eps))]
+            assert ball_subcover(domain, eps) == want, (domain, eps)
+
     def test_sweep_matches_scan_on_ball_covers(self):
         for eps in (F(1, 10), F(1, 100), F(1, 1000)):
             net = epsilon_net(interval(0, 1), eps)
@@ -1024,7 +1073,7 @@ class TestExpRealDifferential:
         for x in self._arguments(random.Random(10)):
             narrow = x.approx(F(1, 10**60))
             want_lo, want_hi = exp_bracket(narrow.lo, narrow.hi)
-            got_real, oracle = exp_real(x), exp_real_oracle(x)
+            got_real, oracle = exp_real(x), exp_termwise_oracle(x)
             for eps in self.PRECISIONS:
                 got = got_real.approx(eps)
                 assert got.width <= eps
@@ -1111,6 +1160,130 @@ class TestConcurrency:
             a, b = brackets[name]
             assert got.lo <= a and b <= got.hi and got.width <= eps
             assert got == fresh[name].approx(eps)
+
+
+class TestIntegerCombinators:
+    """The combinators on integer triples against the Fraction combinators
+    they replaced, the oracles of helpers: every answer is the same
+    RInterval.  Precisions run from 1e-200 to 1000, so grids 2^k with k of
+    both signs round endpoints of both signs."""
+
+    PRECISIONS = [F(1, 10**200), F(1, 10**50), F(7, 10**9), F(1, 3), F(1), F(4), F(9), F(1000)]
+
+    def test_round_out_matches_fraction_floor_and_ceiling(self):
+        rng = random.Random(101)
+        for _ in range(3000):
+            den = rng.choice([1, 3, 2 ** rng.randint(0, 80), rng.randint(1, 10**6)])
+            lo = rng.randint(-10**9, 10**9) * rng.choice([1, den, 2 ** rng.randint(0, 60)])
+            hi = lo + rng.randint(1, 10 ** rng.randint(1, 20))
+            eps = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) * F(2) ** rng.randint(-200, 60)
+            got = xreal._round_out(lo, hi, den, xreal._grid(eps))
+            want = round_out_oracle(F(lo, den), F(hi, den), eps)
+            assert xreal._interval(*got) == want, (lo, hi, den, eps)
+
+    @staticmethod
+    def _leaf(rng):
+        kind = rng.choice(["rat", "rat", "exp", "geometric", "inv_n"])
+        if kind == "rat":
+            q = F(rng.randint(-60, 60), rng.randint(1, 20))
+            return real_of_rat(q), rat_oracle(q)
+        if kind == "exp":
+            q = F(rng.randint(-30, 30), rng.randint(1, 10))
+            return exp_rational(q), exp_series_oracle(q)
+        if kind == "geometric":
+            d = rng.choice([3, 10, 16])
+            r = F(rng.randint(1 - d, d - 1), d)
+            got = evaluate(Parser(f"limit(geometric; {r})").parse())
+            want = sum_series_oracle(
+                (F(1), lambda k: (r.numerator, r.denominator)),
+                lambda n, e: abs(r) ** (n + 1) / (1 - abs(r)) <= e,
+                lambda eps: geometric_index_oracle(r, eps))
+            return got, want
+        want = limit_oracle(ConvergentSeq(lambda n: rat_oracle(F(1, n + 1)),
+                                          lambda eps: math.ceil(2 / eps)))
+        return evaluate(Parser("limit(inv_n)").parse()), want
+
+    def _tree(self, rng, depth):
+        """A random expression as (library real, oracle real)."""
+        if depth == 0 or rng.random() < 0.25:
+            return self._leaf(rng)
+        x, xo = self._tree(rng, depth - 1)
+        op = rng.choice(["add", "sub", "neg", "mul", "scale", "inv", "inv", "exp"])
+        if op in ("add", "sub", "mul"):
+            y, yo = self._tree(rng, depth - 1)
+            if op == "add":
+                return add(x, y), add_oracle(xo, yo)
+            if op == "sub":
+                return sub(x, y), add_oracle(xo, neg_oracle(yo))
+            return mul(x, y), mul_oracle(xo, yo)
+        if op == "scale":
+            c = F(rng.randint(-20, 20), rng.randint(1, 9))
+            return scale(x, c), scale_oracle(xo, c)
+        if op == "inv":
+            delta = find_apartness(x, F(1, 2**30))
+            if delta is not None:
+                return inv(x, delta), inv_oracle(xo, delta)
+        if op == "exp" and max(-x.approx(1).lo, x.approx(1).hi) < 4:
+            return exp_real(x), exp_real_oracle(xo)
+        return neg(x), neg_oracle(xo)
+
+    def test_random_trees_match_the_fraction_combinators(self):
+        rng = random.Random(102)
+        for _ in range(150):
+            got, want = self._tree(rng, rng.randint(1, 3))
+            for eps in rng.sample(self.PRECISIONS, len(self.PRECISIONS)):
+                assert got.approx(eps) == want.approx(eps), (got, eps)
+
+    def test_real_term_series_and_limit_at_zero(self):
+        rng = random.Random(103)
+        for _ in range(20):
+            q, r = F(rng.randint(-40, 40), rng.randint(1, 9)), F(rng.choice([1, -1, 3]), 4)
+            bound = abs(q) + 1
+            tail = (lambda n, e, r=r, bound=bound: bound * abs(r) ** (n + 1) / (1 - abs(r)) <= e,
+                    lambda eps, r=r, bound=bound: next(
+                        n for n in range(10**4) if bound * abs(r) ** (n + 1) / (1 - abs(r)) <= eps))
+            got = sum_series(lambda n, q=q, r=r: scale(real_of_rat(q), r**n), *tail)
+            want = sum_series_oracle(lambda n, q=q, r=r: scale_oracle(rat_oracle(q), r**n), *tail)
+            at_zero = limit_at_zero(lambda x, apart, q=q: mul(real_of_rat(x + q), exp_rational(x)),
+                                    lambda eps: min(F(1), eps / 64))
+            at_zero_oracle = limit_at_zero_oracle(
+                lambda x, apart, q=q: mul_oracle(rat_oracle(x + q), exp_series_oracle(x)),
+                lambda eps: min(F(1), eps / 64))
+            for eps in self.PRECISIONS[1:]:
+                assert got.approx(eps) == want.approx(eps), (q, r, eps)
+                assert at_zero.approx(eps) == at_zero_oracle.approx(eps), (q, eps)
+
+
+class TestEvaluationWorkBudget:
+    """MAX_SERIES_WORK bounds the walks of one outermost query together."""
+
+    @staticmethod
+    def _walk():
+        # at 2^-1002, 100 terms at p = 1002 + 2 bits(102) + 1 = 1017 bits with
+        # a last ratio of 301 + 309 bits: 100 * 1017 * 3 = 305,100 units
+        return partial_sum((F(1), lambda k: (2**300, 3 * 2**300 * k)), 100)
+
+    def test_walks_of_one_query_share_the_budget(self, monkeypatch):
+        eps = F(1, 2**1000)
+        monkeypatch.setattr(xreal, "MAX_SERIES_WORK", 2 * 305_100 - 1)
+        with pytest.raises(SeriesBudgetError, match="305100 units of work after 305100 in"):
+            add(self._walk(), self._walk()).approx(eps)
+        monkeypatch.setattr(xreal, "MAX_SERIES_WORK", 2 * 305_100)
+        both = add(self._walk(), self._walk())
+        assert both.approx(eps).contains(2 * sum(F(1, 3**k * math.factorial(k))
+                                                 for k in range(101)))
+
+    def test_each_outermost_query_has_its_own_budget(self, monkeypatch):
+        # two queries within the budget alone both answer, but a query made
+        # while another is answered is part of its evaluation
+        monkeypatch.setattr(xreal, "MAX_SERIES_WORK", 305_100)
+        eps = F(1, 2**1002)
+        for x in (self._walk(), self._walk()):
+            x.approx(eps)
+        x, y = self._walk(), self._walk()
+        nested = Real(lambda e: (x.approx(e), y.approx(e))[1])
+        with pytest.raises(SeriesBudgetError, match="after 305100 in this evaluation"):
+            nested.approx(eps)
 
 
 class TestLimitAtZero:
