@@ -12,18 +12,19 @@ would print more than ``MAX_POINT_SUBSETS`` maximal subsets or
 ``MAX_POINTS_PRINTED`` points in them, ``demo heine-borel`` refuses
 (exit 1) a net of more than ``MAX_NET_POINTS`` points, and a precision
 whose decimal exponent exceeds ``MAX_EPS_EXPONENT`` in magnitude is a
-parse error.  The argument parser is built once per process.
+parse error.  argparse is imported, and its parser built from the table
+``GRAMMAR`` that ``_read`` reads, only for an argv ``_read`` refuses.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import cauchy, coverspace, locales, realexpr, spacefile, xreal
 from .finkernel import points_of, shared_points
@@ -242,66 +243,92 @@ def cmd_demo_heine_borel(args) -> int:
     return _emit(doc)
 
 
+# The command line: subcommand -> (help, handler, positionals, options).  A
+# positional is (name, choices or None); an option is (flag, kind, help), its
+# kind "value", "required" (a value that must be given) or "flag" (no value).
+GRAMMAR = {
+    "axioms": ("run axiom checks on a space file", cmd_axioms, [("file", None)], []),
+    "complete": ("compute the completion of a space file", cmd_complete, [("file", None)],
+                 [("--out", "value", "write the completed space file here")]),
+    "reflect": ("compute the regular reflection", cmd_reflect, [("file", None)],
+                [("--out", "value", None)]),
+    "locale": ("frame construction, points (at most "
+               f"{MAX_POINT_SUBSETS} maximal subsets in all) and round trips", cmd_locale,
+               [("action", ["build", "points", "roundtrip"]), ("file", None)], []),
+    "real": ("evaluate an exact real expression", cmd_real,
+             [("action", ["eval"]), ("expression", None)],
+             [("--eps", "required", "target width, e.g. 1/1000000 or 1e-6 "
+               f"(decimal exponent at most {MAX_EPS_EXPONENT} in magnitude)"),
+              ("--bounds", "flag", "also print exact endpoints")]),
+    "demo": ("built-in demonstrations", cmd_demo_heine_borel, [("action", ["heine-borel"])],
+             [("--eps", "required",
+               f"ball radius; the net's ceil(1/eps) + 1 points are at most {MAX_NET_POINTS}")]),
+}
+
+
+def _read(argv) -> SimpleNamespace | None:
+    """argparse's namespace for a well-formed argv, else None: for help, an
+    abbreviation, ``--eps=...``, ``--``, an unknown, missing or extra token,
+    or a value that begins with ``-``.  A token in ``real eval``'s expression
+    place that begins with one ``-``, not ``-h...``, is the expression."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, fn, positionals, options = GRAMMAR[argv[0]]
+    kinds = {flag: kind for flag, kind, _ in options}
+    ns = {"command": argv[0], "fn": fn}
+    ns.update((flag[2:], False if kind == "flag" else None) for flag, kind, _ in options)
+    filled, tokens = 0, iter(argv[1:])
+    for tok in tokens:
+        kind = kinds.get(tok)
+        if kind == "flag":
+            ns[tok[2:]] = True
+        elif kind:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            ns[tok[2:]] = value
+        elif filled < len(positionals):
+            name, choices = positionals[filled]
+            # argparse reads a token that begins with "-", but an expression
+            if tok.startswith(("--", "-h") if name == "expression" else "-") or (
+                    choices and tok not in choices):
+                return None
+            ns[name], filled = tok, filled + 1
+        else:
+            return None
+    if filled < len(positionals) or any(
+            kind == "required" and ns[flag[2:]] is None for flag, kind, _ in options):
+        return None
+    return SimpleNamespace(**ns)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser of GRAMMAR, which prints usage errors and help."""
+    import argparse
+
     p = argparse.ArgumentParser(
-        prog="coverlab",
-        description="Finite cover-space checks and exact real evaluation.",
-    )
+        prog="coverlab", description="Finite cover-space checks and exact real evaluation.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    ax = sub.add_parser("axioms", help="run axiom checks on a space file")
-    ax.add_argument("file")
-    ax.set_defaults(fn=cmd_axioms)
-
-    co = sub.add_parser("complete", help="compute the completion of a space file")
-    co.add_argument("file")
-    co.add_argument("--out", help="write the completed space file here")
-    co.set_defaults(fn=cmd_complete)
-
-    re_ = sub.add_parser("reflect", help="compute the regular reflection")
-    re_.add_argument("file")
-    re_.add_argument("--out")
-    re_.set_defaults(fn=cmd_reflect)
-
-    lo = sub.add_parser(
-        "locale",
-        help="frame construction, points (at most "
-        f"{MAX_POINT_SUBSETS} maximal subsets in all) and round trips",
-    )
-    lo.add_argument("action", choices=["build", "points", "roundtrip"])
-    lo.add_argument("file")
-    lo.set_defaults(fn=cmd_locale)
-
-    rl = sub.add_parser("real", help="evaluate an exact real expression")
-    rl.add_argument("action", choices=["eval"])
-    rl.add_argument("expression")
-    rl.add_argument(
-        "--eps",
-        required=True,
-        help="target width, e.g. 1/1000000 or 1e-6 "
-        f"(decimal exponent at most {MAX_EPS_EXPONENT} in magnitude)",
-    )
-    rl.add_argument("--bounds", action="store_true", help="also print exact endpoints")
-    rl.set_defaults(fn=cmd_real)
-
-    de = sub.add_parser("demo", help="built-in demonstrations")
-    de.add_argument("action", choices=["heine-borel"])
-    de.add_argument(
-        "--eps",
-        required=True,
-        help=f"ball radius; the net's ceil(1/eps) + 1 points are at most {MAX_NET_POINTS}",
-    )
-    de.set_defaults(fn=cmd_demo_heine_borel)
+    for command, (about, fn, positionals, options) in GRAMMAR.items():
+        sp = sub.add_parser(command, help=about)
+        for name, choices in positionals:
+            sp.add_argument(name, choices=choices)
+        for flag, kind, text in options:
+            how = {"action": "store_true"} if kind == "flag" else {"required": kind == "required"}
+            sp.add_argument(flag, help=text, **how)
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:  # argparse reports usage errors itself
-        return int(e.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:  # argparse reports usage errors itself
+            return int(e.code or 0)
     try:
         if "file" not in vars(args):  # real eval, demo heine-borel
             return args.fn(args)

@@ -256,7 +256,7 @@ def _limit_form(form: str, args: tuple[Fraction, ...]) -> Real:
             raise ExprError("geometric ratio must satisfy |r| < 1")
         ratio = a, d = r.numerator, r.denominator
         return xreal.sum_series(
-            terms=(Fraction(1), lambda k: ratio),
+            terms=(Fraction(1), ratio),
             # |r|^(n+1) / (1 - |r|) <= e: the test _geometric_index ends on
             tail_within=lambda n, e: xreal._power_at_most(
                 abs(a), d, n + 1, e.numerator * (d - abs(a)), e.denominator * d),

@@ -535,8 +535,8 @@ def limit(seq: ConvergentSeq) -> Real:
 
 
 # series terms: a Real for each index, or exact terms as t_0 and the ratio
-# with t_k = t_{k-1} * a/d for (a, d) = ratio(k), integers with d > 0
-Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], tuple[int, int]]]
+# with t_k = t_{k-1} * a/d for (a, d) = ratio(k), or ratio itself, and d > 0
+Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], tuple[int, int]] | tuple[int, int]]
 
 
 def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
@@ -547,12 +547,12 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
     Exact terms (t_0, ratio), where 2^growth bounds every product of
     consecutive |ratio(k)|, k <= n (growth 0 serves |ratio| <= 1), carry
     integers l_k <= t_k 2^p <= u_k (Brent, J. ACM 23, 1976; Brent &
-    Zimmermann, Modern Computer Arithmetic, 4.4).  ratio(k) is a pair of
-    integers (a, d), d > 0, in lowest terms or not: each step multiplies
-    by a and floors (for l) or ceils (for u) the division by d, swapping
-    the two first when a < 0, so the bits of a term follow p, not k, and
-    no step builds a Fraction.  A floor and a ceil each lose less than
-    one unit, so e_k = u_k - l_k obeys e_0 <= 1 and
+    Zimmermann, Modern Computer Arithmetic, 4.4).  ratio(k), or ratio for
+    every k, is a pair of integers (a, d), d > 0, in lowest terms or not:
+    each step multiplies by a and floors (for l) or ceils (for u) the
+    division by d, swapping the two first when a < 0, so the bits of a term
+    follow p, not k, and no step builds a Fraction.  A floor and a ceil each
+    lose less than one unit, so e_k = u_k - l_k obeys e_0 <= 1 and
     e_k <= |ratio(k)| e_{k-1} + 2; unrolled, e_k is at most 2 times a sum of
     k + 1 products of consecutive ratios, so e_k <= 2(k+1)G for G = 2^growth.
     The sums of the l_k and u_k, one unit further out for strictness, then
@@ -567,7 +567,8 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
             t0, ratio = terms
             k = -_exponent(eps.numerator, eps.denominator)
             p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
-            a, d = ratio(n) if n else (0, 1)
+            const = isinstance(ratio, tuple)  # one pair for every step, unpacked here
+            a, d = ratio if const else ratio(n) if n else (0, 1)
             q = abs(a).bit_length() + d.bit_length()
             work, spent = n * (p + growth) * (1 + q // 256), _SERIES_WORK.get()
             if spent[0] + work > MAX_SERIES_WORK:
@@ -579,7 +580,8 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
             lo = l = (t0.numerator << p) // t0.denominator
             hi = u = -(-t0.numerator << p) // t0.denominator
             for i in range(1, n + 1):
-                a, d = ratio(i)
+                if not const:
+                    a, d = ratio(i)
                 if a < 0:
                     l, u = u, l
                 l, u = l * a // d, -(-u * a // d)

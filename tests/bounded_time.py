@@ -1,6 +1,7 @@
-"""Hostile and large inputs that the CLI answers in bounded time: row id ->
-(argv, the bytes of the space file whose path ends the argv or None, exit
-code).  ``test_closed_forms.py`` runs each row under 2 s, ``cross_python.py``
+"""Hostile and large inputs that the CLI answers in bounded time, and the
+command lines it reads only through argparse, for a usage error or help:
+row id -> (argv, the bytes of the space file whose path ends the argv or
+None, exit code).  ``test_closed_forms.py`` runs each row under 2 s, ``cross_python.py``
 prints what each gives.  Standard library only, and pytest does not collect it.
 """
 
@@ -135,4 +136,19 @@ BOUNDED_TIME = {
     "deep-nesting-in-covers": (
         ["axioms"], b'{"format": 1, "carrier": 1, "covers": ' + b"[" * 5000 + b"]" * 5000 + b"}", 2
     ),
+    # argparse's usage errors and help, for argvs the reader refuses; no
+    # file is read, so "FILE" names none
+    "usage-empty": ([], None, 2),
+    "usage-help": (["--help"], None, 0),
+    "usage-real-help": (["real", "--help"], None, 0),
+    "usage-locale-h": (["locale", "-h"], None, 0),
+    "usage-locale-spin": (["locale", "spin", "FILE"], None, 2),
+    "usage-real-without-eps": (["real", "eval", "1"], None, 2),
+    "usage-eps-abbreviated": (["real", "eval", "1", "--ep", "1"], None, 0),
+    "usage-eps-equals": (["real", "eval", "1", "--eps=1"], None, 0),
+    "usage-out-without-value": (["complete", "FILE", "--out"], None, 2),
+    "usage-extra-positional": (["axioms", "FILE", "extra"], None, 2),
+    "usage-max-carrier": (["--max-carrier", "4", "locale", "roundtrip", "FILE"], None, 2),
+    # an expression that begins with "-" is the expression, as after "--"
+    "leading-minus-expression": (["real", "eval", "-exp(1)", "--eps", "1"], None, 0),
 }

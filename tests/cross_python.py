@@ -58,6 +58,7 @@ def runs(tmp: str) -> list[tuple[list[str], str | None]]:
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"  # argparse wraps its help to the terminal's width
     with tempfile.TemporaryDirectory() as tmp:
         for argv, out_path in runs(tmp):
             out, err = io.StringIO(), io.StringIO()

@@ -613,8 +613,9 @@ def geometric_oracle(r: Fraction) -> xreal.Real:
 
 def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
     """The fixed-point walk of exact terms with the ratio as a Fraction:
-    (t_0, ratio), ratio(k) a Fraction, its numerator and denominator read
-    per term, on the precision snap_oracle(eps)."""
+    (t_0, ratio), ratio(k) a Fraction or ratio one Fraction for every k,
+    its numerator and denominator read per term, on the precision
+    snap_oracle(eps)."""
 
     def fn(eps: Fraction) -> xreal.RInterval:
         w, (t0, ratio) = snap_oracle(eps), terms
@@ -623,7 +624,7 @@ def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
         lo = l = (t0.numerator << p) // t0.denominator
         hi = u = -(-t0.numerator << p) // t0.denominator
         for i in range(1, n + 1):
-            r = ratio(i)
+            r = ratio if isinstance(ratio, Fraction) else ratio(i)
             a, d = r.numerator, r.denominator
             if a < 0:
                 l, u = u, l

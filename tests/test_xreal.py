@@ -643,6 +643,30 @@ class TestIntegerPaths:
             got = partial_sum((c, pair), n, growth).approx(eps)
             assert got == fixed_point_sum_oracle((c, fraction), n, growth).approx(eps)
 
+    def test_constant_pair_walks_as_its_function(self, monkeypatch):
+        # one pair for every step, or a function giving it: the same
+        # answers as the Fraction walk in both of its forms, and the same
+        # work counted, which a budget of 0 prints when it refuses
+        rng = random.Random(96)
+        for _ in range(200):
+            n = rng.randint(0, 60)
+            eps = F(1, rng.choice([1, 3, 10, 1000, 2**20, 10**9, 7 * 10**30]))
+            c, m = F(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(1, 12)
+            r = F(rng.randint(-39, 39), 40)
+            pair = (r.numerator * m, r.denominator * m)
+            got = partial_sum((c, pair), n).approx(eps)
+            assert got == partial_sum((c, lambda k: pair), n).approx(eps)
+            assert got == fixed_point_sum_oracle((c, r), n).approx(eps)
+            assert got == fixed_point_sum_oracle((c, lambda k: r), n).approx(eps)
+        monkeypatch.setattr(xreal, "MAX_SERIES_WORK", 0)
+        for n, pair in [(1, (9, 10)), (600, (-9, 10)), (40, (3**200, 2**400))]:
+            refusals = []
+            for ratio in (pair, lambda k: pair):
+                with pytest.raises(SeriesBudgetError) as refused:
+                    partial_sum((F(1), ratio), n).approx(F(1, 10**25))
+                refusals.append(str(refused.value))
+            assert refusals[0] == refusals[1]
+
 
 class TestFixedPointSeries:
     """exp_rational and limit(geometric; r), summed from integer term bounds
