@@ -3,8 +3,9 @@
 Subcommands: ``axioms``, ``complete``, ``reflect``, ``locale
 build|points|roundtrip``, ``real eval --eps``, ``demo heine-borel --eps``.
 Reports are printed as JSON; exit code 0 when every check passes, 1 when
-any fails, 2 on usage or parse errors.  ``main`` reads the space file of
-``axioms``, ``complete``, ``reflect`` and ``locale`` once, then prints the
+any fails, 2 on usage or parse errors.  Each handler returns its output,
+which ``_emit`` alone prints.  ``main`` reads the space file of
+``axioms``, ``complete``, ``reflect`` and ``locale`` once, then emits the
 ``covers_valid`` report alone when a cover misses points, or else the
 document that the subcommand makes of the space.  Three bounds keep every
 answer finite: ``locale points`` refuses (exit 1) a frame whose points
@@ -53,21 +54,27 @@ def _report(check: str, ok: bool, witness=None, started: float | None = None) ->
     return out
 
 
-def _emit(doc: dict) -> int:
-    print(spacefile.json_text(doc))
-    return 0 if all(r["verdict"] == "pass" for r in doc["reports"]) else 1
+def _emit(out: str | dict) -> int:
+    """Print a text with exit code 0, or a document with 1 if a report fails."""
+    if isinstance(out, str):
+        print(out)
+        return 0
+    print(spacefile.json_text(out))
+    return 0 if all(r["verdict"] == "pass" for r in out["reports"]) else 1
 
 
 def _load_space(path: str):
     """The space a file presents and its ``covers_valid`` report; the space
     is None when a listed cover misses points of the carrier."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            text = fh.read()
+            text = fh.read().decode("utf-8")
         except UnicodeDecodeError as e:
             raise spacefile.SpaceFileError(
                 f"not UTF-8 text: byte {e.start} cannot be decoded"
             ) from e
+    if "\r" in text:  # end lines as text mode does, so JSON errors keep their lines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     sf = spacefile.parse_spacefile(text)
     t0 = time.perf_counter()
     ok, witness = spacefile.covers_valid(sf)
@@ -157,7 +164,7 @@ def cmd_locale(s, covers: dict, args) -> dict:
             _report("locale_regular", m.is_regular()),
             _report("locale_proper", locales.locale_is_proper(m)),
         ]
-        return {"elements": 1 << len(m.atoms), "reports": reports}
+        return {"elements": m.top + 1, "reports": reports}
     if args.action == "points":
         m = locales.locale_of_space(s)
         sizes = [w.bit_count() for w in m.atoms]
@@ -200,16 +207,16 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
-def cmd_real(args) -> int:
+def cmd_real(args) -> str:
     eps = _parse_eps(args.eps)
     iv = realexpr.eval_expression(args.expression, eps)
-    print(realexpr.format_interval(iv, eps, args.eps))
+    text = realexpr.format_interval(iv, eps, args.eps)
     if args.bounds:
-        print(f"[{realexpr.format_fraction(iv.lo)}, {realexpr.format_fraction(iv.hi)}]")
-    return 0
+        text += f"\n[{realexpr.format_fraction(iv.lo)}, {realexpr.format_fraction(iv.hi)}]"
+    return text
 
 
-def cmd_demo_heine_borel(args) -> int:
+def cmd_demo_heine_borel(args) -> dict:
     eps = _parse_eps(args.eps)
     bound = (eps.denominator + eps.numerator - 1) // eps.numerator + 1  # ceil(1/eps)+1
     if bound > MAX_NET_POINTS:
@@ -226,21 +233,19 @@ def cmd_demo_heine_borel(args) -> int:
         xreal.RInterval(Fraction(-1), Fraction(1, 2)),
         xreal.RInterval(Fraction(3, 5), Fraction(2)),
     ]
+    witness = None
     try:
         xreal.finite_subcover(domain, gapped)
-        reports.append(_report("gap_certificate", False, {"reason": "no gap found"}))
-        witness = None
     except xreal.UncoveredPointError as e:
         witness = str(e.point)
-        reports.append(_report("gap_certificate", True))
-    doc = {
+    reports.append(_report("gap_certificate", witness is not None, {"reason": "no gap found"}))
+    return {
         "eps": args.eps,
         "selected": [[str(lo), str(hi)] for lo, hi in chosen],
         "size_bound": bound,
         "gap_witness": witness,
         "reports": reports,
     }
-    return _emit(doc)
 
 
 # The command line: subcommand -> (help, handler, positionals, options).  A
@@ -331,17 +336,15 @@ def main(argv=None) -> int:
             return int(e.code or 0)
     try:
         if "file" not in vars(args):  # real eval, demo heine-borel
-            return args.fn(args)
+            return _emit(args.fn(args))
         s, covers = _load_space(args.file)
         # a cover missing points leaves no space: its report is the answer
         return _emit(args.fn(s, covers, args) if s is not None else {"reports": [covers]})
-    except (spacefile.SpaceFileError, realexpr.ExprError, OSError) as e:
+    except (ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as e:
-        # computation-level failures (size guards, apartness, preconditions)
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        # parse and file errors exit 2, computation-level failures (size
+        # guards, apartness, preconditions) 1
+        return 2 if isinstance(e, (spacefile.SpaceFileError, realexpr.ExprError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ The tests hold this against the tabulated frame built from the rules.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,7 +90,10 @@ class FiniteLocale:
                       for i, w in enumerate(self.atoms) if w & (w - 1)]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        if self.top >= sys.maxsize:
+            raise OverflowError(f"a frame of {len(self.atoms)} atoms has more elements than "
+                                "len() can return; read top + 1 instead")
+        return self.top + 1
 
     def leq(self, a: int, b: int) -> bool:
         return a & ~b == 0

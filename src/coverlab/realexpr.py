@@ -4,9 +4,10 @@
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | atom
     atom   := NUMBER | '(' expr ')'
-            | 'inv' '(' expr ';' NUMBER ')'
+            | 'inv' '(' expr ';' RATIONAL ')'
             | 'exp' '(' expr ')'
-            | 'limit' '(' NAME (';' NUMBER)* ')'
+            | 'limit' '(' NAME (';' RATIONAL)* ')'
+    RATIONAL := ['-'] NUMBER ['/' NUMBER]
 
 Numbers are integers or exact decimals of at most ``MAX_LITERAL_DIGITS``
 digits; rationals like 1/3 arrive through the division operator, which
@@ -42,30 +43,23 @@ class ExprError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/();]))"
+    r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/();])"
+    r"|(?P<bad>\S))"
 )
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprError(f"unexpected character {stripped[0]!r} at position {pos}")
-        if m.group("num"):
-            if sum(c.isdigit() for c in m.group("num")) > MAX_LITERAL_DIGITS:
-                raise ExprError(f"numeric literal at position {m.start('num')} has more "
-                                f"than {MAX_LITERAL_DIGITS} digits")
-            out.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "bad":
+            # the position where the whitespace before the character begins
+            raise ExprError(f"unexpected character {value!r} at position {m.start()}")
+        if kind == "num" and sum(c.isdigit() for c in value) > MAX_LITERAL_DIGITS:
+            raise ExprError(f"numeric literal at position {m.start(kind)} has more "
+                            f"than {MAX_LITERAL_DIGITS} digits")
+        out.append((kind, value, m.start(kind)))
     return out
 
 
@@ -104,20 +98,13 @@ class Parser:
             raise ExprError(f"trailing {tok[1]!r} at position {tok[2]}")
         return node
 
-    def expr(self):
-        node, depth = self.term(), self.depth
-        while self.peek() and self.peek()[1] in "+-":
+    def expr(self, ops="+-"):
+        """A left-associative level: terms joined by '+ -', or factors by '* /'."""
+        node = self.expr("*/") if ops == "+-" else self.factor()
+        depth = self.depth
+        while self.peek() and self.peek()[1] in ops:
             op = self.take()
-            node = (op[1], node, self.term())
-            depth = self._within(1 + max(depth, self.depth), op)
-        self.depth = depth
-        return node
-
-    def term(self):
-        node, depth = self.factor(), self.depth
-        while self.peek() and self.peek()[1] in "*/":
-            op = self.take()
-            node = (op[1], node, self.factor())
+            node = (op[1], node, self.expr("*/") if ops == "+-" else self.factor())
             depth = self._within(1 + max(depth, self.depth), op)
         self.depth = depth
         return node
@@ -155,18 +142,14 @@ class Parser:
         tok = self.take("name")
         name = tok[1]
         self.take(value="(")
-        if name == "inv":
-            arg = self.expr()
-            self.take(value=";")
-            delta = self.number()
+        if name in ("inv", "exp"):
+            node = (name, self.expr())
+            if name == "inv":  # and its apartness radius
+                self.take(value=";")
+                node += (self.number(),)
             self.take(value=")")
             self.depth = self._within(self.depth + 1, tok)
-            return ("inv", arg, delta)
-        if name == "exp":
-            arg = self.expr()
-            self.take(value=")")
-            self.depth = self._within(self.depth + 1, tok)
-            return ("exp", arg)
+            return node
         if name == "limit":
             form = self.take("name")[1]
             args = []

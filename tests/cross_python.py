@@ -5,10 +5,11 @@ the argv, its standard output and error, its exit code and any ``--out``
 file.  Timing fields (``"ms": ...``) are blanked and the temporary
 directory holding the space files is named ``{tmp}``, so two
 interpreters' outputs compare byte for byte.  The list is the ops of the
-seed-1 ``decide``, ``build`` and ``frames`` decks of ``perfbench`` (space
-files written with ``decks.render_spacefile``), the ``real eval`` ops of
-the seed-1 ``reals`` deck, ``demo heine-borel`` at 1/10, 1/100 and
-1/1000, and the rows of the bounded-time table in ``bounded_time.py``.  It
+four ``perfbench`` decks, ``decide``, ``build``, ``frames`` and ``reals``,
+of seeds 1, 2 and 3 (space files written with ``decks.render_spacefile``),
+``demo heine-borel`` at 1/10, 1/100 and 1/1000, and the rows of the
+bounded-time table in ``bounded_time.py``.  Run under two trees' ``src``,
+the script also checks that a change keeps every output byte for byte.  It
 needs only the standard library; run it from the repository root:
 
     PYTHONPATH=src python3.10 tests/cross_python.py > out-3.10.txt
@@ -38,14 +39,15 @@ def runs(tmp: str) -> list[tuple[list[str], str | None]]:
     """Each argv with the --out file it writes, if any."""
     out = os.path.join(tmp, "out.json")
     got = []
-    for workload in ("decide", "build", "frames"):
-        for op in decks.make_deck(workload, 1):
-            path = os.path.join(tmp, f"{workload}-{op.id}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(decks.render_spacefile(op.n, op.covers))
-            argv = [a.replace("{file}", path).replace("{out}", out) for a in op.argv]
-            got.append((argv, out if "--out" in argv else None))
-    got += [(op.argv, None) for op in decks.make_deck("reals", 1) if op.cmd == "real eval"]
+    for seed in (1, 2, 3):
+        for workload in decks.WORKLOADS:
+            for op in decks.make_deck(workload, seed):
+                path = os.path.join(tmp, f"{workload}-{seed}-{op.id}.json")
+                if op.covers is not None:
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(decks.render_spacefile(op.n, op.covers))
+                argv = [a.replace("{file}", path).replace("{out}", out) for a in op.argv]
+                got.append((argv, out if "--out" in argv else None))
     got += [(["demo", "heine-borel", "--eps", eps], None) for eps in ("1/10", "1/100", "1/1000")]
     for row, (argv, data, _) in BOUNDED_TIME.items():
         if data is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +28,7 @@ from coverlab.finkernel import (
     refines,
     space_from_cover,
 )
+from coverlab.realexpr import MAX_DEPTH, MAX_LITERAL_DIGITS, ExprError
 from coverlab.spacefile import MAX_NESTING, SpaceFileError
 
 # Enumerating all subsets of a carrier is exponential; the cap keeps the
@@ -1008,3 +1010,159 @@ def all_topologies(carrier: Carrier) -> list[FiniteTopologyOracle]:
                 and all(a & b in masks and a | b in masks for a in masks for b in masks)):
             out.append(FiniteTopologyOracle(carrier, family))
     return out
+
+
+# The expression reader as it was before its token scan became one
+# ``finditer`` loop and its two binary levels one ``expr``: the oracle the
+# reader is held against, token for token and message for message.
+_TOKEN_ORACLE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/();]))"
+)
+
+
+def tokenize_oracle(text: str) -> list[tuple[str, str, int]]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_ORACLE.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ExprError(f"unexpected character {stripped[0]!r} at position {pos}")
+        if m.group("num"):
+            if sum(c.isdigit() for c in m.group("num")) > MAX_LITERAL_DIGITS:
+                raise ExprError(f"numeric literal at position {m.start('num')} has more "
+                                f"than {MAX_LITERAL_DIGITS} digits")
+            out.append(("num", m.group("num"), m.start("num")))
+        elif m.group("name"):
+            out.append(("name", m.group("name"), m.start("name")))
+        else:
+            out.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    return out
+
+
+class ParserOracle:
+    """Recursive descent over the grammar of ``coverlab.realexpr``.  Input
+    nested deeper than MAX_DEPTH is refused, counting both the factors open
+    at once (the parser's own recursion) and the depth of the tree built."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize_oracle(text)
+        self.i = 0
+        self.open = 0  # factors being parsed, each inside the one before
+        self.depth = 0  # depth of the subtree parsed last
+
+    def _within(self, depth: int, tok) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprError(f"nesting deeper than {MAX_DEPTH} at position {tok[2]}")
+        return depth
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self, kind=None, value=None):
+        tok = self.peek()
+        if tok is None:
+            raise ExprError("unexpected end of expression")
+        if kind and tok[0] != kind or value and tok[1] != value:
+            raise ExprError(f"unexpected {tok[1]!r} at position {tok[2]}")
+        self.i += 1
+        return tok
+
+    def parse(self):
+        node = self.expr()
+        if self.peek() is not None:
+            tok = self.peek()
+            raise ExprError(f"trailing {tok[1]!r} at position {tok[2]}")
+        return node
+
+    def expr(self):
+        node, depth = self.term(), self.depth
+        while self.peek() and self.peek()[1] in "+-":
+            op = self.take()
+            node = (op[1], node, self.term())
+            depth = self._within(1 + max(depth, self.depth), op)
+        self.depth = depth
+        return node
+
+    def term(self):
+        node, depth = self.factor(), self.depth
+        while self.peek() and self.peek()[1] in "*/":
+            op = self.take()
+            node = (op[1], node, self.factor())
+            depth = self._within(1 + max(depth, self.depth), op)
+        self.depth = depth
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok is None:
+            raise ExprError("unexpected end of expression")
+        self.open = self._within(self.open + 1, tok)
+        if tok[1] == "-":
+            self.take()
+            node = ("neg", self.factor())
+            self.depth = self._within(self.depth + 1, tok)
+        else:
+            node = self.atom()
+        self.open -= 1
+        return node
+
+    def atom(self):
+        tok = self.peek()
+        if tok[0] == "num":
+            self.take()
+            self.depth = 1
+            return ("lit", Fraction(tok[1]))
+        if tok[1] == "(":
+            self.take()
+            node = self.expr()
+            self.take(value=")")
+            return node
+        if tok[0] == "name":
+            return self.call()
+        raise ExprError(f"unexpected {tok[1]!r} at position {tok[2]}")
+
+    def call(self):
+        tok = self.take("name")
+        name = tok[1]
+        self.take(value="(")
+        if name == "inv":
+            arg = self.expr()
+            self.take(value=";")
+            delta = self.number()
+            self.take(value=")")
+            self.depth = self._within(self.depth + 1, tok)
+            return ("inv", arg, delta)
+        if name == "exp":
+            arg = self.expr()
+            self.take(value=")")
+            self.depth = self._within(self.depth + 1, tok)
+            return ("exp", arg)
+        if name == "limit":
+            form = self.take("name")[1]
+            args = []
+            while self.peek() and self.peek()[1] == ";":
+                self.take()
+                args.append(self.number())
+            self.take(value=")")
+            self.depth = 1
+            return ("limit", form, tuple(args))
+        raise ExprError(f"unknown function {name!r}")
+
+    def number(self) -> Fraction:
+        sign = Fraction(1)
+        if self.peek() and self.peek()[1] == "-":
+            self.take()
+            sign = Fraction(-1)
+        tok = self.take("num")
+        value = sign * Fraction(tok[1])
+        if self.peek() and self.peek()[1] == "/":
+            self.take()
+            denom = Fraction(self.take("num")[1])
+            if denom == 0:
+                raise ExprError("zero denominator in literal")
+            value /= denom
+        return value

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -128,6 +129,17 @@ class TestLocaleConstruction:
     def test_two_element_frame_of_point(self):
         m = locale_of_space(indiscrete(1))
         assert len(m) == 2
+
+    def test_len_refuses_past_sys_maxsize(self):
+        # len() returns at most sys.maxsize = 2^k - 1, so a frame of k atoms is
+        # too large for it; top + 1 still counts the elements
+        k = sys.maxsize.bit_length()
+        assert len(locale_of_space(discrete(k - 1))) == 2 ** (k - 1)
+        for n in (k, 70):
+            m = locale_of_space(discrete(n))
+            assert m.top + 1 == 2 ** n
+            with pytest.raises(OverflowError, match=r"read top \+ 1 instead$"):
+                len(m)
 
     def test_distributivity_tabulated(self):
         for s in all_precovers_up_to(2) + [space_from_masks(3, [[0, 1], [1, 2]])]:

@@ -1,8 +1,11 @@
+import itertools
 import random
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 from coverlab import cli, xreal
 from coverlab.realexpr import (
@@ -16,7 +19,8 @@ from coverlab.realexpr import (
     format_interval,
 )
 from coverlab.xreal import RInterval
-from helpers import geometric_index_oracle
+from helpers import ParserOracle, geometric_index_oracle
+from test_fuzz_cli import expressions
 
 
 class TestParsing:
@@ -40,6 +44,57 @@ class TestParsing:
     def test_division_by_exact_zero(self):
         with pytest.raises(ExprError):
             evaluate(Parser("1 / (2 - 2)").parse())
+
+
+def _read(parser, text: str):
+    """The tree a parser class reads from text, or its ExprError's message."""
+    try:
+        return parser(text).parse()
+    except ExprError as e:
+        return str(e)
+
+
+class TestReaderDifferential:
+    """The reader against the form it replaced, ``helpers.ParserOracle``:
+    the same tree, or the same error message with the same position."""
+
+    # two digits, a decimal point, a letter, every operator, three kinds of
+    # space and a character that starts no token
+    ALPHABET = "10.e+-*/(); \t\xa0$"
+
+    def test_every_string_up_to_four_characters(self):
+        for k in range(5):
+            for chars in itertools.product(self.ALPHABET, repeat=k):
+                text = "".join(chars)
+                assert _read(Parser, text) == _read(ParserOracle, text), repr(text)
+
+    @pytest.mark.parametrize("text", [
+        "inv(2; -1/3)", "inv(2 ; 1/0)", "inv(exp(1))", "inv(1; 1; 2)", "exp(1; 2)",
+        "exp(1", "limit(geometric; -9/10)", "limit(inv_n; 1/2; 3)", "limit(2)", "frob(1)",
+        "1" * 4300, "1" * 4301, " 0." + "1" * 4300, "2 *\xa0" + "3" * 4301,
+        "(" * 101 + "1" + ")" * 101, "-" * 101 + "1", "exp(" * 101 + "1" + ")" * 101,
+        # one tree level each below, at and past MAX_DEPTH
+        *(form.format("1" + "+1" * n) for n in (98, 99, 100)
+          for form in ("exp({})", "inv({}; 2)", "-({})", "({})", "({})*2", "2-({})")),
+    ])
+    def test_calls_literals_and_depth(self, text):
+        assert _read(Parser, text) == _read(ParserOracle, text)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(text=expressions())
+    def test_fuzzed_expressions(self, text):
+        assert _read(Parser, text) == _read(ParserOracle, text)
+
+
+class TestHandlersReturnOutput:
+    def test_real_and_demo_print_nothing(self, capsys):
+        args = SimpleNamespace(expression="1/3", eps="1/1000", bounds=True)
+        assert cli.cmd_real(args) == "0.333 ± 1/1000\n[333/1000, 1001/3000]"
+        doc = cli.cmd_demo_heine_borel(SimpleNamespace(eps="1/2"))
+        assert doc["selected"] == [["-1/2", "1/2"], ["0", "1"], ["1/2", "3/2"]]
+        assert doc["gap_witness"] == "1/2"
+        assert [r["verdict"] for r in doc["reports"]] == ["pass"] * 3
+        assert capsys.readouterr() == ("", "")
 
 
 class TestEvaluation:

@@ -329,6 +329,16 @@ class TestHostileFiles:
                 spacefile.parse_spacefile(text(limit))
             assert str(got.value).startswith(at_the_bound)
 
+    @pytest.mark.parametrize("text, line", [
+        ('{"format": 1,\r"carrier": 1,\r"covers": [[[0]]],\r}\r', 4),
+        ('{"format": 1,\r\n"carrier": 1,\r\n"covers": [[[0]]],\r\n}\r\n', 4),
+        ('{"format": 1,\r"carrier": 1,\r\n"covers": [[[0]]]\n,\r}', 5),
+    ], ids=["cr", "crlf", "mixed"])
+    def test_line_ends_count_as_text_mode_reads_them(self, tmp_path, capsys, text, line):
+        # \r and \r\n each end one line, so a JSON error keeps its line number
+        code, err = self._axioms(tmp_path, capsys, text.encode())
+        assert code == 2 and err == f"error: not valid JSON at line {line} column 1\n"
+
     def test_not_utf8(self, tmp_path, capsys):
         code, err = self._axioms(tmp_path, capsys, b"\xff\xfe")
         assert code == 2 and "UTF-8" in err
@@ -469,6 +479,12 @@ class TestCliLocale:
         code = cli.main(["locale", "build", write(tmp_path, "d2.json", DISCRETE2)])
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["elements"] == 4
+
+    def test_build_counts_past_sys_maxsize(self, tmp_path, capsys):
+        doc = {"format": 1, "carrier": 70, "covers": [[[x] for x in range(70)]]}
+        code = cli.main(["locale", "build", write(tmp_path, "d70.json", doc)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["elements"] == 2 ** 70
 
     def test_points(self, tmp_path, capsys):
         code = cli.main(["locale", "points", write(tmp_path, "d2.json", DISCRETE2)])
