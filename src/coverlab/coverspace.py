@@ -66,15 +66,17 @@ def close_masks(n: int, covers: Iterable[Sequence[int]]) -> FiniteCoverSpace:
     The closure under the trivial-cover, refinement, and meet rules is
     generated by the meet of all the covers (no covers: the indiscrete
     structure).  It need not satisfy the regularity axiom.  A meet step
-    past MAX_MEET_PAIRS refuses before forming any of its pairs.
+    past MAX_MEET_PAIRS refuses before forming any of its pairs.  The first
+    cover stands for its own meet with the carrier, so its masks must be
+    distinct and lie in the carrier.
     """
-    acc = [Carrier(n).full_mask]
-    for c in covers:
+    acc: Sequence[int] = [Carrier(n).full_mask]
+    for i, c in enumerate(covers):
         if len(acc) * len(c) > MAX_MEET_PAIRS:
             raise MeetBudgetError(
                 f"meeting {len(acc)} masks with a cover of {len(c)} members forms "
                 f"{len(acc) * len(c)} pairs, more than {MAX_MEET_PAIRS}")
-        acc = distinct_masks([u & v for u in acc for v in c])
+        acc = distinct_masks([u & v for u in acc for v in c]) if i else c
     return generated_space(n, acc)
 
 
@@ -143,9 +145,10 @@ def regular_reflection(s: FiniteCoverSpace) -> FiniteCoverSpace:
     partition is coarser than s exactly when every generator member lies
     inside one block.  The finest is the connected components of the
     overlap graph of the members: each grows from its lowest point by the
-    stars of the points it reaches, each star read once.
+    stars of the points it reaches, each star read once.  A point's new
+    star is its block.
     """
-    blocks = []
+    blocks, star = [], [0] * s.size
     left = s.carrier.full_mask
     while left:
         block, grown = 0, left & -left
@@ -155,7 +158,9 @@ def regular_reflection(s: FiniteCoverSpace) -> FiniteCoverSpace:
                 grown |= s.star[x]
         blocks.append(block)
         left &= ~block
-    return FiniteCoverSpace(s.size, tuple(sorted(blocks)))
+        for x in points_of(block):
+            star[x] = block
+    return FiniteCoverSpace._canonical(s.size, tuple(sorted(blocks)), star)
 
 
 def is_proper(s: FiniteCoverSpace) -> bool:
@@ -299,7 +304,10 @@ def is_cover_map(
 
     Checking y's generator suffices: preimage families of coarser covers
     are coarser.  x's generator refines the preimage family exactly when
-    adding its members leaves the maximal members unchanged.
+    adding its members leaves the maximal members unchanged.  The direct
+    test, each member of x inside some preimage, is quadratic: it took 35 s
+    for ``locale roundtrip`` on 10,000 discrete points (Python 3.11 on a
+    2-vCPU x86-64 VM), where the two walks keep it under its 2 s bound.
     """
     _check_table(f, x, y)
     pre = preimage_masks(f, y)

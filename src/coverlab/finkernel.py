@@ -7,8 +7,9 @@ meet rules is exactly the set of covers refined by the meet of the
 generating covers.  A structure is therefore stored as its canonical
 generator, an ascending tuple of int masks (bit x for point x), with its
 star table: each point's smallest neighbourhood, the union of the members
-holding it.  ``Carrier``, ``Subset`` and ``Cover`` are the API's argument
-and result types, unpacked to masks once at the boundary.
+holding it, filled by the one downward walk that finds the generator.
+``Carrier``, ``Subset`` and ``Cover`` are the API's argument and result
+types, unpacked to masks once at the boundary.
 """
 
 from __future__ import annotations
@@ -223,23 +224,34 @@ def canonicalize(c: Cover) -> Cover:
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
-    """The inclusion-maximal masks of a family, ascending.  A strict
-    superset is larger and holds the subset's lowest point, so walking
-    downward each mask meets only the kept masks at its lowest point, a
-    repeated mask among them its first copy: O(k^2) at worst, O(k) for
-    disjoint or chained masks."""
-    kept: list[int] = []
-    held: dict[int, list[int]] = {}  # point -> kept masks holding it
-    for w in sorted(masks, reverse=True):
+    """The inclusion-maximal masks of a family, ascending."""
+    masks = list(masks)
+    return _walk(max(masks, default=0).bit_length(), masks)[0]
+
+
+def _walk(n: int, masks: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The maximal masks of a family on n points, ascending, and their star
+    table; a mask outside the points is refused.  A strict superset is
+    larger and holds the subset's lowest point, so walking downward each
+    mask meets only the kept masks at its lowest point, a repeated mask
+    among them its first copy: O(k^2) at worst, O(k) for disjoint or
+    chained masks."""
+    ws = sorted(masks, reverse=True)
+    if ws and (ws[0] >> n or ws[-1] < 0):
+        raise ValueError("generator is not an ascending antichain")
+    kept, star = [], [0] * n
+    held: list[list[int]] = [[] for _ in star]  # point -> kept masks holding it
+    for w in ws:
         # the empty mask lies inside every other mask
-        larger = held.get((w & -w).bit_length() - 1, ()) if w else kept
+        larger = held[(w & -w).bit_length() - 1] if w else kept
         if any(w & ~v == 0 for v in larger):
             continue
         kept.append(w)
         for x in points_of(w):
-            held.setdefault(x, []).append(w)
+            held[x].append(w)
+            star[x] |= w
     kept.reverse()
-    return kept
+    return kept, star
 
 
 @dataclass(frozen=True)
@@ -247,28 +259,35 @@ class FiniteCoverSpace:
     """The carrier {0, ..., size-1} with its canonical generator ``masks``,
     an ascending covering antichain, denoting {D : generator refines D}.
     ``star[x]`` is the union of the members holding x; ``carrier`` and
-    ``generator`` are views in the boundary types."""
+    ``generator`` are views in the boundary types.  The constructor checks
+    the masks by the walk that finds a generator and fills its table;
+    generators canonical by construction pass their table to ``_canonical``."""
 
     size: int
     masks: tuple[int, ...]
     star: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        masks, top = tuple(self.masks), Carrier(self.size).full_mask + 1
-        star = [0] * self.size
-        held: list[list[int]] = [[] for _ in star]
-        # downward, as in maximal_masks
-        for w, above in zip(reversed(masks), (top, *reversed(masks))):
-            low = (w & -w).bit_length() - 1
-            if not 0 < w < above or any(w & ~v == 0 for v in held[low]):
-                raise ValueError("generator is not an ascending antichain")
-            for x in points_of(w):
-                held[x].append(w)
-                star[x] |= w
+        masks = tuple(self.masks)
+        kept, star = _walk(Carrier(self.size).size, masks)
+        if kept != list(masks):
+            raise ValueError("generator is not an ascending antichain")
+        self._fill(self.size, masks, star)
+
+    @classmethod
+    def _canonical(cls, n: int, masks: tuple[int, ...], star: Sequence[int]) -> FiniteCoverSpace:
+        """The space on n points of an ascending antichain and its star
+        table, checked only for coverage."""
+        return object.__new__(cls)._fill(n, masks, star)
+
+    def _fill(self, n: int, masks: tuple[int, ...], star: Sequence[int]) -> FiniteCoverSpace:
+        if masks[:1] == (0,):  # the walk keeps the empty mask only alone
+            raise ValueError("generator is not an ascending antichain")
         if not all(star):
             raise ValueError("members do not cover the carrier")
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "star", tuple(star))
+        for name, value in (("size", n), ("masks", masks), ("star", tuple(star))):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def carrier(self) -> Carrier:
@@ -281,7 +300,8 @@ class FiniteCoverSpace:
 
 def generated_space(n: int, masks: Iterable[int]) -> FiniteCoverSpace:
     """The structure on n points generated by a covering family of masks."""
-    return FiniteCoverSpace(n, tuple(maximal_masks(masks)))
+    kept, star = _walk(Carrier(n).size, masks)
+    return FiniteCoverSpace._canonical(n, tuple(kept), star)
 
 
 def space_from_cover(cover: Cover) -> FiniteCoverSpace:
@@ -296,12 +316,14 @@ def space_from_masks(n: int, masks: Iterable[Iterable[int]]) -> FiniteCoverSpace
 
 def discrete(n: int) -> FiniteCoverSpace:
     """All covers are distinguished: generated by the singleton cover."""
-    return FiniteCoverSpace(n, tuple(1 << x for x in range(n)))
+    singletons = tuple(1 << x for x in range(Carrier(n).size))
+    return FiniteCoverSpace._canonical(n, singletons, singletons)
 
 
 def indiscrete(n: int) -> FiniteCoverSpace:
     """Only covers containing the whole carrier: generated by {X}."""
-    return FiniteCoverSpace(n, (Carrier(n).full_mask,))
+    full = Carrier(n).full_mask
+    return FiniteCoverSpace._canonical(n, (full,), (full,) * n)
 
 
 def pair_index(i: int, j: int, ny: int) -> int:
@@ -317,8 +339,8 @@ def product(x: FiniteCoverSpace, y: FiniteCoverSpace) -> FiniteCoverSpace:
     is a bare precover), the regular reflection is applied.
     """
     rows = [[pair_index(i, 0, y.size) for i in points_of(u)] for u in x.masks]
-    members = sorted(sum(v << r for r in row) for row in rows for v in y.masks)
-    result = FiniteCoverSpace(x.size * y.size, tuple(members))
+    members = (sum(v << r for r in row) for row in rows for v in y.masks)
+    result = generated_space(x.size * y.size, members)
     from . import coverspace  # late import: reflection lives upstream
 
     if not coverspace.satisfies_cr(result):

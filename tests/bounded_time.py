@@ -110,6 +110,11 @@ BOUNDED_TIME = {
     "points-two-blocks-of-1000": (["locale", "points"], _TWO_BLOCKS_1000, 1),
     "axioms-star-10000": (["axioms"], _STAR_10000, 1),
     "build-star-10000": (["locale", "build"], _STAR_10000, 0),
+    # the same file reflected to one block of 10,000 points, and completed
+    # to that block's one point: a walk over 9,999 wide masks and a star
+    # table of 10,000 points each
+    "complete-star-10000": (["complete"], _STAR_10000, 0),
+    "reflect-star-10000": (["reflect"], _STAR_10000, 0),
     # the tail test compares |r|^(n+1) to a few bits instead of building it
     # (27.9M bits at 1e-1000); past xreal.MAX_SERIES_WORK, which counts the
     # ratio's bits, the walk refuses before its first step

@@ -112,6 +112,26 @@ def maximal_masks_grouped(masks) -> list[int]:
     return kept
 
 
+def star_table_oracle(n: int, masks) -> tuple[int, ...]:
+    """The star table of an ascending covering antichain on n points, by
+    the check ``FiniteCoverSpace`` ran before it shared the generator's
+    walk: each mask downward against the masks above it and the checked
+    masks holding its lowest point.  Raises the constructor's ValueError."""
+    masks, top = tuple(masks), Carrier(n).full_mask + 1
+    star = [0] * n
+    held: list[list[int]] = [[] for _ in star]
+    for w, above in zip(reversed(masks), (top, *reversed(masks))):
+        low = (w & -w).bit_length() - 1
+        if not 0 < w < above or any(w & ~v == 0 for v in held[low]):
+            raise ValueError("generator is not an ascending antichain")
+        for x in points_of(w):
+            held[x].append(w)
+            star[x] |= w
+    if not all(star):
+        raise ValueError("members do not cover the carrier")
+    return tuple(star)
+
+
 def rather_below_scan(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
     """Rather-below by the member scan: every generator member meeting v
     lies inside u."""

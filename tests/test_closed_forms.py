@@ -1,8 +1,8 @@
 """The closed forms of the finite kernel against their definition-level
 oracles: regularity, separation, embeddings, filter regularity,
 completeness, completion, the regular reflection, the CLI witnesses, the
-lowest-point antichain walk, the star table, the induced topology's
-neighbourhood table and the pruned meet of a subbase.  Exhaustive up to
+lowest-point antichain walk, the star table that walk fills, the induced
+topology's neighbourhood table and the pruned meet of a subbase.  Exhaustive up to
 carrier size 4, seeded random cases above.  Last, the table of hostile and large
 inputs that the CLI answers in bounded time, and a count of the ``Subset``
 values the CLI builds."""
@@ -52,6 +52,7 @@ from coverlab.finkernel import (
     refines,
     transfer,
 )
+from coverlab.locales import locale_of_space, point_space
 from helpers import (
     FiniteTopologyOracle,
     all_families,
@@ -77,6 +78,7 @@ from helpers import (
     rather_below_scan,
     regular_reflection_oracle,
     satisfies_cr_oracle,
+    star_table_oracle,
     strongly_rather_below_oracle,
     to_topology_oracle,
     topology_from_opens,
@@ -374,6 +376,119 @@ class TestStarTable:
                       (0, 0b111), (0b001, 0b011, 0b110), (0b011, 0b1100)]:
             with pytest.raises(ValueError):
                 finkernel.FiniteCoverSpace(3, masks)
+
+
+def _oracle_answer(n, masks):
+    """The star table the oracle gives for masks, or its error message."""
+    try:
+        return star_table_oracle(n, masks)
+    except ValueError as e:
+        return str(e)
+
+
+def _built_answer(build, n, masks):
+    try:
+        return build(n, masks)
+    except ValueError as e:
+        return str(e)
+
+
+def _checked_answer(n, masks):
+    """The star table of the checked constructor, or its error message."""
+    got = _built_answer(finkernel.FiniteCoverSpace, n, masks)
+    return got if isinstance(got, str) else got.star
+
+
+def _scanned_stars(s):
+    return tuple(neighborhood_base_scan(s, x).mask for x in s.carrier.elements())
+
+
+def _check_generated(n, masks):
+    """generated_space against the maximal-masks oracle and the member
+    scan, or its refusal against the oracle's."""
+    maximal = maximal_masks_oracle(masks)
+    got = _built_answer(finkernel.generated_space, n, masks)
+    expected = _oracle_answer(n, maximal)
+    if isinstance(got, str):
+        assert got == expected
+    else:
+        assert list(got.masks) == maximal
+        assert got.star == _scanned_stars(got) == expected
+
+
+def _check_constructor(n, masks):
+    """The checked constructor against the walk it used to run."""
+    assert _checked_answer(n, masks) == _oracle_answer(n, masks)
+
+
+def _seeded_families(rng, n, count):
+    """Families of masks on n points, nested half the time, with repeats
+    and empty masks."""
+    out = []
+    for _ in range(count):
+        k = rng.randint(0, 40)
+        if rng.random() < 0.5:
+            masks = [rng.getrandbits(rng.randint(0, n)) for _ in range(k)]
+        else:
+            masks = [rng.getrandbits(n) for _ in range(k)]
+        masks += rng.choices(masks, k=min(k, 3)) + [0] * rng.randint(0, 1)
+        if rng.random() < 0.5:  # a covering family
+            masks.append(((1 << n) - 1) & ~finkernel.union(masks))
+        rng.shuffle(masks)
+        out.append(masks)
+    return out
+
+
+class TestOneWalk:
+    """The walk that finds a generator and fills its star table at once,
+    and the spaces whose tables are written down by construction."""
+
+    def test_every_family_up_to_four_points(self):
+        # the empty mask and non-antichains included; each family ascending,
+        # and with its lowest mask repeated at the end for generated_space
+        for n in range(1, 5):
+            for family in range(1 << (1 << n)):
+                masks = points_of(family)
+                _check_generated(n, masks + masks[:1])
+                _check_constructor(n, masks)
+
+    def test_seeded_five_to_twelve_points(self):
+        rng = random.Random(318)
+        for _ in range(150):
+            n = rng.randint(5, 12)
+            for masks in _seeded_families(rng, n, 10):
+                _check_generated(n, masks)
+                _check_constructor(n, masks)
+                _check_constructor(n, sorted(set(masks)))
+
+    def test_seeded_wide_carriers(self):
+        rng = random.Random(319)
+        for n in (200, 700, 2000):
+            for masks in _seeded_families(rng, n, 3):
+                _check_generated(n, masks)
+                _check_constructor(n, sorted(set(masks)))
+
+    def test_a_mask_outside_the_carrier_is_refused(self):
+        for masks in [(0b1000,), (0b001, 0b110, 0b1000), (-1,), (0b111, -0b10)]:
+            for build in (finkernel.generated_space, finkernel.FiniteCoverSpace):
+                with pytest.raises(ValueError, match="not an ascending antichain"):
+                    build(3, masks)
+
+    def test_tables_written_by_construction(self):
+        rng = random.Random(320)
+        spaces = [*PRECOVERS_4, *_random_cases(321), discrete(300), indiscrete(300)]
+        spaces += [discrete(n) for n in range(1, 13)] + [indiscrete(n) for n in range(1, 13)]
+        for s in spaces:
+            built = [s, regular_reflection(s)]
+            if satisfies_cr(s):
+                built.append(completion(s).structure)
+                built.append(point_space(locale_of_space(s)))
+            for t in built:
+                assert t.star == _scanned_stars(t) == star_table_oracle(t.size, t.masks)
+        wide = [random_precover_space(rng, 200) for _ in range(3)]
+        for s in wide:
+            t = regular_reflection(s)
+            assert t.star == _scanned_stars(t) == star_table_oracle(t.size, t.masks)
 
 
 def _check_strong_relation(s, pairs):

@@ -107,6 +107,16 @@ class TestCloseSubbase:
         # a single cover of MAX_MEET_PAIRS members answers
         assert close_masks(20_000, [[1 << x for x in range(20_000)]]) == discrete(20_000)
 
+    def test_first_cover_is_held_to_the_budget(self):
+        # the first cover is taken without a meet, but not without the check
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("a cover past the budget was read")
+
+        with pytest.raises(MeetBudgetError, match="^meeting 1 masks with a cover of 20001 "
+                           "members forms 20001 pairs, more than 20000$"):
+            close_masks(30, [Unread([1] * 20_001)])
+
 
 class TestIsCauchy:
     def test_examples(self):
