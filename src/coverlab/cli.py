@@ -209,10 +209,10 @@ def _parse_eps(text: str) -> Fraction:
 
 def cmd_real(args) -> str:
     eps = _parse_eps(args.eps)
-    iv = realexpr.eval_expression(args.expression, eps)
-    text = realexpr.format_interval(iv, eps, args.eps)
+    lo, hi, den = ans = realexpr.answer(args.expression, eps)
+    text = realexpr.format_interval(ans, eps, args.eps)
     if args.bounds:
-        text += f"\n[{realexpr.format_fraction(iv.lo)}, {realexpr.format_fraction(iv.hi)}]"
+        text += f"\n[{realexpr.format_ratio(lo, den)}, {realexpr.format_ratio(hi, den)}]"
     return text
 
 
@@ -224,7 +224,7 @@ def cmd_demo_heine_borel(args) -> dict:
                          f"more than {MAX_NET_POINTS}")
     domain = xreal.RInterval(Fraction(0), Fraction(1))
     t0 = time.perf_counter()
-    chosen = xreal.ball_subcover(domain, eps)
+    chosen, d = xreal.ball_subcover(domain, eps)
     reports = [
         _report("subcover_covers", True, None, t0),
         _report("subcover_size_bound", len(chosen) <= bound, {"size": len(chosen)}),
@@ -241,7 +241,8 @@ def cmd_demo_heine_borel(args) -> dict:
     reports.append(_report("gap_certificate", witness is not None, {"reason": "no gap found"}))
     return {
         "eps": args.eps,
-        "selected": [[str(lo), str(hi)] for lo, hi in chosen],
+        "selected": [[realexpr.format_ratio(lo, d), realexpr.format_ratio(hi, d)]
+                     for lo, hi in chosen],
         "size_bound": bound,
         "gap_witness": witness,
         "reports": reports,

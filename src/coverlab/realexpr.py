@@ -10,11 +10,12 @@
     RATIONAL := ['-'] NUMBER ['/' NUMBER]
 
 Numbers are integers or exact decimals of at most ``MAX_LITERAL_DIGITS``
-digits; rationals like 1/3 arrive through the division operator, which
-folds exactly on rational operands.  Division by a non-literal denominator
-searches for an apartness witness.  Supported limit forms:
-``limit(inv_n)`` (the sequence 1/n) and ``limit(geometric; r)`` (the
-geometric series at ratio r, |r| < 1, summed from its ratio).
+digits, read with int(); rationals like 1/3 arrive through the division
+operator, which folds exactly on rational operands.  Division by a
+non-literal denominator searches for an apartness witness.  Supported limit
+forms: ``limit(inv_n)`` (the sequence 1/n) and ``limit(geometric; r)`` (the
+geometric series at ratio r, |r| < 1, summed from its ratio).  ``answer``
+gives xreal's triple (lo, hi, den), which the formatters print on integers.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ APARTNESS_FLOOR = Fraction(1, 2**60)
 # The parser, ``evaluate`` and the answers' queries each recurse once per
 # level of nesting, against the interpreter's limit of about 1000 frames.
 MAX_DEPTH = 100
-# Fraction reads a literal through int(), which refuses more digits than
-# the interpreter's int-to-str limit, 4300 by default from Python 3.11 on.
+# A literal is read through int(), which refuses more digits than the
+# interpreter's int-to-str limit, 4300 by default from Python 3.11 on.
 MAX_LITERAL_DIGITS = 4300
 # rational operands fold exactly
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -128,7 +129,7 @@ class Parser:
         if tok[0] == "num":
             self.take()
             self.depth = 1
-            return ("lit", Fraction(tok[1]))
+            return ("lit", literal(tok[1]))
         if tok[1] == "(":
             self.take()
             node = self.expr()
@@ -162,19 +163,20 @@ class Parser:
         raise ExprError(f"unknown function {name!r}")
 
     def number(self) -> Fraction:
-        sign = Fraction(1)
-        if self.peek() and self.peek()[1] == "-":
-            self.take()
-            sign = Fraction(-1)
-        tok = self.take("num")
-        value = sign * Fraction(tok[1])
+        negative = bool(self.peek() and self.peek()[1] == "-" and self.take())
+        value = literal(self.take("num")[1])
         if self.peek() and self.peek()[1] == "/":
             self.take()
-            denom = Fraction(self.take("num")[1])
-            if denom == 0:
+            if (denom := literal(self.take("num")[1])) == 0:
                 raise ExprError("zero denominator in literal")
             value /= denom
-        return value
+        return -value if negative else value
+
+
+def literal(text: str) -> Fraction:
+    """Fraction(text) for a number token: its digits over a power of ten."""
+    whole, _, frac = text.partition(".")
+    return Fraction(int(whole + frac), 10 ** len(frac))
 
 
 def evaluate(node) -> Fraction | Real:
@@ -256,33 +258,35 @@ def _geometric_index(r: Fraction, eps: Fraction) -> int:
     return max(1, xreal.least_power(a, d, eps.numerator * (d - a), eps.denominator * d)) - 1
 
 
-def eval_expression(text: str, eps) -> xreal.RInterval:
-    """Parse and evaluate, returning one interval at the given precision."""
-    value = evaluate(Parser(text).parse())
-    return _to_real(value).approx(eps)
+def answer(text: str, eps: Fraction) -> xreal.Answer:
+    """Parse and evaluate, returning the answer (lo, hi, den) for the interval
+    (lo/den, hi/den) at the positive precision eps."""
+    return _to_real(evaluate(Parser(text).parse()))._get((eps.numerator, eps.denominator))
 
 
-def format_interval(iv: xreal.RInterval, eps: Fraction, eps_text: str) -> str:
-    """Exact-decimal rendering: midpoint rounded to enough digits that the
-    printed value plus-minus eps still encloses the interval.  The digit
-    count, least d with 10**d * eps >= 1, steps up from a lower bound read
-    off the bit lengths (1233/4096 < log10 2)."""
-    num, den = eps.numerator, eps.denominator
-    digits = max(0, (den.bit_length() - num.bit_length() - 1) * 1233 >> 12)
-    while 10**digits * num < den:
+def format_interval(ans: xreal.Answer, eps: Fraction, eps_text: str) -> str:
+    """Exact-decimal rendering of the answer (lo, hi, den): its midpoint
+    (lo + hi) / (2 den) rounded, half up, to enough digits that the printed
+    value plus-minus eps still encloses the interval.  The digit count,
+    least d with 10**d * eps >= 1, steps up from a lower bound read off the
+    bit lengths (1233/4096 < log10 2)."""
+    lo, hi, den = ans
+    num, eden = eps.numerator, eps.denominator
+    digits = max(0, (eden.bit_length() - num.bit_length() - 1) * 1233 >> 12)
+    while 10**digits * num < eden:
         digits += 1
-    scaled = iv.midpoint * 10**digits
-    rounded = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+    rounded = ((lo + hi) * 10**digits + den) // (2 * den)
     whole, frac = divmod(abs(rounded), 10**digits)
     text = "-" * (rounded < 0) + decimal_digits(whole)
     tail = f".{decimal_digits(frac).zfill(digits)}" if digits else ""
     return f"{text}{tail} ± {eps_text}"
 
 
-def format_fraction(q: Fraction) -> str:
-    """str(q), its integers printed by decimal_digits."""
-    text = decimal_digits(q.numerator)
-    return text if q.denominator == 1 else f"{text}/{decimal_digits(q.denominator)}"
+def format_ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, its integers printed by decimal_digits."""
+    g = math.gcd(n, d)
+    text = decimal_digits(n // g)
+    return text if g == d else f"{text}/{decimal_digits(d // g)}"
 
 
 def decimal_digits(n: int) -> str:

@@ -4,13 +4,13 @@ A real is a function from a positive rational precision to an open
 rational interval of width at most that precision; all answers of one real
 pairwise overlap, and the number denoted sits strictly inside every
 answer.  No floating point enters this module.  Inside it an answer is an
-integer triple (lo, hi, den), den > 0, for (lo/den, hi/den), as in Boehm's
-constructive reals (LFP 1986; J. Logic and Algebraic Programming 64, 2005).
-Constructors answer exactly; combinators query their arguments at powers
-of two, so nearby requests share cached answers, and floor and ceil onto a
-grid 2^k, so their answers are integers over a power of two whose sizes
-follow the precision, not the depth of the expression.  ``Real.approx`` is
-the boundary, where the Fractions of an ``RInterval`` are built.
+integer triple (lo, hi, den), den > 0, for (lo/den, hi/den), at a precision
+n/d asked as the pair (n, d) in lowest terms, after Boehm's constructive
+reals (LFP 1986; J. Logic and Algebraic Programming 64, 2005).  Combinators
+ask their arguments at powers of two, so nearby requests share cached
+answers, and round out onto a grid 2^k sized by the precision, not by the
+depth of the expression.  Fractions are built at the boundary only:
+``Real.approx``, ``Real(fn)``'s fn, the callables of the limits and series.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ class RInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, q: Fraction) -> bool:
         return self.lo < q < self.hi
 
@@ -121,7 +117,8 @@ class RInterval:
 
 class Real:
     """A number presented by its precision-indexed interval answers:
-    ``approx`` answers an RInterval, ``_get`` the triple, and ``fn`` either.
+    ``approx`` answers an RInterval, ``_get`` the triple at a pair (n, d),
+    and ``fn`` either at the Fraction n/d, or at the pair if ``pairs``.
     Each new answer is checked by integer cross-products for width and for
     overlap with the narrowest so far, then cached.  The outermost query in a
     context opens the evaluation MAX_SERIES_WORK bounds."""
@@ -129,9 +126,9 @@ class Real:
     __slots__ = ("_fn", "_cache", "_lock", "_narrowest", "_name")
 
     def __init__(self, fn: Callable[[Fraction], RInterval | Answer],
-                 name: str | Callable[[], str] = "real"):
-        self._fn = fn
-        self._cache: dict[Fraction, Answer] = {}
+                 name: str | Callable[[], str] = "real", pairs: bool = False):
+        self._fn = fn if pairs else lambda eps: fn(Fraction(*eps))
+        self._cache: dict[tuple[int, int], Answer] = {}
         self._lock = threading.Lock()
         self._narrowest: Answer | None = None
         self._name = name
@@ -146,9 +143,9 @@ class Real:
         eps = rat(eps)
         if eps <= 0:
             raise ValueError("precision must be positive")
-        return _interval(*self._get(eps))
+        return _interval(*self._get((eps.numerator, eps.denominator)))
 
-    def _get(self, eps: Fraction) -> Answer:
+    def _get(self, eps: tuple[int, int]) -> Answer:
         if _SERIES_WORK.get() is None:
             token = _SERIES_WORK.set([0])
             try:
@@ -163,9 +160,9 @@ class Real:
             ans = (a.numerator * b.denominator, b.numerator * a.denominator,
                    a.denominator * b.denominator)
         lo, hi, den = ans
-        if (hi - lo) * eps.denominator > eps.numerator * den:
+        if (hi - lo) * eps[1] > eps[0] * den:
             raise InvariantError(f"{self.name}: answer {_interval(*ans)} wider than "
-                                 f"requested {eps}")
+                                 f"requested {Fraction(*eps)}")
         with self._lock:
             n = self._narrowest or ans
             if not (lo * n[2] < n[1] * den and n[0] * den < hi * n[2]):
@@ -188,9 +185,8 @@ def real_of_rat(q) -> Real:
     """q -+ eps/3, exactly over 3 q.den eps.den."""
     q = rat(q)
     n, d = 3 * q.numerator, q.denominator
-    return Real(lambda eps: (n * eps.denominator - d * eps.numerator,
-                             n * eps.denominator + d * eps.numerator, 3 * d * eps.denominator),
-                name=lambda: f"rat({q})")
+    return Real(lambda eps: (n * eps[1] - d * eps[0], n * eps[1] + d * eps[0], 3 * d * eps[1]),
+                name=lambda: f"rat({q})", pairs=True)
 
 
 class Side(Enum):
@@ -369,15 +365,14 @@ def _exponent(n: int, d: int) -> int:
     return k - (n << -k < d if k < 0 else n < d << k)
 
 
-@functools.lru_cache(maxsize=256)
-def _power_of_two(k: int) -> Fraction:
-    """2^k, a precision queried: one object per k, found by identity."""
-    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
+def _power_of_two(k: int) -> tuple[int, int]:
+    """2^k as a precision pair, in lowest terms."""
+    return (1 << k, 1) if k >= 0 else (1, 1 << -k)
 
 
-def _grid(eps: Fraction) -> int:
+def _grid(eps: tuple[int, int]) -> int:
     """The k of the grid 2^k, the largest power of two at most eps/4."""
-    return _exponent(eps.numerator, 4 * eps.denominator)
+    return _exponent(eps[0], 4 * eps[1])
 
 
 def _round_out(lo: int, hi: int, den: int, k: int) -> Answer:
@@ -397,21 +392,21 @@ def _pad(lo: int, hi: int, den: int, j: int) -> Answer:
 
 
 def add(x: Real, y: Real) -> Real:
-    def fn(eps: Fraction) -> Answer:
+    def fn(eps: tuple[int, int]) -> Answer:
         k = _grid(eps)
         alo, ahi, ad = x._get(_power_of_two(k))
         blo, bhi, bd = y._get(_power_of_two(k))
         return _round_out(alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd, k)
 
-    return Real(fn, name=lambda: f"({x.name}+{y.name})")
+    return Real(fn, name=lambda: f"({x.name}+{y.name})", pairs=True)
 
 
 def neg(x: Real) -> Real:
-    def fn(eps: Fraction) -> Answer:
+    def fn(eps: tuple[int, int]) -> Answer:
         lo, hi, den = x._get(eps)
         return -hi, -lo, den
 
-    return Real(fn, name=lambda: f"(-{x.name})")
+    return Real(fn, name=lambda: f"(-{x.name})", pairs=True)
 
 
 def sub(x: Real, y: Real) -> Real:
@@ -425,12 +420,12 @@ def scale(x: Real, c) -> Real:
         return real_of_rat(0)
     cn, cd, twice = c.numerator, c.denominator, 2 * abs(c.numerator)
 
-    def fn(eps: Fraction) -> Answer:  # x at eps/(2|c|)
-        lo, hi, den = x._get(_power_of_two(_exponent(eps.numerator * cd, twice * eps.denominator)))
+    def fn(eps: tuple[int, int]) -> Answer:  # x at eps/(2|c|)
+        lo, hi, den = x._get(_power_of_two(_exponent(eps[0] * cd, twice * eps[1])))
         lo, hi = (lo * cn, hi * cn) if cn > 0 else (hi * cn, lo * cn)
         return _round_out(lo, hi, den * cd, _grid(eps))
 
-    return Real(fn, name=lambda: f"({c}*{x.name})")
+    return Real(fn, name=lambda: f"({c}*{x.name})", pairs=True)
 
 
 def mul(x: Real, y: Real) -> Real:
@@ -438,8 +433,8 @@ def mul(x: Real, y: Real) -> Real:
     factor, and the precision split charges each factor with the other's
     bound plus one, within half the width; the rounding takes the rest."""
 
-    def fn(eps: Fraction) -> Answer:
-        en, ed = eps.numerator, eps.denominator
+    def fn(eps: tuple[int, int]) -> Answer:
+        en, ed = eps
         (bxn, bxd), (byn, byd) = _magnitude_bound(x), _magnitude_bound(y)
         # each factor at min(1, eps / (4 (b + 1))), b the other's bound
         alo, ahi, ad = x._get(_power_of_two(min(0, _exponent(en * byd, 4 * ed * (byn + byd)))))
@@ -447,7 +442,7 @@ def mul(x: Real, y: Real) -> Real:
         products = alo * blo, alo * bhi, ahi * blo, ahi * bhi
         return _round_out(min(products), max(products), ad * bd, _grid(eps))
 
-    return Real(fn, name=lambda: f"({x.name}*{y.name})")
+    return Real(fn, name=lambda: f"({x.name}*{y.name})", pairs=True)
 
 
 def _magnitude_bound(x: Real) -> tuple[int, int]:
@@ -469,19 +464,19 @@ def inv(x: Real, delta) -> Real:
     if delta <= 0:
         raise ValueError("apartness radius must be positive")
     dn, dd = delta.numerator, delta.denominator
-    wlo, whi, wd = x._get(delta)
+    wlo, whi, wd = x._get((dn, dd))
     if not (wlo * dd >= dn * wd or whi * dd <= -dn * wd):
         raise ApartnessError(_interval(wlo, whi, wd), delta)
 
-    def fn(eps: Fraction) -> Answer:
-        en, ed = eps.numerator, eps.denominator
+    def fn(eps: tuple[int, int]) -> Answer:
+        en, ed = eps
         glo, ghi, gd = x._get(_power_of_two(_exponent(en * dn * dn, dd * (2 * ed * dd + en * dn))))
         ln, ld = (glo, gd) if glo * wd >= wlo * gd else (wlo, wd)
         hn, hd = (ghi, gd) if ghi * wd <= whi * gd else (whi, wd)
         # 1/hi and 1/lo over hn * ln, positive: both ends have the witness's sign
         return _round_out(hd * ln, ld * hn, hn * ln, _grid(eps))
 
-    return Real(fn, name=lambda: f"inv({x.name};{delta})")
+    return Real(fn, name=lambda: f"inv({x.name};{delta})", pairs=True)
 
 
 def find_apartness(x: Real, eps_floor) -> Fraction | None:
@@ -526,12 +521,12 @@ def limit(seq: ConvergentSeq) -> Real:
     at s, pad by the convergence slack s/2 and round; the term and the
     padding take half the width, the rounding the other half."""
 
-    def fn(eps: Fraction) -> Answer:
+    def fn(eps: tuple[int, int]) -> Answer:
         k = _grid(eps)
         s = _power_of_two(k)
-        return _round_out(*_pad(*seq.terms(seq.modulus(s))._get(s), k - 1), k)
+        return _round_out(*_pad(*seq.terms(seq.modulus(Fraction(*s)))._get(s), k - 1), k)
 
-    return Real(fn, name="limit")
+    return Real(fn, name="limit", pairs=True)
 
 
 # series terms: a Real for each index, or exact terms as t_0 and the ratio
@@ -562,10 +557,10 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
     before its first step.
     """
 
-    def fn(eps: Fraction) -> Answer:
+    def fn(eps: tuple[int, int]) -> Answer:
         if isinstance(terms, tuple):
             t0, ratio = terms
-            k = -_exponent(eps.numerator, eps.denominator)
+            k = -_exponent(*eps)
             p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
             const = isinstance(ratio, tuple)  # one pair for every step, unpacked here
             a, d = ratio if const else ratio(n) if n else (0, 1)
@@ -587,14 +582,14 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
                 l, u = l * a // d, -(-u * a // d)
                 lo, hi = lo + l, hi + u
             return lo - 1, hi + 1, 1 << p
-        j = _exponent(eps.numerator, 2 * (n + 1) * eps.denominator)
+        j = _exponent(eps[0], 2 * (n + 1) * eps[1])
         lo = hi = 0
         for i in range(n + 1):
             l, h, den = _round_out(*terms(i)._get(_power_of_two(j)), j)
             lo, hi = lo + l, hi + h
         return lo, hi, den
 
-    return Real(fn, name=lambda: f"partial_sum({n})")
+    return Real(fn, name=lambda: f"partial_sum({n})", pairs=True)
 
 
 def sum_series(
@@ -630,12 +625,12 @@ def sum_series(
     if not isinstance(terms, tuple):
         return limit(ConvergentSeq(lambda n: partial_sum(terms, n), lambda eps: index(eps / 4)))
 
-    def fn(eps: Fraction) -> Answer:
+    def fn(eps: tuple[int, int]) -> Answer:
         k = _grid(eps)
-        n = index(_power_of_two(k - 2))
+        n = index(Fraction(*_power_of_two(k - 2)))
         return _round_out(*_pad(*partial_sum(terms, n, growth)._get(_power_of_two(k)), k - 2), k)
 
-    return Real(fn, name="series")
+    return Real(fn, name="series", pairs=True)
 
 
 def exp_rational(q) -> Real:
@@ -664,15 +659,15 @@ def exp_real(x: Real) -> Real:
     b = n // d + 2
     _, gn, gd = exp_rational(b)._get(_power_of_two(0))  # g = gn/gd
 
-    def fn(eps: Fraction) -> Answer:
-        en, ed = eps.numerator, eps.denominator
+    def fn(eps: tuple[int, int]) -> Answer:
+        en, ed = eps
         alo, ahi, ad = x._get(_power_of_two(min(0, _exponent(en * gd, 4 * ed * gn))))
         e = _power_of_two(_exponent(en, 8 * ed))
         lo, _, ld = exp_rational(Fraction(alo, ad))._get(e)
         _, hi, hd = exp_rational(Fraction(ahi, ad))._get(e)
         return _round_out(lo * hd, hi * ld, ld * hd, _grid(eps))
 
-    return Real(fn, name=lambda: f"exp({x.name})")
+    return Real(fn, name=lambda: f"exp({x.name})", pairs=True)
 
 
 def _factorial_tail(b: int) -> Callable[[int, Fraction], bool]:
@@ -793,13 +788,13 @@ def ball_cover(domain: RInterval, eps) -> list[RInterval]:
     return [RInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(los, his)]
 
 
-def ball_subcover(domain: RInterval, eps) -> list[tuple[Fraction, Fraction]]:
+def ball_subcover(domain: RInterval, eps) -> tuple[list[tuple[int, int]], int]:
     """The ends of the balls finite_subcover(domain, ball_cover(domain, eps))
-    picks, swept on numerators over the balls' denominator d, a multiple of
-    the domain's: Fractions are built only for the balls picked."""
+    picks, as integer numerators over the balls' denominator d, a multiple
+    of the domain's, and d: swept on the numerators, with no Fraction built."""
     los, his, d = _balls(domain, eps)
     ends = (x.numerator * d // x.denominator for x in (domain.lo, domain.hi))
-    return [(Fraction(los[i], d), Fraction(his[i], d)) for i in _sweep(*ends, los, his)]
+    return [(los[i], his[i]) for i in _sweep(*ends, los, his)], d
 
 
 def finite_subcover(domain: RInterval, cover: Sequence[RInterval]) -> list[RInterval]:
@@ -849,12 +844,12 @@ def limit_at_zero(
     s/2 and rounds outward, as ``limit`` does.
     """
 
-    def fn(eps: Fraction) -> Answer:
+    def fn(eps: tuple[int, int]) -> Answer:
         k = _grid(eps)
-        delta = rat(limit_modulus(_power_of_two(k - 1)))
+        delta = rat(limit_modulus(Fraction(*_power_of_two(k - 1))))
         if delta <= 0:
             raise ValueError("limit modulus must be positive")
         q = delta / 2
         return _round_out(*_pad(*f(q, q / 2)._get(_power_of_two(k)), k - 1), k)
 
-    return Real(fn, name="limit_at_zero")
+    return Real(fn, name="limit_at_zero", pairs=True)

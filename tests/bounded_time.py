@@ -84,6 +84,9 @@ BOUNDED_TIME = {
     "exp-exp-1/2-1e-1000": (["real", "eval", "exp(exp(1/2))", "--eps", "1e-1000"], None, 0),
     "exp-7000": (["real", "eval", "exp(7000)", "--eps", "1"], None, 0),
     "exp-exp-0-plus-999": (["real", "eval", "exp(exp(0) + 999)", "--eps", "1"], None, 0),
+    # at realexpr.MAX_LITERAL_DIGITS: int() reads "0333...3" whole, 4300
+    # digits, where Fraction(text) read "0" and 4299 digits apart
+    "literal-4300-digit-decimal": (["real", "eval", "0." + "3" * 4299, "--eps", "1e-10"], None, 0),
     # past realexpr.MAX_LITERAL_DIGITS: a parse error, not int()'s message
     "literal-5000-digits": (["real", "eval", "1" * 5000 + "/3", "--eps", "1"], None, 2),
     # ceil(1/eps) + 1 net points, refused past cli.MAX_NET_POINTS

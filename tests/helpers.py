@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate, groupby, permutations
 from typing import Iterator
 
-from coverlab import cauchy, coverspace, xreal
+from coverlab import cauchy, coverspace, realexpr, xreal
 from coverlab.finkernel import (
     COVER_ENUM_LIMIT,
     Carrier,
@@ -861,6 +861,41 @@ def ball_cover_oracle(domain, eps) -> list[xreal.RInterval]:
     """The balls q - eps, q + eps about the points of epsilon_net_oracle."""
     eps = Fraction(eps)
     return [xreal.RInterval(q - eps, q + eps) for q in epsilon_net_oracle(domain, eps)]
+
+
+def eval_expression(text: str, eps) -> xreal.RInterval:
+    """The answer of ``realexpr.answer`` as an RInterval."""
+    lo, hi, den = realexpr.answer(text, Fraction(eps))
+    return xreal.RInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def answer_of(iv: xreal.RInterval) -> xreal.Answer:
+    """The interval as a triple (lo, hi, den) over the product of its
+    denominators, not in lowest terms."""
+    lo, hi = iv.lo, iv.hi
+    return lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator
+
+
+def format_interval_oracle(iv: xreal.RInterval, eps: Fraction, eps_text: str) -> str:
+    """The decimal line of ``real eval`` in Fraction arithmetic: the
+    midpoint times 10^digits rounded half up, digits least with
+    10^digits * eps >= 1."""
+    digits = 0
+    while 10**digits * eps < 1:
+        digits += 1
+    scaled = (iv.lo + iv.hi) / 2 * 10**digits
+    rounded = math.floor(scaled + Fraction(1, 2))
+    whole, frac = divmod(abs(rounded), 10**digits)
+    text = "-" * (rounded < 0) + realexpr.decimal_digits(whole)
+    tail = f".{realexpr.decimal_digits(frac).zfill(digits)}" if digits else ""
+    return f"{text}{tail} ± {eps_text}"
+
+
+def format_fraction_oracle(q: Fraction) -> str:
+    """str(q), its integers printed by ``realexpr.decimal_digits``, for
+    ends past the interpreter's 4300-digit int-to-str limit."""
+    text = realexpr.decimal_digits(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{realexpr.decimal_digits(q.denominator)}"
 
 
 def parse_spacefile_oracle(text: str) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:

@@ -705,7 +705,7 @@ def test_cross_python_runs_every_bounded_time_row(tmp_path):
     # that lack pytest, each space file written as tmp/<row id>.json
     import cross_python
 
-    argvs = [argv for argv, _ in cross_python.runs(str(tmp_path))]
+    argvs = [argv for _, argv, _ in cross_python.runs(str(tmp_path))]
     for row, (argv, data, _) in BOUNDED_TIME.items():
         path = tmp_path / f"{row}.json"
         assert (argv if data is None else [*argv, str(path)]) in argvs

@@ -14,12 +14,21 @@ from coverlab.realexpr import (
     Parser,
     _geometric_index,
     _limit_form,
-    eval_expression,
     evaluate,
     format_interval,
+    format_ratio,
+    literal,
+    tokenize,
 )
 from coverlab.xreal import RInterval
-from helpers import ParserOracle, geometric_index_oracle
+from helpers import (
+    ParserOracle,
+    answer_of,
+    eval_expression,
+    format_fraction_oracle,
+    format_interval_oracle,
+    geometric_index_oracle,
+)
 from test_fuzz_cli import expressions
 
 
@@ -132,23 +141,103 @@ class TestEvaluation:
 class TestFormatting:
     def test_half(self):
         iv = RInterval(F(499999, 10**6), F(500001, 10**6))
-        text = format_interval(iv, F(1, 1000), "1/1000")
+        text = format_interval(answer_of(iv), F(1, 1000), "1/1000")
         assert text == "0.500 ± 1/1000"
 
     def test_negative(self):
         iv = RInterval(F(-251, 1000), F(-249, 1000))
-        assert format_interval(iv, F(1, 100), "1/100").startswith("-0.25")
+        assert format_interval(answer_of(iv), F(1, 100), "1/100").startswith("-0.25")
 
     def test_integer_precision(self):
         iv = RInterval(F(2, 3), F(4, 3))
-        assert format_interval(iv, F(2), "2") == "1 ± 2"
+        assert format_interval(answer_of(iv), F(2), "2") == "1 ± 2"
 
     def test_enclosure(self):
         # printed value plus-minus eps encloses the interval
         iv = RInterval(F(1, 3), F(1, 3) + F(1, 10**4))
-        text = format_interval(iv, F(1, 10**4), "1e-4")
+        text = format_interval(answer_of(iv), F(1, 10**4), "1e-4")
         printed = F(text.split(" ")[0])
         assert printed - F(1, 10**4) <= iv.lo and iv.hi <= printed + F(1, 10**4)
+
+
+class TestIntegerCommandPath:
+    """The literal reader, the ratio text and the decimal line on integers
+    against the Fraction forms they replaced."""
+
+    # zeros of decimal digit runs: ASCII, Arabic-Indic, Extended
+    # Arabic-Indic, Devanagari, Bengali, fullwidth and mathematical bold
+    ZEROS = (0x30, 0x660, 0x6F0, 0x966, 0x9E6, 0xFF10, 0x1D7CE)
+
+    def test_literal_matches_fraction_of_the_token(self):
+        # every token of at most five characters over 0, 1, 9 and ".", and
+        # seeded tokens with leading and trailing zeros in every digit run
+        tokens = ["".join(t) for k in range(1, 6) for t in itertools.product("019.", repeat=k)]
+        rng = random.Random(131)
+        for _ in range(2000):
+            zero = rng.choice(self.ZEROS)
+            digits = [rng.choice("0000123456789") for _ in range(rng.randint(1, 40))]
+            cut = rng.randint(0, len(digits) - 1)
+            text = "".join(digits[:cut]) + "." + "".join(digits[cut:]) if cut else "".join(digits)
+            tokens.append("".join(chr(zero + int(c)) if c != "." else c for c in text))
+        tokens += ["٣", "١٢.٥٠", "０１.２", "0." + "3" * 4299, "1" * 4300,
+                   "9" * 2150 + "." + "0" * 2150, "0" * 4299 + "7", "0." + "0" * 4298 + "1"]
+        read = 0
+        for text in tokens:
+            try:
+                if [kind for kind, *_ in tokenize(text)] != ["num"]:
+                    continue
+            except ExprError:  # a stray "."
+                continue
+            read += 1
+            assert literal(text) == F(text), text
+        assert read > 2000
+
+    def test_ratio_text_matches_str_of_the_fraction(self):
+        rng = random.Random(132)
+        cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 3), (-6, 3), (2, 4), (-2, 4), (1, 3)]
+        for _ in range(3000):
+            g = rng.choice([1, 2, 3, 10, 2 ** rng.randint(1, 60), rng.randint(1, 10**6)])
+            n = rng.randint(-(10 ** rng.randint(0, 40)), 10 ** rng.randint(0, 40))
+            d = rng.randint(1, 10 ** rng.randint(0, 30))
+            cases += [(n * g, d * g), (n * d * g, d * g)]  # the second integral
+        for n, d in cases:
+            assert format_ratio(n, d) == str(F(n, d)), (n, d)
+        # past the interpreter's 4300-digit int-to-str limit
+        for digits in (4299, 4300, 4301, 9000):
+            big = 10**digits // 7
+            for n, d in ((big, 1), (-big, 7), (6 * big, 4), (7, 2 * big), (0, big), (-big, big)):
+                assert format_ratio(n, d) == format_fraction_oracle(F(n, d)), (digits, n % 1000, d)
+
+    PRECISIONS = [F(1, 10**k) for k in (0, 1, 3, 12, 60)] + [
+        F(2), F(7, 3), F(1000), F(3, 7000), F(5, 10**30 + 1)]
+
+    @staticmethod
+    def _digits(eps):
+        d = 0
+        while 10**d * eps < 1:
+            d += 1
+        return d
+
+    def test_decimal_line_matches_the_fraction_form(self):
+        rng = random.Random(133)
+        cases = []
+        for _ in range(3000):
+            eps = rng.choice(self.PRECISIONS)
+            den = rng.choice([1, 3, 2 ** rng.randint(0, 120), rng.randint(1, 10**9)])
+            lo = rng.randint(-(10**30), 10**30) * rng.choice([1, den, rng.randint(1, 10**6)]) // 7
+            cases.append(((lo, lo + rng.randint(1, 10 ** rng.randint(0, 40)), den), eps))
+        # midpoints exactly half-way between two printed values, of both
+        # signs: (2m + 1) / (2 * 10^d) over den = 2 * 10^d * k
+        for eps in self.PRECISIONS:
+            d = self._digits(eps)
+            for m in range(-30, 30):
+                k, t = rng.randint(1, 10**6), rng.randint(1, 10**6)
+                c = k * (2 * m + 1)
+                cases.append(((c - t, c + t, 2 * 10**d * k), eps))
+        for (lo, hi, den), eps in cases:
+            iv = RInterval(F(lo, den), F(hi, den))
+            want = format_interval_oracle(iv, eps, "EPS")
+            assert format_interval((lo, hi, den), eps, "EPS") == want, (lo, hi, den, eps)
 
 
 class TestNestingDepth:

@@ -546,6 +546,37 @@ class TestExactTerms:
         assert lo <= want[0] and want[1] <= hi and hi - lo <= F(1, 10**6)
 
 
+class TestPrecisionPairs:
+    """Real._get is keyed by the precision as a pair of integers in lowest
+    terms, so that approx and the combinators find each other's answers."""
+
+    def test_command_path_asks_pairs_in_lowest_terms(self, monkeypatch, capsys):
+        asked = []
+        get = xreal.Real._get
+
+        def recording(self, eps):
+            asked.append(eps)
+            return get(self, eps)
+
+        monkeypatch.setattr(xreal.Real, "_get", recording)
+        for text in ("1/3", "exp(1/3) * (2/7)", "exp(exp(1/2))", "1 / (exp(1) - 2)",
+                     "inv(exp(1); 1/4)", "limit(inv_n) + limit(geometric; -1/3)"):
+            for eps in ("6/4", "0.50", "1e-20", "4", "30/7000"):
+                assert cli.main(["real", "eval", text, "--eps", eps, "--bounds"]) == 0
+        capsys.readouterr()
+        assert len(asked) > 100
+        for n, d in asked:
+            assert type(n) is int and type(d) is int and n > 0 < d and math.gcd(n, d) == 1, (n, d)
+
+    def test_approx_and_the_combinators_share_one_key(self):
+        asked = []
+        x = Real(lambda eps: (asked.append(eps), RInterval(F(1, 3) - eps / 3, F(1, 3) + eps / 3))[1])
+        add(x, x).approx(1)  # asks x once at 2^-2, the grid of 1
+        for eps in (F(1, 4), F(2, 8), "0.25", "1/4"):
+            x.approx(eps)
+        assert asked == [F(1, 4)] and type(asked[0]) is F
+
+
 class TestIntegerPaths:
     """The integer forms of the grid, the index searches and the walk's
     ratios against the Fraction forms they replaced."""
@@ -561,8 +592,8 @@ class TestIntegerPaths:
             cases.append(F(rng.getrandbits(rng.randint(1, 400)) + 1,
                            rng.getrandbits(rng.randint(1, 400)) + 1))
         for e in cases:
-            got = xreal._power_of_two(xreal._exponent(e.numerator, e.denominator))
-            assert got == snap_oracle(e) and type(got) is F, e
+            n, d = xreal._power_of_two(xreal._exponent(e.numerator, e.denominator))
+            assert F(n, d) == snap_oracle(e) and math.gcd(n, d) == 1, e
 
     def test_log2_bounds_hold_the_logarithm(self):
         # 2^lo <= (num/den)^(2^bits) <= 2^(lo + 2), checked on exact powers
@@ -931,7 +962,8 @@ class TestNetsAndSubcover:
             cases.append((domain, F(rng.randint(1, 40), rng.randint(1, 400))))
         for domain, eps in cases:
             want = [(iv.lo, iv.hi) for iv in finite_subcover(domain, ball_cover(domain, eps))]
-            assert ball_subcover(domain, eps) == want, (domain, eps)
+            ends, d = ball_subcover(domain, eps)
+            assert [(F(lo, d), F(hi, d)) for lo, hi in ends] == want, (domain, eps)
 
     def test_sweep_matches_scan_on_ball_covers(self):
         for eps in (F(1, 10), F(1, 100), F(1, 1000)):
@@ -1201,7 +1233,7 @@ class TestIntegerCombinators:
             lo = rng.randint(-10**9, 10**9) * rng.choice([1, den, 2 ** rng.randint(0, 60)])
             hi = lo + rng.randint(1, 10 ** rng.randint(1, 20))
             eps = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) * F(2) ** rng.randint(-200, 60)
-            got = xreal._round_out(lo, hi, den, xreal._grid(eps))
+            got = xreal._round_out(lo, hi, den, xreal._grid((eps.numerator, eps.denominator)))
             want = round_out_oracle(F(lo, den), F(hi, den), eps)
             assert xreal._interval(*got) == want, (lo, hi, den, eps)
 
