@@ -56,26 +56,15 @@ def _report(check: str, ok: bool, witness=None, started: float | None = None) ->
 
 def _emit(out: str | dict) -> int:
     """Print a text with exit code 0, or a document with 1 if a report fails."""
-    if isinstance(out, str):
-        print(out)
-        return 0
-    print(spacefile.json_text(out))
-    return 0 if all(r["verdict"] == "pass" for r in out["reports"]) else 1
+    is_text = isinstance(out, str)
+    print(out if is_text else spacefile.json_text(out))
+    return 0 if is_text or all(r["verdict"] == "pass" for r in out["reports"]) else 1
 
 
 def _load_space(path: str):
     """The space a file presents and its ``covers_valid`` report; the space
     is None when a listed cover misses points of the carrier."""
-    with open(path, "rb") as fh:
-        try:
-            text = fh.read().decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise spacefile.SpaceFileError(
-                f"not UTF-8 text: byte {e.start} cannot be decoded"
-            ) from e
-    if "\r" in text:  # end lines as text mode does, so JSON errors keep their lines
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    sf = spacefile.parse_spacefile(text)
+    sf = spacefile.parse_spacefile(spacefile.read_text(path))
     t0 = time.perf_counter()
     ok, witness = spacefile.covers_valid(sf)
     covers = _report("covers_valid", ok, witness, t0)
@@ -141,11 +130,10 @@ def cmd_complete(s, covers: dict, args) -> dict:
 
 def _space_doc(s, out):
     """The space file of s as a document, also written to ``out`` when given."""
-    sf = spacefile.of_space(s)
+    doc = spacefile.document(spacefile.of_space(s))
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(spacefile.emit_spacefile(sf))
-    return spacefile.document(sf)
+        spacefile.write_text(out, spacefile.json_text(doc) + "\n")
+    return doc
 
 
 def cmd_reflect(s, covers: dict, args) -> dict:
@@ -239,9 +227,11 @@ def cmd_demo_heine_borel(args) -> dict:
     except xreal.UncoveredPointError as e:
         witness = str(e.point)
     reports.append(_report("gap_certificate", witness is not None, {"reason": "no gap found"}))
+    # every end lies within (1 + eps) d of 0, so str prints it when d is short
+    digits = str if eps <= 1 and d.bit_length() <= 4000 else realexpr.decimal_digits
     return {
         "eps": args.eps,
-        "selected": [[realexpr.format_ratio(lo, d), realexpr.format_ratio(hi, d)]
+        "selected": [[realexpr.format_ratio(lo, d, digits), realexpr.format_ratio(hi, d, digits)]
                      for lo, hi in chosen],
         "size_bound": bound,
         "gap_witness": witness,

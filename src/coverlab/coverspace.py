@@ -70,7 +70,7 @@ def close_masks(n: int, covers: Iterable[Sequence[int]]) -> FiniteCoverSpace:
     cover stands for its own meet with the carrier, so its masks must be
     distinct and lie in the carrier.
     """
-    acc: Sequence[int] = [Carrier(n).full_mask]
+    acc: Sequence[int] = [(1 << n) - 1 if n > 0 else Carrier(n).full_mask]  # Carrier refuses n < 1
     for i, c in enumerate(covers):
         if len(acc) * len(c) > MAX_MEET_PAIRS:
             raise MeetBudgetError(

@@ -244,7 +244,7 @@ def _walk(n: int, masks: Iterable[int]) -> tuple[list[int], list[int]]:
     for w in ws:
         # the empty mask lies inside every other mask
         larger = held[(w & -w).bit_length() - 1] if w else kept
-        if any(w & ~v == 0 for v in larger):
+        if larger and any(w & ~v == 0 for v in larger):
             continue
         kept.append(w)
         for x in points_of(w):
@@ -285,8 +285,7 @@ class FiniteCoverSpace:
             raise ValueError("generator is not an ascending antichain")
         if not all(star):
             raise ValueError("members do not cover the carrier")
-        for name, value in (("size", n), ("masks", masks), ("star", tuple(star))):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(size=n, masks=masks, star=tuple(star))
         return self
 
     @property
@@ -300,7 +299,7 @@ class FiniteCoverSpace:
 
 def generated_space(n: int, masks: Iterable[int]) -> FiniteCoverSpace:
     """The structure on n points generated by a covering family of masks."""
-    kept, star = _walk(Carrier(n).size, masks)
+    kept, star = _walk(n if n > 0 else Carrier(n).size, masks)  # Carrier refuses n < 1
     return FiniteCoverSpace._canonical(n, tuple(kept), star)
 
 

@@ -282,13 +282,6 @@ def format_interval(ans: xreal.Answer, eps: Fraction, eps_text: str) -> str:
     return f"{text}{tail} ± {eps_text}"
 
 
-def format_ratio(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, its integers printed by decimal_digits."""
-    g = math.gcd(n, d)
-    text = decimal_digits(n // g)
-    return text if g == d else f"{text}/{decimal_digits(d // g)}"
-
-
 def decimal_digits(n: int) -> str:
     """str(n) past the interpreter's int-to-str limit (4300 digits from
     Python 3.11 on): a long n splits at a power of ten into halves."""
@@ -299,3 +292,10 @@ def decimal_digits(n: int) -> str:
     half = n.bit_length() * 3 // 20  # about half of n's digits
     high, low = divmod(n, 10**half)
     return decimal_digits(high) + decimal_digits(low).zfill(half)
+
+
+def format_ratio(n: int, d: int, digits=decimal_digits) -> str:
+    """str(Fraction(n, d)) for d > 0, its integers printed by digits: str for short ones."""
+    g = math.gcd(n, d)
+    text = digits(n // g)
+    return text if g == d else f"{text}/{digits(d // g)}"

@@ -8,14 +8,15 @@ indices, so ``SpaceFile.covers`` holds each cover as its distinct masks,
 ascending.  Emission lists each subset's points ascending and a cover's
 subsets in lexicographic order, so parse-emit-parse is the identity.
 
-``json_text`` writes a document byte for byte as ``json.dumps(doc,
-indent=2)`` does, without falling back to ``json``'s pure-Python encoder;
-the CLI prints its reports with it.
+``read_text`` and ``write_text`` move the CLI's file bytes with ``os.read``
+and ``os.write`` loops.  ``json_text`` writes a document as ``json.dumps(doc,
+indent=2)`` does, by exact type; the CLI prints its reports with it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -38,6 +39,30 @@ MAX_NESTING = 500
 
 class SpaceFileError(ValueError):
     """Malformed space file; the message carries the JSON path."""
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 file's text, line ends read as text mode reads them, as JSON errors count lines."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        raise SpaceFileError(f"not UTF-8 text: byte {e.start} cannot be decoded") from e
+    except IsADirectoryError as e:  # named by open(), but not by os.read
+        raise IsADirectoryError(e.errno, e.strerror, path) from None
+    finally:
+        os.close(fd)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, replacing what the file held."""
+    data, fd = text.encode(), os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -155,15 +180,15 @@ def emit_spacefile(sf: SpaceFile) -> str:
     return json_text(document(sf)) + "\n"
 
 
-_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# how json writes each scalar, by exact type
-_SCALAR_TEXT = {
+_SCALAR_TEXT = {  # json's text of each scalar, by exact type
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: lambda x: _FLOAT_NAMES.get(repr(x)) or repr(x),
+    float: lambda x: repr(x) if x - x == 0 else json.dumps(x),  # json names nan and inf
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+MAX_KEY_TEXTS = 256
+_KEY_TEXT: dict[str, str] = {}  # '"key": ' of the first MAX_KEY_TEXTS keys met
 
 
 def json_text(doc: dict | list) -> str:
@@ -171,42 +196,43 @@ def json_text(doc: dict | list) -> str:
     document with str keys and str, int, float, bool, None, list, tuple
     and dict values (scalars of exactly these types)."""
     out: list[str] = []
-    _write(doc, out, "\n")
+    _write(doc, out.append, "\n")
     return "".join(out)
 
 
-def _write(o, out: list[str], newline: str) -> None:
-    """Append the text of a list, tuple or dict o to out; newline is a line
-    break followed by o's own indentation."""
+def _key_text(k: str) -> str:
+    text = encode_basestring_ascii(k) + ": "
+    if len(_KEY_TEXT) < MAX_KEY_TEXTS:
+        _KEY_TEXT[k] = text
+    return text
+
+
+def _write(o, put, newline: str) -> None:
+    """Put the text of a list, tuple or dict o; newline is a line break
+    followed by o's own indentation."""
     inner = newline + "  "
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        head = "{" + inner
+    if (t := type(o)) is dict or t is not list and t is not tuple and isinstance(o, dict):
+        sep, head, keys, scalars = "," + inner, "{" + inner, _KEY_TEXT, _SCALAR_TEXT
         for k, v in o.items():
-            head += encode_basestring_ascii(k) + ": "
-            scalar = _SCALAR_TEXT.get(type(v))
+            head += keys.get(k) or _key_text(k)
+            scalar = scalars.get(type(v))
             if scalar is None:
-                out.append(head)
-                _write(v, out, inner)
+                put(head)
+                _write(v, put, inner)
             else:
-                out.append(head + scalar(v))
-            head = "," + inner
-        out.append(newline + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        head = "[" + inner
+                put(head + scalar(v))
+            head = sep
+        put(newline + "}" if o else "{}")
+    elif t is list or t is tuple or isinstance(o, (list, tuple)):
+        sep, head, scalars = "," + inner, "[" + inner, _SCALAR_TEXT
         for v in o:
-            scalar = _SCALAR_TEXT.get(type(v))
+            scalar = scalars.get(type(v))
             if scalar is None:
-                out.append(head)
-                _write(v, out, inner)
+                put(head)
+                _write(v, put, inner)
             else:
-                out.append(head + scalar(v))
-            head = "," + inner
-        out.append(newline + "]")
+                put(head + scalar(v))
+            head = sep
+        put(newline + "]" if o else "[]")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -1,7 +1,8 @@
 """Hostile and large inputs that the CLI answers in bounded time, and the
 command lines it reads only through argparse, for a usage error or help:
 row id -> (argv, the bytes of the space file whose path ends the argv or
-None, exit code).  ``test_closed_forms.py`` runs each row under 2 s, ``cross_python.py``
+None, exit code).  ``{tmp}`` in an argv names the directory that holds the
+row's file.  ``test_closed_forms.py`` runs each row under 2 s, ``cross_python.py``
 prints what each gives.  Standard library only, and pytest does not collect it.
 """
 
@@ -39,6 +40,7 @@ _TWO_BLOCKS_1000 = space_bytes(2000, [list(range(1000)), list(range(1000, 2000))
 _BIG_INT = b"9" * 5000
 # 0.333...3, 4000 digits: a ratio of about 13,300 bits over 10^4000
 _THIRD_4000 = "0." + "3" * 3999
+_DISCRETE_2 = space_bytes(2, [[0], [1]])
 
 BOUNDED_TIME = {
     "deep-nesting": (["axioms"], b"[" * 5000 + b"]" * 5000, 2),
@@ -92,6 +94,8 @@ BOUNDED_TIME = {
     # ceil(1/eps) + 1 net points, refused past cli.MAX_NET_POINTS
     "heine-borel-1/10000": (["demo", "heine-borel", "--eps", "1/10000"], None, 0),
     "heine-borel-1/100000": (["demo", "heine-borel", "--eps", "1/100000"], None, 1),
+    # a net of two balls whose ends have 5,001 digits, past the int-to-str limit
+    "heine-borel-1e5000": (["demo", "heine-borel", "--eps", "1e5000"], None, 0),
     # the third meet step would form 29,729 pairs, past coverspace.MAX_MEET_PAIRS:
     # refused at once instead of meeting and pruning for over 100 s
     "meets-30-points-four-covers-of-31": (["axioms"], random_covers_bytes(30, 30, 4, 31), 1),
@@ -159,4 +163,11 @@ BOUNDED_TIME = {
     "usage-max-carrier": (["--max-carrier", "4", "locale", "roundtrip", "FILE"], None, 2),
     # an expression that begins with "-" is the expression, as after "--"
     "leading-minus-expression": (["real", "eval", "-exp(1)", "--eps", "1"], None, 0),
+    # file errors name the path, as open() names it, and exit 2
+    "input-missing": (["axioms", "{tmp}/missing.json"], None, 2),
+    "input-directory": (["axioms", "{tmp}"], None, 2),
+    "out-into-missing-directory": (["complete", "--out", "{tmp}/missing/out.json"], _DISCRETE_2, 2),
+    "out-names-a-directory": (["reflect", "--out", "{tmp}"], _DISCRETE_2, 2),
+    # the document follows 200 KiB of blanks, so it is read in several chunks
+    "input-after-200-KiB-of-blanks": (["axioms"], b" " * 200 * 1024 + _DISCRETE_2, 0),
 }

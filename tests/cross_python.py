@@ -65,6 +65,7 @@ def runs(tmp: str) -> list[tuple[str, list[str], str | None]]:
     got += [(f"heine-borel {eps}", ["demo", "heine-borel", "--eps", eps], None)
             for eps in ("1/10", "1/100", "1/1000")]
     for row, (argv, data, _) in BOUNDED_TIME.items():
+        argv = [a.replace("{tmp}", tmp) for a in argv]
         if data is not None:
             path = os.path.join(tmp, f"{row}.json")
             with open(path, "wb") as fh:

@@ -439,6 +439,28 @@ def _seeded_families(rng, n, count):
     return out
 
 
+def _wide_families(rng, n):
+    """A disjoint, a nested and a mixed covering family on n points, each
+    with repeats and shuffled: random blocks of the points; the blocks with
+    runs of nested parts of some of them; the blocks with parts, masks
+    straddling two blocks, and the empty mask."""
+    points = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(10, 60)))
+    runs = [points[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    blocks = [sum(1 << x for x in run) for run in runs]
+    parts = []
+    for run in rng.sample(runs, 8):
+        for k in sorted(rng.sample(range(1, len(run) + 1), min(len(run), 3))):
+            parts.append(sum(1 << x for x in run[-k:]))  # nested, the block among them
+    straddling = [(blocks[i] | blocks[i + 1]) & rng.getrandbits(n)
+                  | blocks[i] for i in rng.sample(range(len(blocks) - 1), 5)]
+    families = [blocks, blocks + parts, blocks + parts + straddling + [0]]
+    for masks in families:
+        masks += rng.choices(masks, k=4)
+        rng.shuffle(masks)
+    return families
+
+
 class TestOneWalk:
     """The walk that finds a generator and fills its star table at once,
     and the spaces whose tables are written down by construction."""
@@ -467,6 +489,15 @@ class TestOneWalk:
             for masks in _seeded_families(rng, n, 3):
                 _check_generated(n, masks)
                 _check_constructor(n, sorted(set(masks)))
+
+    def test_disjoint_nested_and_mixed_families_at_scale(self):
+        # the walk skips its scan for a mask whose lowest point no kept mask
+        # holds: always so for disjoint blocks, never for a block's own parts
+        rng = random.Random(322)
+        for n in (200, 1000, 10_000):
+            for masks in _wide_families(rng, n):
+                assert finkernel.maximal_masks(masks) == maximal_masks_oracle(masks)
+                _check_generated(n, masks)
 
     def test_a_mask_outside_the_carrier_is_refused(self):
         for masks in [(0b1000,), (0b001, 0b110, 0b1000), (-1,), (0b111, -0b10)]:
@@ -708,6 +739,7 @@ def test_cross_python_runs_every_bounded_time_row(tmp_path):
     argvs = [argv for _, argv, _ in cross_python.runs(str(tmp_path))]
     for row, (argv, data, _) in BOUNDED_TIME.items():
         path = tmp_path / f"{row}.json"
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         assert (argv if data is None else [*argv, str(path)]) in argvs
         assert data is None or path.read_bytes() == data
 
@@ -797,6 +829,7 @@ class TestNoEnumeration:
         self, tmp_path, capsys, no_enumeration, argv, data, code
     ):
         # each case returns its documented exit code, never a traceback
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         if data is not None:
             path = tmp_path / "case.json"
             path.write_bytes(data)

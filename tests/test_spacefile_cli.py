@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 import re
@@ -193,6 +194,35 @@ class TestJsonText:
         ]
         for doc in docs:
             assert spacefile.json_text(doc) == json.dumps(doc, indent=2), doc
+
+    def test_subclass_containers_print_as_json_does(self):
+        class Dict(dict):
+            pass
+
+        class List(list):
+            pass
+
+        Point = collections.namedtuple("Point", "x y")
+        docs = [
+            collections.OrderedDict([("b", 1), ("a", [2, collections.OrderedDict()])]),
+            Dict(a=List([1, Dict(b=Point(1, 2))]), c=Dict()),
+            List([Point(1, [Dict(k=List())]), List(), Point((), None)]),
+            {"p": Point(x={"k": "v"}, y=[Point(0.5, True)])},
+        ]
+        for doc in docs:
+            assert spacefile.json_text(doc) == json.dumps(doc, indent=2), doc
+
+    def test_key_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(spacefile, "_KEY_TEXT", {})
+        # a key met before answers only for itself
+        for doc in ({"check": "x", "verdict": "y", "k\u00e9\n": 1, "ms": 0.5},
+                    {"Check": 1, "CHECK": [{"check ": 2, "chec": 3}], "k\u00c9\n": 4}):
+            assert spacefile.json_text(doc) == json.dumps(doc, indent=2)
+        doc = {f"key {i}": [i, {f"inner {i}": i}] for i in range(10_000)}
+        assert spacefile.json_text(doc) == json.dumps(doc, indent=2)
+        table = spacefile._KEY_TEXT
+        assert len(table) == spacefile.MAX_KEY_TEXTS
+        assert all(text == json.dumps(key) + ": " for key, text in table.items())
 
     def test_refuses_what_json_refuses(self):
         for doc in ({1, 2}, {"a": object()}, [b"bytes"], [F(1, 2)]):
@@ -437,6 +467,61 @@ class TestCliComplete:
         capsys.readouterr()
         sf = spacefile.parse_spacefile(target.read_text())
         assert sf.carrier == 2  # two blocks
+
+
+class TestFilePaths:
+    """What the CLI prints when the input or --out path is not a file it
+    can read or write: open()'s message, which names the path, and exit 2."""
+
+    def _run(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_missing_input(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert self._run(capsys, ["axioms", path]) == (
+            2, f"error: [Errno 2] No such file or directory: {path!r}\n")
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert self._run(capsys, ["axioms", str(tmp_path)]) == (
+            2, f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+    def test_out_into_a_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        assert self._run(capsys, ["complete", write(tmp_path, "d.json", DISCRETE2),
+                                  "--out", out]) == (
+            2, f"error: [Errno 2] No such file or directory: {out!r}\n")
+
+    def test_out_naming_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert self._run(capsys, ["reflect", write(tmp_path, "d.json", DISCRETE2),
+                                  "--out", str(out)]) == (
+            2, f"error: [Errno 21] Is a directory: {str(out)!r}\n")
+
+    @pytest.mark.parametrize("command", ["complete", "reflect"])
+    def test_longer_out_file_is_truncated(self, tmp_path, capsys, command):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"x" * 5000)
+        code = cli.main([command, write(tmp_path, "b.json", BLOCKS), "--out", str(target)])
+        printed = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert target.read_bytes() == (json.dumps(printed["space"], indent=2) + "\n").encode()
+
+    def test_input_read_in_several_chunks(self, tmp_path, capsys):
+        # the document follows 200 KiB of blanks and is read whole; a wide
+        # discrete file is longer than one chunk too
+        path = tmp_path / "padded.json"
+        path.write_bytes(b" " * 200 * 1024 + json.dumps(DISCRETE2).encode())
+        assert cli.main(["axioms", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["carrier"] == 2
+        doc = {"format": 1, "carrier": 9000, "covers": [[[x] for x in range(9000)]]}
+        path = write(tmp_path, "wide.json", doc)
+        assert (tmp_path / "wide.json").stat().st_size > 64 * 1024
+        assert cli.main(["complete", path]) == 0
+        assert json.loads(capsys.readouterr().out)["space"]["carrier"] == 9000
 
 
 class TestCliSizeGuards:
