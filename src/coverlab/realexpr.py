@@ -11,17 +11,16 @@
 
 Numbers are integers or exact decimals of at most ``MAX_LITERAL_DIGITS``
 digits, read with int(); rationals like 1/3 arrive through the division
-operator, which folds exactly on rational operands.  Division by a
-non-literal denominator searches for an apartness witness.  Supported limit
-forms: ``limit(inv_n)`` (the sequence 1/n) and ``limit(geometric; r)`` (the
-geometric series at ratio r, |r| < 1, summed from its ratio).  ``answer``
-gives xreal's triple (lo, hi, den), which the formatters print on integers.
+operator, which folds rational operands exactly as integer pairs, one
+Fraction made where each enters ``xreal``.  Division by a non-literal
+denominator searches for an apartness witness.  Limit forms: ``limit(inv_n)``
+(1/n) and ``limit(geometric; r)`` (ratio r, |r| < 1, summed from its ratio).
+``answer`` gives xreal's triple (lo, hi, den), which is printed on integers.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 
@@ -35,8 +34,10 @@ MAX_DEPTH = 100
 # A literal is read through int(), which refuses more digits than the
 # interpreter's int-to-str limit, 4300 by default from Python 3.11 on.
 MAX_LITERAL_DIGITS = 4300
-# rational operands fold exactly
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# rational operands (a/b, c/d), b, d > 0, fold exactly on integers, not reduced
+_FOLD = {"+": lambda a, b, c, d: (a * d + c * b, b * d), "*": lambda a, b, c, d: (a * c, b * d),
+         "-": lambda a, b, c, d: (a * d - c * b, b * d),
+         "/": lambda a, b, c, d: (a * d, b * c) if c > 0 else (-a * d, -b * c)}
 
 
 class ExprError(ValueError):
@@ -57,7 +58,7 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         if kind == "bad":
             # the position where the whitespace before the character begins
             raise ExprError(f"unexpected character {value!r} at position {m.start()}")
-        if kind == "num" and sum(c.isdigit() for c in value) > MAX_LITERAL_DIGITS:
+        if kind == "num" and len(value) - ("." in value) > MAX_LITERAL_DIGITS:
             raise ExprError(f"numeric literal at position {m.start(kind)} has more "
                             f"than {MAX_LITERAL_DIGITS} digits")
         out.append((kind, value, m.start(kind)))
@@ -164,36 +165,36 @@ class Parser:
 
     def number(self) -> Fraction:
         negative = bool(self.peek() and self.peek()[1] == "-" and self.take())
-        value = literal(self.take("num")[1])
+        n, d = literal(self.take("num")[1])
         if self.peek() and self.peek()[1] == "/":
             self.take()
-            if (denom := literal(self.take("num")[1])) == 0:
+            if (denom := literal(self.take("num")[1]))[0] == 0:
                 raise ExprError("zero denominator in literal")
-            value /= denom
-        return -value if negative else value
+            n, d = n * denom[1], d * denom[0]
+        return Fraction(-n if negative else n, d)
 
 
-def literal(text: str) -> Fraction:
-    """Fraction(text) for a number token: its digits over a power of ten."""
+def literal(text: str) -> tuple[int, int]:
+    """A number token as the pair (its digits, a power of ten)."""
     whole, _, frac = text.partition(".")
-    return Fraction(int(whole + frac), 10 ** len(frac))
+    return int(whole + frac), 10 ** len(frac)
 
 
-def evaluate(node) -> Fraction | Real:
-    """Evaluate to an exact fraction where possible, a Real otherwise."""
+def evaluate(node) -> tuple[int, int] | Real:
+    """Evaluate to an exact rational (n, d), d > 0, or else a Real."""
     kind = node[0]
     if kind == "lit":
         return node[1]
     if kind == "neg":
         v = evaluate(node[1])
-        return -v if isinstance(v, Fraction) else xreal.neg(v)
+        return (-v[0], v[1]) if isinstance(v, tuple) else xreal.neg(v)
     if kind in "+-*/":
         a = evaluate(node[1])
         b = evaluate(node[2])
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            if kind == "/" and b == 0:
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            if kind == "/" and b[0] == 0:
                 raise ExprError("division by exact zero")
-            return _FOLD[kind](a, b)
+            return _FOLD[kind](*a, *b)
         ra, rb = _to_real(a), _to_real(b)
         if kind == "/":
             return xreal.mul(ra, _inverse(rb))
@@ -202,17 +203,15 @@ def evaluate(node) -> Fraction | Real:
         arg = _to_real(evaluate(node[1]))
         return xreal.inv(arg, node[2])
     if kind == "exp":
-        arg = evaluate(node[1])
-        if isinstance(arg, Fraction):
-            return xreal.exp_rational(arg)
-        return xreal.exp_real(arg)
+        v = evaluate(node[1])
+        return xreal.exp_rational(Fraction(*v)) if isinstance(v, tuple) else xreal.exp_real(v)
     if kind == "limit":
         return _limit_form(node[1], node[2])
     raise ExprError(f"unknown node {kind!r}")
 
 
 def _to_real(v) -> Real:
-    return xreal.real_of_rat(v) if isinstance(v, Fraction) else v
+    return xreal.real_of_rat(Fraction(*v)) if isinstance(v, tuple) else v
 
 
 def _inverse(x: Real) -> Real:

@@ -8,9 +8,10 @@ integer triple (lo, hi, den), den > 0, for (lo/den, hi/den), at a precision
 n/d asked as the pair (n, d) in lowest terms, after Boehm's constructive
 reals (LFP 1986; J. Logic and Algebraic Programming 64, 2005).  Combinators
 ask their arguments at powers of two, so nearby requests share cached
-answers, and round out onto a grid 2^k sized by the precision, not by the
-depth of the expression.  Fractions are built at the boundary only:
-``Real.approx``, ``Real(fn)``'s fn, the callables of the limits and series.
+answers, and round out onto a grid 2^k sized by the precision.  A series of
+exact terms, partial or whole, is one walk on integers, ``_walk``.
+Fractions are built at the boundary only: ``Real.approx``, ``Real(fn)``'s
+fn, the callables of the limits and series.
 """
 
 from __future__ import annotations
@@ -245,35 +246,33 @@ def least_power(cn: int, cd: int, tn: int, td: int) -> int:
     over an upper bound from ``_log2_bounds`` never passes R.  For
     s = bits(cd) - bits(cd - cn), log2(cd/cn) > 2^-(s+1) and
     R < bits(td) 2^(s+1), so 48 + 2s + bits(bits(td)) bits put it short by
-    under 2^-40: one or two exact ``_power_at_most`` tests finish."""
+    under 2^-40: one or two exact ``_power_at_most`` tests finish.  td/tn
+    is split into its power of two and an odd rest, cached for a series."""
     if tn >= td:
         return 0
     if cn == 0:
         return 1
     bits = 48 + 2 * (cd.bit_length() - (cd - cn).bit_length()) + td.bit_length().bit_length()
-    k = max(1, -(-_log2_bounds(td, tn, bits)[0] // _log2_ceiling(cd, cn, bits)))
+    x, y = (td & -td).bit_length() - 1, (tn & -tn).bit_length() - 1
+    lo = ((x - y) << bits) + _log2_bounds(td >> x, tn >> y, bits)[0]
+    k = max(1, -(-lo // _log2_bounds(cd, cn, bits)[1]))
     while not _power_at_most(cn, cd, k, tn, td):
         k += 1
     return k
 
 
 @functools.lru_cache(maxsize=64)
-def _log2_ceiling(num: int, den: int, bits: int) -> int:
-    """The upper bound of ``_log2_bounds``, kept for the ratios that recur:
-    3/2 in ``trisection_steps`` and a series' ratio across its queries."""
-    return _log2_bounds(num, den, bits)[1]
-
-
 def _log2_bounds(num: int, den: int, bits: int) -> tuple[int, int]:
-    """(lo, lo + 2) holding 2^bits log2(num/den), for num > den > 0: the
+    """(lo, lo + 2) holding 2^bits log2(num/den), for num, den > 0: the
     integer part e from the bit lengths, then m = num/(den 2^e) in [1, 2),
     floored to w = bits + 4 fraction bits, squared bits times, a square of
     2 or more halved for a 1 bit.  A floor only lowers a square, so the
     bits read never pass log2(m); they miss it by under 2^-bits for the
-    bits not read and 1.45 * 3 * 2^-w for the floors: under two units."""
+    bits not read and 1.45 * 3 * 2^-w for the floors: under two units.
+    Cached for the ratios that recur in trisection_steps and a series."""
     e = _exponent(num, den)
     w = bits + 4
-    y, acc = (num << w) // (den << e), e
+    y, acc = (num << w) // (den << e) if e >= 0 else (num << w - e) // den, e
     for _ in range(bits):
         y = y * y >> w
         acc <<= 1
@@ -481,14 +480,14 @@ def inv(x: Real, delta) -> Real:
 
 def find_apartness(x: Real, eps_floor) -> Fraction | None:
     """Search delta = 1, 1/2, 1/4, ... down to the floor for a witness
-    that x is outside (-delta, delta).  None proves nothing about x."""
+    that x is outside (-delta, delta), on integers.  None proves nothing."""
     eps_floor = rat(eps_floor)
-    delta = Fraction(1)
-    while delta >= eps_floor:
-        got = x.approx(delta)
-        if got.lo >= delta or got.hi <= -delta:
-            return delta
-        delta /= 2
+    fn, fd, j = eps_floor.numerator, eps_floor.denominator, 0
+    while fn << j <= fd:  # 2^-j >= the floor
+        lo, hi, den = x._get((1, 1 << j))
+        if lo << j >= den or hi << j <= -den:
+            return Fraction(1, 1 << j)
+        j += 1
     return None
 
 
@@ -541,47 +540,25 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
 
     Exact terms (t_0, ratio), where 2^growth bounds every product of
     consecutive |ratio(k)|, k <= n (growth 0 serves |ratio| <= 1), carry
-    integers l_k <= t_k 2^p <= u_k (Brent, J. ACM 23, 1976; Brent &
-    Zimmermann, Modern Computer Arithmetic, 4.4).  ratio(k), or ratio for
-    every k, is a pair of integers (a, d), d > 0, in lowest terms or not:
-    each step multiplies by a and floors (for l) or ceils (for u) the
-    division by d, swapping the two first when a < 0, so the bits of a term
-    follow p, not k, and no step builds a Fraction.  A floor and a ceil each
-    lose less than one unit, so e_k = u_k - l_k obeys e_0 <= 1 and
-    e_k <= |ratio(k)| e_{k-1} + 2; unrolled, e_k is at most 2 times a sum of
-    k + 1 products of consecutive ratios, so e_k <= 2(k+1)G for G = 2^growth.
-    The sums of the l_k and u_k, one unit further out for strictness, then
-    differ by at most (n+1)(n+2)G + 2 < 2^(2 bits(n+2) + growth + 1) units,
-    which is at most 2^-k <= eps once p = k + 2 bits(n+2) + growth + 1.
-    A walk that would take its evaluation past MAX_SERIES_WORK refuses
-    before its first step.
+    integers l_k <= t_k 2^p <= u_k in ``_walk``, the one walk that
+    sum_series takes too (Brent, J. ACM 23, 1976; Brent & Zimmermann,
+    Modern Computer Arithmetic, 4.4).  ratio(k), or ratio for every k, is a
+    pair of integers (a, d), d > 0, in lowest terms or not: each step
+    multiplies by a and floors (for l) or ceils (for u) the division by d,
+    swapping the two first when a < 0, so the bits of a term follow p, not
+    k.  A floor and a ceil each lose less than one unit, so e_k = u_k - l_k
+    obeys e_0 <= 1 and e_k <= |ratio(k)| e_{k-1} + 2; unrolled, e_k is at
+    most 2 times a sum of k + 1 products of consecutive ratios, so
+    e_k <= 2(k+1)G for G = 2^growth.  The sums of the l_k and u_k, one unit
+    further out for strictness, then differ by at most (n+1)(n+2)G + 2 <
+    2^(2 bits(n+2) + growth + 1) units, which is at most 2^-k <= eps once
+    p = k + 2 bits(n+2) + growth + 1.  A walk that would take its
+    evaluation past MAX_SERIES_WORK refuses before its first step.
     """
 
     def fn(eps: tuple[int, int]) -> Answer:
         if isinstance(terms, tuple):
-            t0, ratio = terms
-            k = -_exponent(*eps)
-            p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
-            const = isinstance(ratio, tuple)  # one pair for every step, unpacked here
-            a, d = ratio if const else ratio(n) if n else (0, 1)
-            q = abs(a).bit_length() + d.bit_length()
-            work, spent = n * (p + growth) * (1 + q // 256), _SERIES_WORK.get()
-            if spent[0] + work > MAX_SERIES_WORK:
-                before = f" after {spent[0]} in this evaluation" if spent[0] else ""
-                raise SeriesBudgetError(
-                    f"summing {n} terms at {p} bits with {q}-bit ratios is {work} units of "
-                    f"work{before}, more than {MAX_SERIES_WORK}")
-            spent[0] += work
-            lo = l = (t0.numerator << p) // t0.denominator
-            hi = u = -(-t0.numerator << p) // t0.denominator
-            for i in range(1, n + 1):
-                if not const:
-                    a, d = ratio(i)
-                if a < 0:
-                    l, u = u, l
-                l, u = l * a // d, -(-u * a // d)
-                lo, hi = lo + l, hi + u
-            return lo - 1, hi + 1, 1 << p
+            return _walk(terms, n, -_exponent(*eps), growth)
         j = _exponent(eps[0], 2 * (n + 1) * eps[1])
         lo = hi = 0
         for i in range(n + 1):
@@ -590,6 +567,42 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
         return lo, hi, den
 
     return Real(fn, name=lambda: f"partial_sum({n})", pairs=True)
+
+
+def _walk(terms: Terms, n: int, k: int, growth: int) -> Answer:
+    """partial_sum's answer on exact terms at 2^-k, checked for width."""
+    t0, ratio = terms
+    p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
+    a, d = ratio if isinstance(ratio, tuple) else ratio(n) if n else (0, 1)
+    q = abs(a).bit_length() + d.bit_length()
+    work, spent = n * (p + growth) * (1 + q // 256), _SERIES_WORK.get()
+    if spent[0] + work > MAX_SERIES_WORK:
+        before = f" after {spent[0]} in this evaluation" if spent[0] else ""
+        raise SeriesBudgetError(
+            f"summing {n} terms at {p} bits with {q}-bit ratios is {work} units of "
+            f"work{before}, more than {MAX_SERIES_WORK}")
+    spent[0] += work
+    lo = l = (t0.numerator << p) // t0.denominator
+    hi = u = -(-t0.numerator << p) // t0.denominator
+    c = d - 1  # for a constant ratio, ceil(x/d) is (x + c) // d
+    if not isinstance(ratio, tuple):
+        for i in range(1, n + 1):
+            a, d = ratio(i)
+            if a < 0:
+                l, u = u, l
+            l, u = l * a // d, -(-u * a // d)
+            lo, hi = lo + l, hi + u
+    elif a < 0:
+        for _ in range(n):
+            l, u = u * a // d, (l * a + c) // d
+            lo, hi = lo + l, hi + u
+    else:
+        for _ in range(n):
+            l, u = l * a // d, (u * a + c) // d
+            lo, hi = lo + l, hi + u
+    if hi - lo + 2 > 1 << p - k:
+        raise InvariantError(f"partial_sum({n}): answer wider than requested 2^{-k}")
+    return lo - 1, hi + 1, 1 << p
 
 
 def sum_series(
@@ -608,9 +621,9 @@ def sum_series(
     through ``limit``: partial-sum differences are bounded by two tails,
     hence the quarter precision below.
     Exact terms (t_0, ratio), the ratios integer pairs and growth as in
-    partial_sum, answer at once: for s = 2^_grid(eps), the sum to the
-    index of s/4 within s, widened by s/4 for the tail, is rounded out
-    once, 3s/2 + eps/2 <= eps in all.
+    partial_sum, answer at once by its walk, no partial sum Real built: for
+    s = 2^_grid(eps), the sum to the index of s/4 within s, widened by s/4
+    for the tail, is rounded out once, 3s/2 + eps/2 <= eps in all.
     """
 
     def index(e: Fraction) -> int:  # a checked N whose tail bound is at most e
@@ -628,7 +641,7 @@ def sum_series(
     def fn(eps: tuple[int, int]) -> Answer:
         k = _grid(eps)
         n = index(Fraction(*_power_of_two(k - 2)))
-        return _round_out(*_pad(*partial_sum(terms, n, growth)._get(_power_of_two(k)), k - 2), k)
+        return _round_out(*_pad(*_walk(terms, n, -k, growth), k - 2), k)
 
     return Real(fn, name="series", pairs=True)
 
@@ -639,7 +652,7 @@ def exp_rational(q) -> Real:
     integer b > |q|, a product of consecutive ratios is at most
     b^m j!/(j+m)! <= b^m/m! <= e^b < 2^ceil(1.4427 b)."""
     q = rat(q)
-    b = abs(q).numerator // abs(q).denominator + 1  # integer bound > |q|
+    b = abs(q.numerator) // q.denominator + 1  # integer bound > |q|
     growth = -(-14427 * b // 10000)
     a, d = q.numerator, q.denominator
     out = sum_series((Fraction(1), lambda k: (a, d * k)), _factorial_tail(b),

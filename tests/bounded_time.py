@@ -144,6 +144,13 @@ BOUNDED_TIME = {
         ["real", "eval", " + ".join([f"limit(geometric; {_THIRD_4000})"] * 6), "--eps", "1e-1000"],
         None, 1,
     ),
+    # a divisor that is exactly zero but not a literal: every apartness probe
+    # down to realexpr.APARTNESS_FLOOR straddles zero
+    "apartness-at-the-floor": (["real", "eval", "1/(exp(1/2) - exp(1/2))", "--eps", "1"], None, 2),
+    # a negative ratio swaps the walk's lower and upper bounds at every step
+    "geometric-negative-ratio": (
+        ["real", "eval", "limit(geometric; -9/10)", "--eps", "1e-200", "--bounds"], None, 0
+    ),
     # past spacefile.MAX_NESTING, though Python 3.13's json.loads reads it
     "deep-nesting-in-covers": (
         ["axioms"], b'{"format": 1, "carrier": 1, "covers": ' + b"[" * 5000 + b"]" * 5000 + b"}", 2

@@ -657,6 +657,55 @@ def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
     return xreal.Real(fn, name=lambda: f"fixed_point_sum_oracle({n})")
 
 
+def walk_oracle(terms, n: int, p: int) -> xreal.Answer:
+    """The fixed-point walk of exact terms (t_0, ratio) at p bits, ratio(k)
+    or ratio an integer pair, as partial_sum's one loop was before a
+    constant ratio had loops of its own: the constant and the sign tested
+    at every step, the ceiling taken as -(-x // d)."""
+    t0, ratio = terms
+    const = isinstance(ratio, tuple)
+    a, d = ratio if const else (0, 1)
+    lo = l = (t0.numerator << p) // t0.denominator
+    hi = u = -(-t0.numerator << p) // t0.denominator
+    for i in range(1, n + 1):
+        if not const:
+            a, d = ratio(i)
+        if a < 0:
+            l, u = u, l
+        l, u = l * a // d, -(-u * a // d)
+        lo, hi = lo + l, hi + u
+    return lo - 1, hi + 1, 1 << p
+
+
+def find_apartness_oracle(x: xreal.Real, eps_floor) -> Fraction | None:
+    """find_apartness on Fractions: delta = 1, 1/2, ... while it is at
+    least the floor, each probe the RInterval x.approx(delta)."""
+    eps_floor = Fraction(eps_floor)
+    delta = Fraction(1)
+    while delta >= eps_floor:
+        got = x.approx(delta)
+        if got.lo >= delta or got.hi <= -delta:
+            return delta
+        delta /= 2
+    return None
+
+
+def fold_oracle(node) -> Fraction:
+    """The value of a tree of rationals only, as ParserOracle reads it,
+    folded in Fractions as realexpr.evaluate did before it folded on
+    integer pairs; an exact zero divisor raises ExprError."""
+    if node[0] == "lit":
+        return node[1]
+    if node[0] == "neg":
+        return -fold_oracle(node[1])
+    op, a, b = node[0], fold_oracle(node[1]), fold_oracle(node[2])
+    if op == "/":
+        if b == 0:
+            raise ExprError("division by exact zero")
+        return a / b
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
 # The combinators of xreal as they were in Fraction arithmetic, before their
 # answers became integer triples: each answer is an RInterval of Fractions,
 # rounded out onto the grid snap_oracle(eps/4) by Fraction floor and ceiling.

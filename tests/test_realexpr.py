@@ -14,6 +14,7 @@ from coverlab.realexpr import (
     Parser,
     _geometric_index,
     _limit_form,
+    answer,
     evaluate,
     format_interval,
     format_ratio,
@@ -25,6 +26,7 @@ from helpers import (
     ParserOracle,
     answer_of,
     eval_expression,
+    fold_oracle,
     format_fraction_oracle,
     format_interval_oracle,
     geometric_index_oracle,
@@ -34,13 +36,14 @@ from test_fuzz_cli import expressions
 
 class TestParsing:
     def test_literals_and_precedence(self):
-        assert evaluate(Parser("1 + 2 * 3").parse()) == F(7)
-        assert evaluate(Parser("(1 + 2) * 3").parse()) == F(9)
-        assert evaluate(Parser("-4/8").parse()) == F(-1, 2)
-        assert evaluate(Parser("0.25").parse()) == F(1, 4)
+        # a rational evaluates to an integer pair (n, d), d > 0
+        assert F(*evaluate(Parser("1 + 2 * 3").parse())) == F(7)
+        assert F(*evaluate(Parser("(1 + 2) * 3").parse())) == F(9)
+        assert F(*evaluate(Parser("-4/8").parse())) == F(-1, 2)
+        assert F(*evaluate(Parser("0.25").parse())) == F(1, 4)
 
     def test_rational_literals_fold_exactly(self):
-        assert evaluate(Parser("1/3 + 1/6").parse()) == F(1, 2)
+        assert F(*evaluate(Parser("1/3 + 1/6").parse())) == F(1, 2)
 
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ExprError):
@@ -55,12 +58,63 @@ class TestParsing:
             evaluate(Parser("1 / (2 - 2)").parse())
 
 
+class TestRationalFolding:
+    """Rational operands fold as integer pairs and enter xreal as one
+    Fraction: against the Fraction folding they replaced, on seeded trees of
+    rationals only (integers, decimals with zeros, long literals, negation,
+    exact zero divisors)."""
+
+    LEAVES = ["0", "1", "7", "12", "0.5", "2.25", "0.000", "3.10", "06", "1" * 30,
+              "0." + "3" * 40, "4/8", "6/3"]
+
+    def test_trees_of_rationals_match_fraction_folding(self):
+        rng = random.Random(241)
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.25:
+                return rng.choice(self.LEAVES)
+            if rng.random() < 0.15:
+                return "-" + tree(depth - 1)
+            return f"({tree(depth - 1)} {rng.choice('+-*/')} {tree(depth - 1)})"
+
+        folded = 0
+        for _ in range(2000):
+            text = tree(rng.randint(0, 7))
+            try:
+                want = fold_oracle(ParserOracle(text).parse())
+            except ExprError as e:
+                with pytest.raises(ExprError, match=str(e)):
+                    evaluate(Parser(text).parse())
+                continue
+            n, d = evaluate(Parser(text).parse())
+            assert d > 0 and F(n, d) == want, text
+            # one Fraction in lowest terms enters xreal: the answer is that
+            # of the reduced rational, triple for triple
+            eps = rng.choice([F(1), F(1, 1000), F(3, 7), F(1, 2**70)])
+            assert answer(text, eps) == xreal.real_of_rat(want)._get(
+                (eps.numerator, eps.denominator)), text
+            # and as the exponent of exp, whose name shows the Fraction it took
+            assert evaluate(Parser(f"exp({text})").parse()).name == f"exp({want})", text
+            folded += 1
+        assert folded > 1500
+
+
 def _read(parser, text: str):
-    """The tree a parser class reads from text, or its ExprError's message."""
+    """The tree a parser class reads from text, each literal read as a
+    Fraction, or its ExprError's message."""
     try:
-        return parser(text).parse()
+        return _fractions(parser(text).parse())
     except ExprError as e:
         return str(e)
+
+
+def _fractions(node):
+    """The tree with each literal's integer pair (n, d) as the Fraction n/d."""
+    if not isinstance(node, tuple):
+        return node
+    if node[:1] == ("lit",) and isinstance(node[1], tuple):
+        return ("lit", F(*node[1]))
+    return tuple(_fractions(x) for x in node)
 
 
 class TestReaderDifferential:
@@ -189,7 +243,8 @@ class TestIntegerCommandPath:
             except ExprError:  # a stray "."
                 continue
             read += 1
-            assert literal(text) == F(text), text
+            n, d = literal(text)
+            assert F(n, d) == F(text) and d == 10 ** len(text.partition(".")[2]), text
         assert read > 2000
 
     def test_ratio_text_matches_str_of_the_fraction(self):

@@ -1,3 +1,4 @@
+import contextvars
 import math
 import random
 import sys
@@ -59,6 +60,7 @@ from helpers import (
     exp_series_oracle,
     exp_termwise_oracle,
     factorial_tail_index_oracle,
+    find_apartness_oracle,
     finite_subcover_oracle,
     fixed_point_sum_oracle,
     geometric_index_oracle,
@@ -75,6 +77,7 @@ from helpers import (
     snap_oracle,
     sum_series_oracle,
     trisection_steps_oracle,
+    walk_oracle,
 )
 
 EPS_GRID = [F(1, 10), F(1, 1000), F(1, 10**6)]
@@ -359,6 +362,125 @@ class TestFindApartness:
         assert find_apartness(tiny, F(1, 10**8)) is not None
 
 
+class TestFindApartnessOnIntegers:
+    """The probes on integer triples against the Fraction probes they
+    replaced (helpers.find_apartness_oracle): the same witness or None."""
+
+    FLOORS = [F(1, 2**60), F(1, 2**59), F(1, 1000), F(3, 7), F(1), F(2), F(5, 2**61),
+              F(1, 10**18), F(1, 3 * 2**58)]
+
+    @staticmethod
+    def _values():
+        tiny = [F(s * m, 2**e) for s in (1, -1) for m, e in ((1, 61), (1, 60), (1, 59), (3, 61),
+                                                            (3, 62), (2**10 - 1, 70), (5, 62))]
+        values = [F(0), F(1, 3), F(-5, 7), F(1, 2**10), F(1, 10**6), F(1000), *tiny]
+        reals = [lambda q=q: real_of_rat(q) for q in values]
+        # zero, and values near it, computed by series rather than given as rationals
+        half = lambda: exp_rational(F(1, 2))  # noqa: E731
+        reals.append(lambda: sub(half(), half()))
+        reals += [lambda q=q: add(real_of_rat(q), sub(half(), half())) for q in tiny]
+        reals.append(lambda: exp_rational(F(-200)))
+        return reals
+
+    def test_matches_the_fraction_probes(self):
+        for make in self._values():
+            for floor in self.FLOORS:
+                got = find_apartness(make(), floor)
+                assert got == find_apartness_oracle(make(), floor), (make().name, floor)
+                assert got is None or type(got) is F
+
+    def test_a_witness_at_the_floor_is_found(self):
+        # 3/2^61 clears (-2^-60, 2^-60) only at 2^-60 itself, the floor
+        assert find_apartness(real_of_rat(F(3, 2**61)), F(1, 2**60)) == F(1, 2**60)
+        assert find_apartness(real_of_rat(F(3, 2**61)), F(1, 2**60) + F(1, 2**90)) is None
+
+
+def _in_evaluation(fn, *args):
+    """fn(*args) inside an evaluation of its own, the work counter that an
+    outermost query opens."""
+
+    def run():
+        xreal._SERIES_WORK.set([0])
+        return fn(*args)
+
+    return contextvars.copy_context().run(run)
+
+
+class TestSeriesWalk:
+    """xreal._walk, the one walk of partial_sum and sum_series, against the
+    loop it replaced (helpers.walk_oracle).  The walk asks for the
+    precision 2^-k, so k = p - c gives p bits, for c = 2 bits(n + 2) +
+    growth + 1 and growth bounding every product of consecutive ratios."""
+
+    @staticmethod
+    def _growth(a: int, d: int, n: int) -> int:
+        g = 0
+        while d**n << g < abs(a) ** n:
+            g += 1
+        return g
+
+    @staticmethod
+    def _both(terms, n, p, growth):
+        """The walk of the ratio as one pair and as a function of the index,
+        each equal to the loop it replaced."""
+        want = walk_oracle(terms, n, p)
+        k = p - 2 * (n + 2).bit_length() - growth - 1
+        t0, ratio = terms
+        step = ratio if callable(ratio) else (lambda i: ratio)
+        assert xreal._walk((t0, step), n, k, growth) == want, (terms, n, p)
+        if not callable(ratio):
+            assert xreal._walk(terms, n, k, growth) == want, (terms, n, p)
+
+    def test_every_small_case_matches_the_loop_it_replaced(self):
+        def run():
+            for a in range(-6, 7):
+                for d in range(1, 8):
+                    for n in range(13):
+                        growth = self._growth(a, d, n)
+                        for p in range(21):
+                            for t0 in (F(1), F(-7, 3)):
+                                self._both((t0, (a, d)), n, p, growth)
+
+        _in_evaluation(run)
+
+    def test_seeded_cases_match_the_loop_it_replaced(self):
+        rng = random.Random(242)
+        third = (int("3" * 4000), 10**4000)  # 0.333...3, a 4000-digit ratio
+        cases = [((F(1), third), 60, 0), ((F(-2, 3), (-third[0], third[1])), 60, 0),
+                 ((F(1), (0, 7)), 40, 0), ((F(5, 3), (1, 1)), 30, 0), ((F(1), (-1, 1)), 31, 0)]
+        for _ in range(150):
+            t0 = F(rng.randint(-50, 50), rng.randint(1, 50))
+            form = rng.choice(["pair", "d=1", "a=0", "exp"])
+            if form == "exp":  # exp(q)'s ratios (q.num, q.den * k), growth as exp_rational's
+                q = F(rng.randint(-40, 40), rng.randint(1, 12))
+                b = abs(q.numerator) // q.denominator + 1
+                ratio = (lambda k, q=q: (q.numerator, q.denominator * k))
+                cases.append(((t0, ratio), rng.randint(0, 80), -(-14427 * b // 10000)))
+                continue
+            d = 1 if form == "d=1" else rng.randint(1, 10**rng.randint(1, 30))
+            a = 0 if form == "a=0" else rng.randint(-d, d)
+            n = rng.randint(0, 300)
+            cases.append(((t0, (a, d)), n, self._growth(a, d, n)))
+
+        def run():
+            for terms, n, growth in cases:
+                for p in {0, 1, 64, rng.randint(2, 700)}:
+                    self._both(terms, n, p, growth)
+
+        _in_evaluation(run)
+
+    def test_width_is_checked_on_every_walk(self):
+        # growth 0 understates the ratio 15/2: the walk's bounds spread
+        # past 2^-k, and both the partial sum and the series refuse
+        terms = (F(1, 3), (15, 2))
+        with pytest.raises(InvariantError, match="wider than requested"):
+            _in_evaluation(xreal._walk, terms, 10, 0, 0)
+        with pytest.raises(InvariantError, match="wider than requested"):
+            partial_sum(terms, 10).approx(1)
+        with pytest.raises(InvariantError, match="wider than requested"):
+            sum_series(terms, lambda n, e: True, lambda eps: 10).approx(1)
+
+
 def harmonic_seq():
     return ConvergentSeq(
         terms=lambda n: real_of_rat(F(1, n + 1)),
@@ -632,14 +754,46 @@ class TestIntegerPaths:
                 lo, hi = bounds(num, den, bits)
                 return lo // spread, hi * spread
 
-            monkeypatch.setattr(xreal, "_log2_bounds", weak)
-            monkeypatch.setattr(xreal, "_log2_ceiling",
-                                lambda num, den, bits, weak=weak: weak(num, den, bits)[1])
+            monkeypatch.setattr(xreal, "_log2_bounds", weak)  # both bounds, cached or not
             for r, e in ((F(1, 2), 12), (F(9, 10), 25), (F(99, 100), 3), (F(-7, 9), 40)):
                 eps = F(1, 10**e)
                 t = eps * (1 - abs(r))
                 got = least_power(abs(r.numerator), r.denominator, t.numerator, t.denominator)
                 assert got - 1 == geometric_index_oracle(r, eps), (spread, r, e)
+
+    def test_near_one_ratios_match_the_geometric_oracle(self, monkeypatch):
+        # least_power and _geometric_index at decimal precisions and at the
+        # powers of two a series asks, each settled by one or two exact
+        # tests, as least_power's docstring states; at 1e-300 the stepping
+        # oracle would take minutes, so there n is checked on both sides by
+        # the exact powers
+        from coverlab.realexpr import _geometric_index
+
+        tests = []
+        exact = xreal._power_at_most
+        monkeypatch.setattr(xreal, "_power_at_most",
+                            lambda *args: tests.append(args) or exact(*args))
+        near = F(999999, 10**6)
+        cases = [(r, eps) for r in (F(99, 100), F(-99, 100))
+                 for eps in (F(1, 10**3), F(1, 2**40), F(7, 10**30), F(1, 10**30))]
+        cases += [(near, eps) for eps in (F(10**6), F(999999), F(998001), F(997000),
+                                          F(2**20), F(10**6 * 4095, 4096), F(999999999, 1000))]
+        for r, eps in cases:
+            tests.clear()
+            assert _geometric_index(r, eps) == geometric_index_oracle(r, eps), (r, eps)
+            assert len(tests) <= 2, (r, eps)
+        for r in (F(99, 100), F(-99, 100)):
+            for eps in (F(1, 10**100), F(1, 10**300), F(1, 2**1000)):
+                tests.clear()
+                n = _geometric_index(r, eps)
+                assert len(tests) <= 2, (r, eps)
+                a, t = abs(r), eps * (1 - abs(r))
+                assert a ** (n + 1) <= t < a**n, (r, eps)
+        # least_power itself, its pair not in lowest terms
+        for r, eps in cases:
+            t = eps * (1 - abs(r))
+            got = least_power(3 * abs(r.numerator), 3 * r.denominator, t.numerator, t.denominator)
+            assert max(1, got) - 1 == geometric_index_oracle(r, eps), (r, eps)
 
     def test_factorial_tail_index_matches_the_stepping_oracle(self):
         # small and large exponents, and searches that stop at the budget
