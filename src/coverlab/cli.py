@@ -14,21 +14,21 @@ would print more than ``MAX_POINT_SUBSETS`` maximal subsets or
 (exit 1) a net of more than ``MAX_NET_POINTS`` points, and a precision
 whose decimal exponent exceeds ``MAX_EPS_EXPONENT`` in magnitude is a
 parse error.  argparse is imported, and its parser built from the table
-``GRAMMAR`` that ``_read`` reads, only for an argv ``_read`` refuses.
+``GRAMMAR`` that ``_read`` reads, only for an argv ``_read`` refuses.  The
+library modules are the package's lazy ones, read at call time, so a call
+executes only the modules of its subcommand: ``real eval`` runs ``realexpr``
+and ``xreal`` alone, and the finite subcommands never run the real half.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 import sys
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 
-from . import cauchy, coverspace, locales, realexpr, spacefile, xreal
-from .finkernel import points_of, shared_points
+from . import cauchy, coverspace, finkernel, locales, realexpr, spacefile, xreal
 
 # The most maximal subsets `locale points` prints over all points: each
 # point's count is the product of the sizes of the other atoms, which on a
@@ -90,10 +90,10 @@ def cmd_axioms(s, covers: dict, args) -> dict:
 def _cr_witness(s):
     # regular means the generator is a partition (coverspace.satisfies_cr),
     # so the witness is the first member sharing a point with another
-    shared = shared_points(s.masks)
+    shared = finkernel.shared_points(s.masks)
     for w in s.masks:
         if w & shared:
-            return {"generator_member": points_of(w)}
+            return {"generator_member": finkernel.points_of(w)}
     return None
 
 
@@ -178,25 +178,8 @@ def cmd_locale(s, covers: dict, args) -> dict:
             "point_count": report.point_count, "reports": reports}
 
 
-def _parse_eps(text: str) -> Fraction:
-    exponent = re.search(r"[eE][-+]?([0-9_]*)\s*$", text)
-    if exponent:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > 6 or int(digits or "0") > MAX_EPS_EXPONENT:
-            raise realexpr.ExprError(
-                f"precision exponent beyond +-{MAX_EPS_EXPONENT} in {text!r}"
-            )
-    try:
-        eps = Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise realexpr.ExprError(f"bad precision {text!r}") from e
-    if eps <= 0:
-        raise realexpr.ExprError("precision must be positive")
-    return eps
-
-
 def cmd_real(args) -> str:
-    eps = _parse_eps(args.eps)
+    eps = realexpr.parse_eps(args.eps, MAX_EPS_EXPONENT)
     lo, hi, den = ans = realexpr.answer(args.expression, eps)
     text = realexpr.format_interval(ans, eps, args.eps)
     if args.bounds:
@@ -205,22 +188,20 @@ def cmd_real(args) -> str:
 
 
 def cmd_demo_heine_borel(args) -> dict:
-    eps = _parse_eps(args.eps)
+    eps = realexpr.parse_eps(args.eps, MAX_EPS_EXPONENT)
     bound = (eps.denominator + eps.numerator - 1) // eps.numerator + 1  # ceil(1/eps)+1
     if bound > MAX_NET_POINTS:
         raise ValueError(f"a net at eps {args.eps} has {bound} points, "
                          f"more than {MAX_NET_POINTS}")
-    domain = xreal.RInterval(Fraction(0), Fraction(1))
+    F = xreal.Fraction  # the type of RInterval's ends; cli leaves fractions unimported
+    domain = xreal.RInterval(F(0), F(1))
     t0 = time.perf_counter()
     chosen, d = xreal.ball_subcover(domain, eps)
     reports = [
         _report("subcover_covers", True, None, t0),
         _report("subcover_size_bound", len(chosen) <= bound, {"size": len(chosen)}),
     ]
-    gapped = [
-        xreal.RInterval(Fraction(-1), Fraction(1, 2)),
-        xreal.RInterval(Fraction(3, 5), Fraction(2)),
-    ]
+    gapped = [xreal.RInterval(F(-1), F(1, 2)), xreal.RInterval(F(3, 5), F(2))]
     witness = None
     try:
         xreal.finite_subcover(domain, gapped)
@@ -334,8 +315,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         # parse and file errors exit 2, computation-level failures (size
-        # guards, apartness, preconditions) 1
-        return 2 if isinstance(e, (spacefile.SpaceFileError, realexpr.ExprError, OSError)) else 1
+        # guards, apartness, preconditions) 1; an error class names its own
+        # code, so reading it loads neither the file reader nor the real half
+        return 2 if isinstance(e, OSError) else getattr(e, "exit_code", 1)
 
 
 if __name__ == "__main__":

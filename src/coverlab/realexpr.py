@@ -43,6 +43,25 @@ _FOLD = {"+": lambda a, b, c, d: (a * d + c * b, b * d), "*": lambda a, b, c, d:
 class ExprError(ValueError):
     """Syntax or evaluation error with position information."""
 
+    exit_code = 2  # the CLI's code for a parse error
+
+
+def parse_eps(text: str, max_exponent: int) -> Fraction:
+    """The precision text as a positive Fraction; a decimal exponent beyond
+    max_exponent in magnitude is refused before Fraction builds 10**exponent."""
+    exponent = re.search(r"[eE][-+]?([0-9_]*)\s*$", text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 6 or int(digits or "0") > max_exponent:
+            raise ExprError(f"precision exponent beyond +-{max_exponent} in {text!r}")
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ExprError(f"bad precision {text!r}") from e
+    if eps <= 0:
+        raise ExprError("precision must be positive")
+    return eps
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/();])"

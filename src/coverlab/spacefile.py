@@ -10,7 +10,8 @@ subsets in lexicographic order, so parse-emit-parse is the identity.
 
 ``read_text`` and ``write_text`` move the CLI's file bytes with ``os.read``
 and ``os.write`` loops.  ``json_text`` writes a document as ``json.dumps(doc,
-indent=2)`` does, by exact type; the CLI prints its reports with it.
+indent=2)`` does, by exact type; the CLI prints its reports with it, those
+of ``demo heine-borel`` too, so the finite modules are read at call time.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .coverspace import close_masks
-from .finkernel import FiniteCoverSpace, distinct_masks, points_of, union
+from . import coverspace, finkernel
 
 FORMAT_VERSION = 1
 # The largest carrier a file may declare, refused before any mask is built.
@@ -39,6 +39,8 @@ MAX_NESTING = 500
 
 class SpaceFileError(ValueError):
     """Malformed space file; the message carries the JSON path."""
+
+    exit_code = 2  # the CLI's code for a parse error
 
 
 def read_text(path: str) -> str:
@@ -124,7 +126,7 @@ def _read(doc) -> SpaceFile:
                     )
                 mask |= 1 << x
             masks.append(mask)
-        covers.append(tuple(distinct_masks(masks)))
+        covers.append(tuple(finkernel.distinct_masks(masks)))
     return SpaceFile(n, tuple(covers))
 
 
@@ -151,19 +153,19 @@ def covers_valid(sf: SpaceFile) -> tuple[bool, dict]:
     first failing cover and its missing points."""
     full = (1 << sf.carrier) - 1
     for i, cover in enumerate(sf.covers):
-        missing = full ^ union(cover)
+        missing = full ^ finkernel.union(cover)
         if missing:
-            return False, {"cover": i, "missing_points": points_of(missing)}
+            return False, {"cover": i, "missing_points": finkernel.points_of(missing)}
     return True, {}
 
 
-def to_space(sf: SpaceFile) -> FiniteCoverSpace:
+def to_space(sf: SpaceFile) -> finkernel.FiniteCoverSpace:
     """The structure the file's covers generate; they must cover the
     carrier (``covers_valid``)."""
-    return close_masks(sf.carrier, sf.covers)
+    return coverspace.close_masks(sf.carrier, sf.covers)
 
 
-def of_space(s: FiniteCoverSpace) -> SpaceFile:
+def of_space(s: finkernel.FiniteCoverSpace) -> SpaceFile:
     return SpaceFile(s.size, (s.masks,))
 
 
@@ -172,7 +174,7 @@ def document(sf: SpaceFile) -> dict:
     return {
         "format": FORMAT_VERSION,
         "carrier": sf.carrier,
-        "covers": [sorted(map(points_of, cover)) for cover in sf.covers],
+        "covers": [sorted(map(finkernel.points_of, cover)) for cover in sf.covers],
     }
 
 

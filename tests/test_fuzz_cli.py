@@ -163,7 +163,7 @@ def expressions(draw) -> str:
 
 def _parser_refuses(text: str, eps: str) -> bool:
     try:
-        cli._parse_eps(eps)
+        realexpr.parse_eps(eps, cli.MAX_EPS_EXPONENT)
         realexpr.Parser(text).parse()
     except realexpr.ExprError:
         return True

@@ -678,10 +678,11 @@ class TestCliReal:
         assert "exponent" in capsys.readouterr().err
 
     def test_precision_exponent_bound(self):
-        assert cli._parse_eps("1e-100000") == F(1, 10**100000)
-        assert cli._parse_eps("1E+0_5") == F(10**5)
+        limit = cli.MAX_EPS_EXPONENT
+        assert realexpr.parse_eps("1e-100000", limit) == F(1, 10**100000)
+        assert realexpr.parse_eps("1E+0_5", limit) == F(10**5)
         with pytest.raises(realexpr.ExprError, match="exponent"):
-            cli._parse_eps("1e-100001")
+            realexpr.parse_eps("1e-100001", limit)
 
     def test_apartness_failure_exit_1(self, capsys):
         assert cli.main(["real", "eval", "inv(0; 1/4)", "--eps", "1/10"]) == 1
