@@ -195,7 +195,7 @@ def completion(s: FiniteCoverSpace) -> CompletionSpace:
     for i, b in enumerate(s.masks):
         for x in points_of(b):
             unit[x] = i
-    points = tuple(Subset(carrier, b) for b in s.masks)
+    points = tuple([Subset(carrier, b) for b in s.masks])
     return CompletionSpace(points, discrete(len(points)), tuple(unit))
 
 
@@ -206,9 +206,7 @@ def strong_completion(s: FiniteCoverSpace) -> CompletionSpace:
     two rather-below relations coincide, so this is ``completion``.
     """
     if not coverspace.is_strongly_regular(s):
-        raise coverspace.RegularityError(
-            "strong completion requires strong regularity"
-        )
+        raise coverspace.RegularityError("strong completion requires strong regularity")
     return completion(s)
 
 

@@ -284,7 +284,13 @@ def build_parser():
     """argparse's parser of GRAMMAR, which prints usage errors and help."""
     import argparse
 
-    p = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # choices quoted, as 3.13.0 and before print them
+        def _check_value(self, action, value):
+            if action.choices is not None and value not in action.choices:
+                raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from "
+                                             f"{', '.join(map(repr, action.choices))})")
+
+    p = Parser(
         prog="coverlab", description="Finite cover-space checks and exact real evaluation.")
     sub = p.add_subparsers(dest="command", required=True)
     for command, (about, fn, positionals, options) in GRAMMAR.items():

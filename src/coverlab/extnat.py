@@ -34,7 +34,7 @@ class ExtendedNat:
         return 1 if self.index == k else 0
 
     def prefix(self, horizon: int) -> tuple[int, ...]:
-        return tuple(self.bit(k) for k in range(horizon))
+        return tuple([self.bit(k) for k in range(horizon)])
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,4 @@ def filter_of_extnat(x: ExtendedNat, horizon: int) -> FilterMember:
 def extnat_of_filter(member: FilterMember, horizon: int) -> tuple[int, ...]:
     """Read the bit sequence back off a filter: bit n is set exactly when
     the singleton at n belongs.  Returns the truncated representation."""
-    return tuple(
-        1 if member(NatSet(frozenset({n}))) else 0 for n in range(horizon)
-    )
+    return tuple([1 if member(NatSet(frozenset({n}))) else 0 for n in range(horizon)])

@@ -209,9 +209,7 @@ def meet(c: Cover, d: Cover) -> Cover:
     """The cover of pairwise intersections {U ∩ V : U in c, V in d}."""
     if c.carrier != d.carrier:
         raise CarrierMismatchError("meet across different carriers")
-    return Cover.of_masks(
-        c.carrier, {u.mask & v.mask for u in c.members for v in d.members}
-    )
+    return Cover.of_masks(c.carrier, {u.mask & v.mask for u in c.members for v in d.members})
 
 
 def canonicalize(c: Cover) -> Cover:
@@ -315,7 +313,7 @@ def space_from_masks(n: int, masks: Iterable[Iterable[int]]) -> FiniteCoverSpace
 
 def discrete(n: int) -> FiniteCoverSpace:
     """All covers are distinguished: generated by the singleton cover."""
-    singletons = tuple(1 << x for x in range(Carrier(n).size))
+    singletons = tuple([1 << x for x in range(Carrier(n).size)])
     return FiniteCoverSpace._canonical(n, singletons, singletons)
 
 

@@ -55,7 +55,7 @@ class CoveragePresentation:
         self.space = space
         self.full = space.carrier.full_mask
         shared = shared_points(space.masks)
-        self.atoms: tuple[int, ...] = tuple(w for w in space.masks if not w & shared)
+        self.atoms: tuple[int, ...] = tuple([w for w in space.masks if not w & shared])
         self.index = {w: i for i, w in enumerate(self.atoms)}
 
 
@@ -125,7 +125,7 @@ def locale_of_space(s: FiniteCoverSpace) -> FiniteLocale:
 
 def locale_points(m: FiniteLocale) -> tuple[LocalePoint, ...]:
     """All points: the atoms, ascending by mask."""
-    return tuple(LocalePoint(1 << i) for i in range(len(m.atoms)))
+    return tuple([LocalePoint(1 << i) for i in range(len(m.atoms))])
 
 
 def maximal_subsets(m: FiniteLocale, a: int) -> tuple[Subset, ...]:
@@ -136,12 +136,12 @@ def maximal_subsets(m: FiniteLocale, a: int) -> tuple[Subset, ...]:
     base = pres.full & ~(m.singles & ~inside)
     choices = [bits for i, bits in m.multi if not a >> i & 1]
     masks = sorted(base & ~sum(pick) for pick in itertools.product(*choices))
-    return tuple(Subset(pres.space.carrier, u) for u in masks)
+    return tuple([Subset(pres.space.carrier, u) for u in masks])
 
 
 def points_of_open(m: FiniteLocale, a: int) -> tuple[LocalePoint, ...]:
     """Points whose filter contains the open: the atoms below it."""
-    return tuple(LocalePoint(1 << i) for i in range(len(m.atoms)) if a >> i & 1)
+    return tuple([LocalePoint(1 << i) for i in range(len(m.atoms)) if a >> i & 1])
 
 
 def largest_open_within(m: FiniteLocale, pts: Iterable[LocalePoint]) -> int:
@@ -237,9 +237,7 @@ def verify_equivalence(s: FiniteCoverSpace) -> EquivalenceReport:
     checks.append(("locale_regular", m.is_regular(), ""))
     checks.append(("locale_proper", locale_is_proper(m), ""))
     k = len(m.atoms)
-    checks.append(
-        ("point_count_matches", k == s.size, f"{k} points vs carrier {s.size}")
-    )
+    checks.append(("point_count_matches", k == s.size, f"{k} points vs carrier {s.size}"))
 
     eta = [m.presentation.index.get(w, -1) for w in s.star]
     eta_ok = -1 not in eta

@@ -755,7 +755,7 @@ def uniform_convergence_check(
     covers the sampled grid, precisions, and indices.
     """
     grid = tuple(epsilon_net(domain, grid_eps))
-    eps_values = tuple(rat(e) for e in eps_values)
+    eps_values = tuple([rat(e) for e in eps_values])
     probes = tuple(probe_indices)
     for eps in eps_values:
         base_index = candidate_modulus(eps)

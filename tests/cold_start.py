@@ -1,4 +1,4 @@
-"""Wall time of fresh ``python -m coverlab.cli`` calls under two source trees.
+"""Wall time and peak RSS of fresh ``python -m coverlab.cli`` calls under two trees.
 
     python3 tests/cold_start.py OLD_SRC NEW_SRC [ROUNDS]
 
@@ -10,7 +10,13 @@ alternating rounds, default 10, the old tree first in even rounds and the
 new one first in odd ones: once with ``PYTHONDONTWRITEBYTECODE=1`` and no
 bytecode cache, and once after ``compileall`` has written a cache into both
 copies.  For each subcommand it prints each tree's median and quartiles in
-ms and the number of rounds each won.  A call that exits other than 0, or
+ms, its median peak RSS in MB and the number of rounds each won.  The peak
+is the child's own ``ru_maxrss``, read by reaping it with ``os.wait4``
+(``RUSAGE_CHILDREN`` would give the largest over every child reaped so
+far).  Linux starts a child's peak at its parent's when the parent is the
+larger.  So a median at or below this script's own peak is the script's,
+not the child's, and prints as ``<`` that peak; a median above it is the
+child's.  A call that exits other than 0, or
 whose output differs between the trees, stops the run.  Standard library
 only, and pytest does not collect it; run it from the repository root, for
 instance against a clean checkout of the parent commit:
@@ -23,10 +29,12 @@ from __future__ import annotations
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from statistics import median, quantiles
 
@@ -48,35 +56,49 @@ CALLS = {  # label -> argv, {tmp} the directory of the space files
 _MS_FIELD = re.compile(r'"ms": [-0-9.e+]+')
 
 
-def call(src: str, argv: list[str]) -> tuple[float, str]:
-    """Seconds one fresh interpreter takes for argv, and what it printed."""
+def call(src: str, argv: list[str]) -> tuple[float, float, str]:
+    """Seconds one fresh interpreter takes for argv, its peak RSS in MB, and
+    what it printed."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    started = time.perf_counter()
-    run = subprocess.run([sys.executable, "-m", "coverlab.cli", *argv], env=env,
-                         capture_output=True, text=True, timeout=120)
-    seconds = time.perf_counter() - started
-    if run.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} under {src} exited {run.returncode}:\n{run.stderr}")
-    return seconds, _MS_FIELD.sub('"ms": -', run.stdout)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "coverlab.cli", *argv], env=env,
+                                 stdout=out, stderr=err)
+        timer = threading.Timer(120, child.kill)
+        timer.start()
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - started
+        timer.cancel()
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        printed, errors = out.read().decode(), err.read().decode()
+    if child.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} under {src} exited {child.returncode}:\n{errors}")
+    return seconds, usage.ru_maxrss / 1024, _MS_FIELD.sub('"ms": -', printed)
 
 
 def compare(srcs: tuple[str, str], tmp: str, rounds: int) -> None:
-    print(f"{'subcommand':<18} {'old ms':>7} {'q1-q3':>13} {'new ms':>7} {'q1-q3':>13}"
-          f" {'new faster':>11} {'old faster':>11}")
+    print(f"{'subcommand':<18} {'old ms':>7} {'q1-q3':>13} {'old MB':>6} {'new ms':>7}"
+          f" {'q1-q3':>13} {'new MB':>6} {'new faster':>11} {'old faster':>11}")
     for label, argv in CALLS.items():
         argv = [a.replace("{tmp}", tmp) for a in argv]
         times: tuple[list[float], list[float]] = ([], [])
+        peaks: tuple[list[float], list[float]] = ([], [])
         for r in range(rounds):
             printed = {}
             for side in (0, 1) if r % 2 == 0 else (1, 0):
-                seconds, printed[side] = call(srcs[side], argv)
+                seconds, peak, printed[side] = call(srcs[side], argv)
                 times[side].append(seconds * 1000)
+                peaks[side].append(peak)
             if printed[0] != printed[1]:
                 raise SystemExit(f"{label}: the trees print different outputs")
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         cells = []
-        for ms in times:
+        for ms, mb in zip(times, peaks):
             q1, _, q3 = quantiles(ms, n=4)
-            cells.append(f"{median(ms):7.1f} {q1:6.1f}-{q3:6.1f}")
+            peak = f"{median(mb):6.2f}" if median(mb) > own else f"<{own:5.2f}"
+            cells.append(f"{median(ms):7.1f} {q1:6.1f}-{q3:6.1f} {peak}")
         won = sum(new < old for old, new in zip(*times))
         print(f"{label:<18} {cells[0]} {cells[1]} {won:>5} of {rounds:<2} {rounds - won:>5} of"
               f" {rounds:<2}")
