@@ -63,131 +63,128 @@ def parse_eps(text: str, max_exponent: int) -> Fraction:
     return eps
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/();])"
-    r"|(?P<bad>\S))"
-)
+# a number, a name or an operator, else one character that starts none,
+# matched with the group empty
+_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/();])|\S)")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "bad":
-            # the position where the whitespace before the character begins
-            raise ExprError(f"unexpected character {value!r} at position {m.start()}")
-        if kind == "num" and len(value) - ("." in value) > MAX_LITERAL_DIGITS:
-            raise ExprError(f"numeric literal at position {m.start(kind)} has more "
-                            f"than {MAX_LITERAL_DIGITS} digits")
-        out.append((kind, value, m.start(kind)))
-    return out
+def tokenize(text: str) -> list[str]:
+    """The tokens of text in one scan.  A text with a character no token
+    starts, or long enough for a literal past MAX_LITERAL_DIGITS digits, is
+    scanned again for its first refusal."""
+    tokens = _TOKEN.findall(text)
+    if "" in tokens or len(text) > MAX_LITERAL_DIGITS:
+        for m in _TOKEN.finditer(text):
+            if not (tok := m.group(1)):  # at where the whitespace before it begins
+                raise ExprError(f"unexpected character {text[m.end() - 1]!r} at position {m.start()}")
+            if tok[0].isdecimal() and len(tok) - ("." in tok) > MAX_LITERAL_DIGITS:
+                raise ExprError(f"numeric literal at position {m.start(1)} has more "
+                                f"than {MAX_LITERAL_DIGITS} digits")
+    return tokens
 
 
 class Parser:
-    """Recursive descent over the grammar above.  Input nested deeper than
-    MAX_DEPTH is refused, counting both the factors open at once (the
-    parser's own recursion) and the depth of the tree built."""
+    """Precedence climbing over the token list (Pratt, POPL 1973), each
+    level's operators joined left to right; a token's position is scanned
+    for only when an error names it.  Input nested deeper than MAX_DEPTH is
+    refused, counting both the factors open at once (the parser's own
+    recursion) and the depth of the tree built."""
 
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.i = 0
-        self.open = 0  # factors being parsed, each inside the one before
-        self.depth = 0  # depth of the subtree parsed last
+        self.text, self.tokens = text, tokenize(text) + [None]  # None ends the input
+        self.i = self.open = self.depth = 0  # next token, factors open, depth parsed last
 
-    def _within(self, depth: int, tok) -> int:
+    def parse(self):
+        node = self._expr(1)
+        if self.tokens[self.i] is not None:
+            raise ExprError(f"trailing {self.tokens[self.i]!r} at position {self._at(self.i)}")
+        return node
+
+    def _at(self, i: int) -> int:
+        return [m.start(1) for m in _TOKEN.finditer(self.text)][i]
+
+    def _unexpected(self) -> ExprError:
+        if (tok := self.tokens[self.i]) is None:
+            return ExprError("unexpected end of expression")
+        return ExprError(f"unexpected {tok!r} at position {self._at(self.i)}")
+
+    def _within(self, depth: int, i: int) -> int:
         if depth > MAX_DEPTH:
-            raise ExprError(f"nesting deeper than {MAX_DEPTH} at position {tok[2]}")
+            raise ExprError(f"nesting deeper than {MAX_DEPTH} at position {self._at(i)}")
         return depth
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, kind=None, value=None):
-        tok = self.peek()
-        if tok is None:
-            raise ExprError("unexpected end of expression")
-        if kind and tok[0] != kind or value and tok[1] != value:
-            raise ExprError(f"unexpected {tok[1]!r} at position {tok[2]}")
+    def _take(self, value: str | None = None) -> str:
+        """The next token, which must be value, or a number for None."""
+        tok = self.tokens[self.i]
+        if tok != value if value else tok is None or not tok[0].isdecimal():
+            raise self._unexpected()
         self.i += 1
         return tok
 
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            tok = self.peek()
-            raise ExprError(f"trailing {tok[1]!r} at position {tok[2]}")
-        return node
-
-    def expr(self, ops="+-"):
-        """A left-associative level: terms joined by '+ -', or factors by '* /'."""
-        node = self.expr("*/") if ops == "+-" else self.factor()
-        depth = self.depth
-        while self.peek() and self.peek()[1] in ops:
-            op = self.take()
-            node = (op[1], node, self.expr("*/") if ops == "+-" else self.factor())
-            depth = self._within(1 + max(depth, self.depth), op)
+    def _expr(self, level: int):
+        """Factors joined by the operators of precedence level and above."""
+        node, depth = self._factor(), self.depth
+        while _PRECEDENCE.get(op := self.tokens[self.i], 0) >= level:
+            i, self.i = self.i, self.i + 1
+            node = (op, node, self._expr(_PRECEDENCE[op] + 1))
+            depth = self._within(1 + max(depth, self.depth), i)
         self.depth = depth
         return node
 
-    def factor(self):
-        tok = self.peek()
+    def _factor(self):
+        i, tok = self.i, self.tokens[self.i]
         if tok is None:
-            raise ExprError("unexpected end of expression")
-        self.open = self._within(self.open + 1, tok)
-        if tok[1] == "-":
-            self.take()
-            node = ("neg", self.factor())
-            self.depth = self._within(self.depth + 1, tok)
+            raise self._unexpected()
+        self.open = self._within(self.open + 1, i)
+        if tok == "-":
+            self.i += 1
+            node = ("neg", self._factor())
+            self.depth = self._within(self.depth + 1, i)
+        elif tok == "(":
+            self.i += 1
+            node = self._expr(1)
+            self._take(")")
+        elif tok[0].isdecimal():
+            self.i += 1
+            node, self.depth = ("lit", literal(tok)), 1
+        elif tok.isidentifier():
+            node = self._call(tok, i)
         else:
-            node = self.atom()
+            raise self._unexpected()
         self.open -= 1
         return node
 
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            self.depth = 1
-            return ("lit", literal(tok[1]))
-        if tok[1] == "(":
-            self.take()
-            node = self.expr()
-            self.take(value=")")
-            return node
-        if tok[0] == "name":
-            return self.call()
-        raise ExprError(f"unexpected {tok[1]!r} at position {tok[2]}")
-
-    def call(self):
-        tok = self.take("name")
-        name = tok[1]
-        self.take(value="(")
+    def _call(self, name: str, i: int):
+        self.i += 1
+        self._take("(")
         if name in ("inv", "exp"):
-            node = (name, self.expr())
+            arg = self._expr(1)
             if name == "inv":  # and its apartness radius
-                self.take(value=";")
-                node += (self.number(),)
-            self.take(value=")")
-            self.depth = self._within(self.depth + 1, tok)
+                self._take(";")
+            node = (name, arg, self._number()) if name == "inv" else (name, arg)
+            self._take(")")
+            self.depth = self._within(self.depth + 1, i)
             return node
         if name == "limit":
-            form = self.take("name")[1]
-            args = []
-            while self.peek() and self.peek()[1] == ";":
-                self.take()
-                args.append(self.number())
-            self.take(value=")")
+            if not (form := self.tokens[self.i] or "0").isidentifier():
+                raise self._unexpected()
+            self.i, args = self.i + 1, []
+            while self.tokens[self.i] == ";":
+                self.i += 1
+                args.append(self._number())
+            self._take(")")
             self.depth = 1
             return ("limit", form, tuple(args))
         raise ExprError(f"unknown function {name!r}")
 
-    def number(self) -> Fraction:
-        negative = bool(self.peek() and self.peek()[1] == "-" and self.take())
-        n, d = literal(self.take("num")[1])
-        if self.peek() and self.peek()[1] == "/":
-            self.take()
-            if (denom := literal(self.take("num")[1]))[0] == 0:
+    def _number(self) -> Fraction:
+        negative = self.tokens[self.i] == "-"
+        self.i += negative
+        n, d = literal(self._take())
+        if self.tokens[self.i] == "/":
+            self.i += 1
+            if (denom := literal(self._take()))[0] == 0:
                 raise ExprError("zero denominator in literal")
             n, d = n * denom[1], d * denom[0]
         return Fraction(-n if negative else n, d)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -528,9 +529,9 @@ def limit(seq: ConvergentSeq) -> Real:
     return Real(fn, name="limit", pairs=True)
 
 
-# series terms: a Real for each index, or exact terms as t_0 and the ratio
-# with t_k = t_{k-1} * a/d for (a, d) = ratio(k), or ratio itself, and d > 0
-Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], tuple[int, int]] | tuple[int, int]]
+# series terms: a Real for each index, or exact (t_0, ratio), t_k = t_{k-1} a/d
+# for (a, d) = ratio(k) or ratio itself, d > 0, or t_{k-1} a/(d k) for (a, d, 1)
+Terms = Callable[[int], Real] | tuple[Fraction, Callable[[int], tuple[int, int]] | tuple[int, ...]]
 
 
 def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
@@ -543,7 +544,7 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
     integers l_k <= t_k 2^p <= u_k in ``_walk``, the one walk that
     sum_series takes too (Brent, J. ACM 23, 1976; Brent & Zimmermann,
     Modern Computer Arithmetic, 4.4).  ratio(k), or ratio for every k, is a
-    pair of integers (a, d), d > 0, in lowest terms or not: each step
+    pair (a, d), d > 0, reduced or not, or (a, d, 1) for (a, d k): each step
     multiplies by a and floors (for l) or ceils (for u) the division by d,
     swapping the two first when a < 0, so the bits of a term follow p, not
     k.  A floor and a ceil each lose less than one unit, so e_k = u_k - l_k
@@ -570,11 +571,16 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
 
 
 def _walk(terms: Terms, n: int, k: int, growth: int) -> Answer:
-    """partial_sum's answer on exact terms at 2^-k, checked for width."""
+    """partial_sum's answer on exact terms at 2^-k, checked for width.  Each
+    upper end is kept as u = l + e, e small: for l a = q d + r, 0 <= r < d,
+    the next ends are q and q + ceil((r + e a)/d) when a >= 0, and
+    q + floor((r + e a)/d) and q + ceil(r/d) when a < 0."""
     t0, ratio = terms
     p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
-    a, d = ratio if isinstance(ratio, tuple) else ratio(n) if n else (0, 1)
-    q = abs(a).bit_length() + d.bit_length()
+    fixed = isinstance(ratio, tuple)
+    a, d = ratio[:2] if fixed else ratio(n) if n else (0, 1)
+    per = fixed and len(ratio) > 2  # a/(d k): the last ratio is a/(d n)
+    q = abs(a).bit_length() + (d * n if per else d).bit_length()
     work, spent = n * (p + growth) * (1 + q // 256), _SERIES_WORK.get()
     if spent[0] + work > MAX_SERIES_WORK:
         before = f" after {spent[0]} in this evaluation" if spent[0] else ""
@@ -583,26 +589,19 @@ def _walk(terms: Terms, n: int, k: int, growth: int) -> Answer:
             f"work{before}, more than {MAX_SERIES_WORK}")
     spent[0] += work
     lo = l = (t0.numerator << p) // t0.denominator
-    hi = u = -(-t0.numerator << p) // t0.denominator
-    c = d - 1  # for a constant ratio, ceil(x/d) is (x + c) // d
-    if not isinstance(ratio, tuple):
-        for i in range(1, n + 1):
-            a, d = ratio(i)
-            if a < 0:
-                l, u = u, l
-            l, u = l * a // d, -(-u * a // d)
-            lo, hi = lo + l, hi + u
-    elif a < 0:
-        for _ in range(n):
-            l, u = u * a // d, (l * a + c) // d
-            lo, hi = lo + l, hi + u
-    else:
-        for _ in range(n):
-            l, u = l * a // d, (u * a + c) // d
-            lo, hi = lo + l, hi + u
-    if hi - lo + 2 > 1 << p - k:
+    s = e = -(-t0.numerator << p) // t0.denominator - l
+    divisors = range(d, d * n + 1, d) if per else itertools.repeat(d, n)
+    for a, d in zip(itertools.repeat(a), divisors) if fixed else map(ratio, range(1, n + 1)):
+        l, r = divmod(l * a, d)
+        if a < 0:  # the ends swap
+            f = (r + e * a) // d
+            l, e = l + f, (r + d - 1) // d - f
+        else:
+            e = (r + e * a + d - 1) // d
+        lo, s = lo + l, s + e
+    if s + 2 > 1 << p - k:
         raise InvariantError(f"partial_sum({n}): answer wider than requested 2^{-k}")
-    return lo - 1, hi + 1, 1 << p
+    return lo - 1, lo + s + 1, 1 << p
 
 
 def sum_series(
@@ -655,7 +654,7 @@ def exp_rational(q) -> Real:
     b = abs(q.numerator) // q.denominator + 1  # integer bound > |q|
     growth = -(-14427 * b // 10000)
     a, d = q.numerator, q.denominator
-    out = sum_series((Fraction(1), lambda k: (a, d * k)), _factorial_tail(b),
+    out = sum_series((Fraction(1), (a, d, 1)), _factorial_tail(b),
                      _factorial_tail_index(b), growth)
     out._name = lambda: f"exp({q})"
     return out
@@ -788,26 +787,27 @@ def epsilon_net(domain: RInterval, eps) -> list[Fraction]:
     return [Fraction(x, den) for x in nums]
 
 
-def _balls(domain: RInterval, eps) -> tuple[list[int], list[int], int]:
-    """The ends of ball_cover's balls, integer numerators over one denominator."""
-    eps, nums, den = _net_numerators(domain, eps)
-    e, f = eps.numerator * den, eps.denominator
-    return [x * f - e for x in nums], [x * f + e for x in nums], den * f
-
-
 def ball_cover(domain: RInterval, eps) -> list[RInterval]:
     """The open balls of radius eps about the points of epsilon_net."""
-    los, his, d = _balls(domain, eps)
-    return [RInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(los, his)]
+    eps, nums, den = _net_numerators(domain, eps)
+    e, f, d = eps.numerator * den, eps.denominator, den * eps.denominator
+    return [RInterval(Fraction(x * f - e, d), Fraction(x * f + e, d)) for x in nums]
 
 
 def ball_subcover(domain: RInterval, eps) -> tuple[list[tuple[int, int]], int]:
     """The ends of the balls finite_subcover(domain, ball_cover(domain, eps))
-    picks, as integer numerators over the balls' denominator d, a multiple
-    of the domain's, and d: swept on the numerators, with no Fraction built."""
-    los, his, d = _balls(domain, eps)
-    ends = (x.numerator * d // x.denominator for x in (domain.lo, domain.hi))
-    return [(los[i], his[i]) for i in _sweep(*ends, los, his)], d
+    picks, as integer numerators over the balls' denominator d, a multiple of
+    the domain's, and d, in closed form (README): for spacing h and radius r,
+    ceil(r/h) - 1 capped at k, then on by ceil(2r/h) - 1 past k - ceil(r/h)."""
+    eps, nums, den = _net_numerators(domain, eps)
+    e, f = eps.numerator * den, eps.denominator  # r = e/(den f)
+    h, k = nums.step * f, len(nums) - 1
+    c, step = -(-e // h), -(-2 * e // h) - 1
+    first = min(k, c - 1)
+    count = 1 if first > k - c else (k - c - first) // step + 2
+    lo, gap = nums[first] * f - e, h * step
+    los = range(lo, lo + count * gap, gap)
+    return list(zip(los, range(lo + 2 * e, los.stop + 2 * e, gap))), den * f
 
 
 def finite_subcover(domain: RInterval, cover: Sequence[RInterval]) -> list[RInterval]:

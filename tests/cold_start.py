@@ -11,15 +11,14 @@ new one first in odd ones: once with ``PYTHONDONTWRITEBYTECODE=1`` and no
 bytecode cache, and once after ``compileall`` has written a cache into both
 copies.  For each subcommand it prints each tree's median and quartiles in
 ms, its median peak RSS in MB and the number of rounds each won.  The peak
-is the child's own ``ru_maxrss``, read by reaping it with ``os.wait4``
-(``RUSAGE_CHILDREN`` would give the largest over every child reaped so
-far).  Linux starts a child's peak at its parent's when the parent is the
-larger.  So a median at or below this script's own peak is the script's,
-not the child's, and prints as ``<`` that peak; a median above it is the
-child's.  A call that exits other than 0, or
-whose output differs between the trees, stops the run.  Standard library
-only, and pytest does not collect it; run it from the repository root, for
-instance against a clean checkout of the parent commit:
+is the child's own ``VmHWM``, which it reads from ``/proc/self/status`` as
+it exits and writes to a file the script names, as ``perfbench/worker.py``
+reports its own.  (The ``ru_maxrss`` that ``os.wait4`` reaps would not do:
+Linux starts a child's peak at its parent's when the parent is the larger.)
+A call that exits other than 0, or whose output differs between the trees,
+stops the run.  Standard library only, and pytest does not collect it; run
+it from the repository root, for instance against a clean checkout of the
+parent commit:
 
     mkdir ../parent && git archive HEAD~1 src | tar -x -C ../parent
     python3 tests/cold_start.py ../parent/src src
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import os
 import re
-import resource
 import shutil
 import subprocess
 import sys
@@ -56,26 +54,38 @@ CALLS = {  # label -> argv, {tmp} the directory of the space files
 _MS_FIELD = re.compile(r'"ms": [-0-9.e+]+')
 
 
+# the child: coverlab.cli run as ``python -m`` runs it, its own peak written
+# at exit to the file COLD_START_PEAK names
+CHILD = """import atexit, os, runpy
+def peak():
+    with open("/proc/self/status") as status, open(os.environ["COLD_START_PEAK"], "w") as out:
+        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+atexit.register(peak)
+runpy.run_module("coverlab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 def call(src: str, argv: list[str]) -> tuple[float, float, str]:
     """Seconds one fresh interpreter takes for argv, its peak RSS in MB, and
     what it printed."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
+            tempfile.NamedTemporaryFile("r") as peak:
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+                   COLD_START_PEAK=peak.name)
         started = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "coverlab.cli", *argv], env=env,
+        child = subprocess.Popen([sys.executable, "-c", CHILD, *argv], env=env,
                                  stdout=out, stderr=err)
         timer = threading.Timer(120, child.kill)
         timer.start()
-        _, status, usage = os.wait4(child.pid, 0)
+        child.wait()
         seconds = time.perf_counter() - started
         timer.cancel()
-        child.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
         printed, errors = out.read().decode(), err.read().decode()
-    if child.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} under {src} exited {child.returncode}:\n{errors}")
-    return seconds, usage.ru_maxrss / 1024, _MS_FIELD.sub('"ms": -', printed)
+        if child.returncode != 0:
+            raise SystemExit(f"{' '.join(argv)} under {src} exited {child.returncode}:\n{errors}")
+        return seconds, int(peak.read()) / 1024, _MS_FIELD.sub('"ms": -', printed)
 
 
 def compare(srcs: tuple[str, str], tmp: str, rounds: int) -> None:
@@ -93,12 +103,10 @@ def compare(srcs: tuple[str, str], tmp: str, rounds: int) -> None:
                 peaks[side].append(peak)
             if printed[0] != printed[1]:
                 raise SystemExit(f"{label}: the trees print different outputs")
-        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         cells = []
         for ms, mb in zip(times, peaks):
             q1, _, q3 = quantiles(ms, n=4)
-            peak = f"{median(mb):6.2f}" if median(mb) > own else f"<{own:5.2f}"
-            cells.append(f"{median(ms):7.1f} {q1:6.1f}-{q3:6.1f} {peak}")
+            cells.append(f"{median(ms):7.1f} {q1:6.1f}-{q3:6.1f} {median(mb):6.2f}")
         won = sum(new < old for old, new in zip(*times))
         print(f"{label:<18} {cells[0]} {cells[1]} {won:>5} of {rounds:<2} {rounds - won:>5} of"
               f" {rounds:<2}")

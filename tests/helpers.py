@@ -657,23 +657,43 @@ def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
     return xreal.Real(fn, name=lambda: f"fixed_point_sum_oracle({n})")
 
 
-def walk_oracle(terms, n: int, p: int) -> xreal.Answer:
-    """The fixed-point walk of exact terms (t_0, ratio) at p bits, ratio(k)
-    or ratio an integer pair, as partial_sum's one loop was before a
-    constant ratio had loops of its own: the constant and the sign tested
-    at every step, the ceiling taken as -(-x // d)."""
+def walk_oracle(terms, n: int, k: int, growth: int) -> xreal.Answer:
+    """xreal._walk as it was before each upper end became the lower end
+    plus a small integer and the exponential's ratio a/(d k) became data:
+    two products and two divisions a step, a per-index ratio called, a
+    constant's sign tested once.  The budget check and its message are the
+    same, on xreal's MAX_SERIES_WORK and the evaluation's work so far."""
     t0, ratio = terms
-    const = isinstance(ratio, tuple)
-    a, d = ratio if const else (0, 1)
+    p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
+    a, d = ratio if isinstance(ratio, tuple) else ratio(n) if n else (0, 1)
+    q = abs(a).bit_length() + d.bit_length()
+    work, spent = n * (p + growth) * (1 + q // 256), xreal._SERIES_WORK.get()
+    if spent[0] + work > xreal.MAX_SERIES_WORK:
+        before = f" after {spent[0]} in this evaluation" if spent[0] else ""
+        raise xreal.SeriesBudgetError(
+            f"summing {n} terms at {p} bits with {q}-bit ratios is {work} units of "
+            f"work{before}, more than {xreal.MAX_SERIES_WORK}")
+    spent[0] += work
     lo = l = (t0.numerator << p) // t0.denominator
     hi = u = -(-t0.numerator << p) // t0.denominator
-    for i in range(1, n + 1):
-        if not const:
+    c = d - 1  # for a constant ratio, ceil(x/d) is (x + c) // d
+    if not isinstance(ratio, tuple):
+        for i in range(1, n + 1):
             a, d = ratio(i)
-        if a < 0:
-            l, u = u, l
-        l, u = l * a // d, -(-u * a // d)
-        lo, hi = lo + l, hi + u
+            if a < 0:
+                l, u = u, l
+            l, u = l * a // d, -(-u * a // d)
+            lo, hi = lo + l, hi + u
+    elif a < 0:
+        for _ in range(n):
+            l, u = u * a // d, (l * a + c) // d
+            lo, hi = lo + l, hi + u
+    else:
+        for _ in range(n):
+            l, u = l * a // d, (u * a + c) // d
+            lo, hi = lo + l, hi + u
+    if hi - lo + 2 > 1 << p - k:
+        raise xreal.InvariantError(f"partial_sum({n}): answer wider than requested 2^{-k}")
     return lo - 1, hi + 1, 1 << p
 
 

@@ -143,6 +143,41 @@ class TestReaderDifferential:
     def test_calls_literals_and_depth(self, text):
         assert _read(Parser, text) == _read(ParserOracle, text)
 
+    # nesting one level below, at and past MAX_DEPTH under each wrapper, in
+    # factors open at once and in the depth of the tree; then half the
+    # levels under the wrapper and half in a chain of "+ 0" around it, about
+    # a number, a limit and a call
+    WRAPPERS = {"(": lambda n, leaf: "(" * n + leaf + ")" * n, "-": lambda n, leaf: "-" * n + leaf,
+                "exp(": lambda n, leaf: "exp(" * n + leaf + ")" * n,
+                "+ 0": lambda n, leaf: leaf + " + 0" * n}
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_nesting_around_the_limit(self, wrapper):
+        wrap = self.WRAPPERS[wrapper]
+        for n in range(MAX_DEPTH - 2, MAX_DEPTH + 2):
+            for leaf in ("1", "limit(inv_n)", "inv(2; 1/2)"):
+                for text in (wrap(n, leaf), wrap(n // 2, leaf) + " + 0" * (n - n // 2),
+                             f"inv(exp({wrap(n, leaf)}) * 2; 1/2)"):
+                    assert _read(Parser, text) == _read(ParserOracle, text), (wrapper, n, text)
+
+    @pytest.mark.parametrize("text", [
+        "1 2", "1 )", "(1))", "exp(1) 3", "1 + 2 (", "limit(inv_n) x", "2 * 3 ;", "- 1 1/2",
+        "inv(2)", "inv(2 1/2)", "inv(2; )", "inv(2; x)", "inv(2; 1/2 3)", "inv(2; 1 /)",
+        "limit(geometric)", "limit(geometric; 1/2; 1/3)", "limit(inv_n;)", "limit(inv_n; -1)",
+        "limit()", "limit(;)", "limit(3)", "limit", "exp", "exp 1", "exp()", "inv(;1)",
+        "1" * 4301, "0." + "1" * 4301, "0." + "1" * 4299, "1" * 2150 + "." + "1" * 2150,
+        "1" * 2150 + "." + "1" * 2151, "2 + " + "3" * 4301 + " $", "$ " + "4" * 4301,
+    ])
+    def test_trailing_tokens_calls_and_long_literals(self, text):
+        assert _read(Parser, text) == _read(ParserOracle, text)
+
+    def test_a_bad_character_at_each_position(self):
+        text = "exp(1/3) * (2.5 - inv(5; -1/2)) + limit(geometric; -9/10) / -limit(inv_n)"
+        for i in range(len(text) + 1):
+            for bad in "$.é\x00":
+                for row in (text[:i] + bad + text[i:], text[:i] + bad + text[i + 1:]):
+                    assert _read(Parser, row) == _read(ParserOracle, row), repr(row)
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(text=expressions())
     def test_fuzzed_expressions(self, text):
@@ -238,7 +273,7 @@ class TestIntegerCommandPath:
         read = 0
         for text in tokens:
             try:
-                if [kind for kind, *_ in tokenize(text)] != ["num"]:
+                if tokenize(text) != [text]:  # not one number
                     continue
             except ExprError:  # a stray "."
                 continue

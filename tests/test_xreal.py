@@ -1,4 +1,5 @@
 import contextvars
+import itertools
 import math
 import random
 import sys
@@ -406,11 +407,26 @@ def _in_evaluation(fn, *args):
     return contextvars.copy_context().run(run)
 
 
+def _walk_outcome(walk, terms, n, k, growth, spent=0):
+    """A walk's triple, or its refusal's type and text, in an evaluation of
+    its own that has already spent the given work."""
+
+    def run():
+        xreal._SERIES_WORK.set([spent])
+        try:
+            return walk(terms, n, k, growth)
+        except (SeriesBudgetError, InvariantError) as e:
+            return type(e).__name__, str(e)
+
+    return contextvars.copy_context().run(run)
+
+
 class TestSeriesWalk:
     """xreal._walk, the one walk of partial_sum and sum_series, against the
-    loop it replaced (helpers.walk_oracle).  The walk asks for the
-    precision 2^-k, so k = p - c gives p bits, for c = 2 bits(n + 2) +
-    growth + 1 and growth bounding every product of consecutive ratios."""
+    walk it replaced (helpers.walk_oracle), which steps both ends with two
+    products and two divisions.  The walk asks for the precision 2^-k, so
+    k = p - c gives p bits, for c = 2 bits(n + 2) + growth + 1 and growth
+    bounding every product of consecutive ratios."""
 
     @staticmethod
     def _growth(a: int, d: int, n: int) -> int:
@@ -422,26 +438,23 @@ class TestSeriesWalk:
     @staticmethod
     def _both(terms, n, p, growth):
         """The walk of the ratio as one pair and as a function of the index,
-        each equal to the loop it replaced."""
-        want = walk_oracle(terms, n, p)
+        each equal to the walk it replaced."""
         k = p - 2 * (n + 2).bit_length() - growth - 1
+        want = _walk_outcome(walk_oracle, terms, n, k, growth)
         t0, ratio = terms
         step = ratio if callable(ratio) else (lambda i: ratio)
-        assert xreal._walk((t0, step), n, k, growth) == want, (terms, n, p)
+        assert _walk_outcome(xreal._walk, (t0, step), n, k, growth) == want, (terms, n, p)
         if not callable(ratio):
-            assert xreal._walk(terms, n, k, growth) == want, (terms, n, p)
+            assert _walk_outcome(xreal._walk, terms, n, k, growth) == want, (terms, n, p)
 
     def test_every_small_case_matches_the_loop_it_replaced(self):
-        def run():
-            for a in range(-6, 7):
-                for d in range(1, 8):
-                    for n in range(13):
-                        growth = self._growth(a, d, n)
-                        for p in range(21):
-                            for t0 in (F(1), F(-7, 3)):
-                                self._both((t0, (a, d)), n, p, growth)
-
-        _in_evaluation(run)
+        for a in range(-6, 7):
+            for d in range(1, 8):
+                for n in range(13):
+                    growth = self._growth(a, d, n)
+                    for p in range(21):
+                        for t0 in (F(1), F(-7, 3)):
+                            self._both((t0, (a, d)), n, p, growth)
 
     def test_seeded_cases_match_the_loop_it_replaced(self):
         rng = random.Random(242)
@@ -461,13 +474,97 @@ class TestSeriesWalk:
             a = 0 if form == "a=0" else rng.randint(-d, d)
             n = rng.randint(0, 300)
             cases.append(((t0, (a, d)), n, self._growth(a, d, n)))
+        for terms, n, growth in cases:
+            for p in {0, 1, 64, rng.randint(2, 700)}:
+                self._both(terms, n, p, growth)
+
+    def test_seeded_ratios_of_both_signs_match_the_walk_it_replaced(self):
+        # constant ratios a/d, among them 0 and |a| = d - 1, the exponential's
+        # a/(d k) as a triple and as a function, and functions whose ratios
+        # change sign and size with the index; growth 0-12, n to 3,000 and k
+        # from -4 to 1,000, so that a growth too small is refused for width
+        rng = random.Random(2701)
+        for case in range(400):
+            t0 = F(rng.randint(-99, 99), rng.randint(1, 99))
+            n = 3000 if case % 40 == 0 else rng.choice([0, 1, 2, rng.randint(3, 60), rng.randint(3, 400)])
+            growth, k = rng.randint(0, 12), rng.choice([-4, -1, 0, 1, rng.randint(2, 1000), 1000])
+            a, d = rng.randint(-60, 60), rng.randint(1, 10 ** rng.randint(1, 12))
+            if case % 4 == 0:  # a constant
+                a = rng.choice([0, d - 1, 1 - d, a, rng.randint(1 - d, d - 1), rng.randint(-3 * d, 3 * d)])
+                forms = [(a, d), lambda i, a=a, d=d: (a, d)]
+            elif case % 4 == 1:  # the exponential's
+                forms = [(a, d, 1), lambda i, a=a, d=d: (a, d * i)]
+            else:  # at most 1 in size, or at most 2, the sign drawn per index
+                top = case % 4 - 1
+                forms = [lambda i, a=a, d=d, top=top: (
+                    (i * i * 7919 + a) % (2 * top * d + 1) - top * d, d + i % 3)]
+            want = _walk_outcome(walk_oracle, (t0, forms[-1]), n, k, growth)
+            for ratio in forms:
+                got = _walk_outcome(xreal._walk, (t0, ratio), n, k, growth)
+                assert got == want, (t0, ratio, n, k, growth)
+
+    def test_width_check_at_its_edge(self):
+        # growth 0 understated for ratios up to 40: among these small walks
+        # some sum to exactly the width 2^-k and some to one unit more
+        def outcome(walk, *args):
+            try:
+                return walk(*args)
+            except InvariantError as e:
+                return str(e)
 
         def run():
-            for terms, n, growth in cases:
-                for p in {0, 1, 64, rng.randint(2, 700)}:
-                    self._both(terms, n, p, growth)
+            for n, a, d, t0, k in itertools.product(range(1, 5), range(-40, 41), range(1, 8),
+                                                    (F(1, 3), F(-2, 7), F(5, 11)), range(-3, 4)):
+                want = outcome(walk_oracle, (t0, (a, d)), n, k, 0)
+                assert outcome(xreal._walk, (t0, (a, d)), n, k, 0) == want, (t0, a, d, n, k)
 
         _in_evaluation(run)
+
+    def test_refusals_match_the_walk_it_replaced(self, monkeypatch):
+        # the budget's text, with and without work spent before, at budgets
+        # one unit either side of the walk's; and the width check's
+        rng = random.Random(2702)
+        for _ in range(200):
+            n, k, growth = rng.randint(1, 200), rng.randint(-4, 400), rng.randint(0, 12)
+            a, d = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+            spent = rng.choice([0, 0, rng.randint(1, 10**6)])
+            p = max(0, k + 2 * (n + 2).bit_length() + growth + 1)
+            per_index = lambda i, a=a, d=d: (a, d * i)  # noqa: E731
+            # (the walk's ratio, the replaced walk's, the last ratio's bits)
+            for ratio, old, q in [((a, d), (a, d), d), ((a, d, 1), per_index, d * n),
+                                  (per_index, per_index, d * n)]:
+                work = n * (p + growth) * (1 + (abs(a).bit_length() + q.bit_length()) // 256)
+                for budget in (spent + work - 1, spent + work, spent + work + 1):
+                    monkeypatch.setattr(xreal, "MAX_SERIES_WORK", budget)
+                    want = _walk_outcome(walk_oracle, (F(1, 3), old), n, k, growth, spent)
+                    got = _walk_outcome(xreal._walk, (F(1, 3), ratio), n, k, growth, spent)
+                    assert got == want, (ratio, n, k, growth, spent, budget)
+                    assert (budget < spent + work) == (got[0] == "SeriesBudgetError")
+        monkeypatch.undo()
+        for ratio, old in [((15, 2), (15, 2)), ((-15, 2), (-15, 2)),
+                           ((150, 2, 1), lambda i: (150, 2 * i)), (lambda i: (-15, 2), (-15, 2))]:
+            want = _walk_outcome(walk_oracle, (F(1, 3), old), 10, 0, 0)
+            assert want[0] == "InvariantError"
+            assert _walk_outcome(xreal._walk, (F(1, 3), ratio), 10, 0, 0) == want
+
+    def test_exp_rational_matches_the_walk_it_replaced(self, monkeypatch):
+        # exp(q) over a seeded grid of q at eps from 1 to 1e-300, against
+        # the same series with the ratio as the function k -> (a, d k),
+        # walked by the walk it replaced
+        rng = random.Random(2703)
+        qs = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(7), F(-7), F(99, 7), F(-99, 7)]
+        qs += [F(rng.randint(-300, 300), rng.randint(1, 40)) for _ in range(40)]
+        eps = [(1, 1), (1, 10**3), (1, 10**25), (7, 10**100), (1, 10**300), (1, 3**200)]
+        for q in qs:
+            b = abs(q.numerator) // q.denominator + 1
+            a, d = q.numerator, q.denominator
+            with monkeypatch.context() as m:
+                m.setattr(xreal, "_walk", walk_oracle)
+                old = sum_series((F(1), lambda k: (a, d * k)), xreal._factorial_tail(b),
+                                 xreal._factorial_tail_index(b), -(-14427 * b // 10000))
+                want = [old._get(e) for e in eps]
+            new = exp_rational(q)
+            assert [new._get(e) for e in eps] == want, q
 
     def test_width_is_checked_on_every_walk(self):
         # growth 0 understates the ratio 15/2: the walk's bounds spread
