@@ -108,14 +108,6 @@ def rather_below(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
     return not any(s.star[x] & outside for x in points_of(v.mask))
 
 
-def strongly_rather_below(s: FiniteCoverSpace, v: Subset, u: Subset) -> bool:
-    """V is strongly rather below U: {X \\ V, U} is distinguished.  On a
-    finite carrier that is rather-below: the generator refines the family
-    exactly when every member misses V or lies inside U.  The definition
-    is ``tests/helpers.py: strongly_rather_below_oracle``."""
-    return rather_below(s, v, u)
-
-
 def satisfies_cr(s: FiniteCoverSpace) -> bool:
     """The regularity axiom: for every distinguished cover, the sets rather
     below some of its members form a distinguished family.
@@ -131,11 +123,11 @@ def satisfies_cr(s: FiniteCoverSpace) -> bool:
     return not shared_points(s.masks)
 
 
-def is_strongly_regular(s: FiniteCoverSpace) -> bool:
-    """Every generator member W is strongly rather below some member U.
-    That also means a partition: {X \\ W, U} refined by the generator puts
-    W and every member meeting W inside U, so U = W."""
-    return satisfies_cr(s)
+# On a finite carrier the strong forms are the plain ones: the generator
+# refines {X \ V, U} exactly when every member misses V or lies inside U.
+# Their definitions are the oracles of ``tests/helpers.py``.
+strongly_rather_below = rather_below
+is_strongly_regular = satisfies_cr
 
 
 def regular_reflection(s: FiniteCoverSpace) -> FiniteCoverSpace:

@@ -10,8 +10,8 @@ reals (LFP 1986; J. Logic and Algebraic Programming 64, 2005).  Combinators
 ask their arguments at powers of two, so nearby requests share cached
 answers, and round out onto a grid 2^k sized by the precision.  A series of
 exact terms, partial or whole, is one walk on integers, ``_walk``.
-Fractions are built at the boundary only: ``Real.approx``, ``Real(fn)``'s
-fn, the callables of the limits and series.
+Fractions are built at the boundary only: ``Real.approx``, the locators
+of ``real_of_cut``, the callables of the limits and series.
 """
 
 from __future__ import annotations
@@ -119,17 +119,16 @@ class RInterval:
 
 class Real:
     """A number presented by its precision-indexed interval answers:
-    ``approx`` answers an RInterval, ``_get`` the triple at a pair (n, d),
-    and ``fn`` either at the Fraction n/d, or at the pair if ``pairs``.
-    Each new answer is checked by integer cross-products for width and for
-    overlap with the narrowest so far, then cached.  The outermost query in a
-    context opens the evaluation MAX_SERIES_WORK bounds."""
+    ``approx`` answers an RInterval, ``_get`` and ``fn`` the triple at a
+    pair (n, d).  Each new answer is checked by integer cross-products for
+    width and for overlap with the narrowest so far, then cached.  The
+    outermost query in a context opens the evaluation MAX_SERIES_WORK bounds."""
 
     __slots__ = ("_fn", "_cache", "_lock", "_narrowest", "_name")
 
-    def __init__(self, fn: Callable[[Fraction], RInterval | Answer],
-                 name: str | Callable[[], str] = "real", pairs: bool = False):
-        self._fn = fn if pairs else lambda eps: fn(Fraction(*eps))
+    def __init__(self, fn: Callable[[tuple[int, int]], Answer],
+                 name: str | Callable[[], str] = "real"):
+        self._fn = fn
         self._cache: dict[tuple[int, int], Answer] = {}
         self._lock = threading.Lock()
         self._narrowest: Answer | None = None
@@ -157,10 +156,6 @@ class Real:
         if (got := self._cache.get(eps)) is not None:
             return got
         ans = self._fn(eps)
-        if isinstance(ans, RInterval):
-            a, b = ans.lo, ans.hi
-            ans = (a.numerator * b.denominator, b.numerator * a.denominator,
-                   a.denominator * b.denominator)
         lo, hi, den = ans
         if (hi - lo) * eps[1] > eps[0] * den:
             raise InvariantError(f"{self.name}: answer {_interval(*ans)} wider than "
@@ -188,7 +183,7 @@ def real_of_rat(q) -> Real:
     q = rat(q)
     n, d = 3 * q.numerator, q.denominator
     return Real(lambda eps: (n * eps[1] - d * eps[0], n * eps[1] + d * eps[0], 3 * d * eps[1]),
-                name=lambda: f"rat({q})", pairs=True)
+                name=lambda: f"rat({q})")
 
 
 class Side(Enum):
@@ -333,8 +328,8 @@ def real_of_cut(locator: CutLocator, seed: RInterval) -> Real:
     chain = [seed]
     lock = threading.Lock()
 
-    def fn(eps: Fraction) -> RInterval:
-        steps = trisection_steps(seed.width, eps)
+    def fn(eps: tuple[int, int]) -> Answer:
+        steps = trisection_steps(seed.width, Fraction(*eps))
         with lock:
             while len(chain) <= steps:
                 cur = chain[-1]
@@ -343,7 +338,8 @@ def real_of_cut(locator: CutLocator, seed: RInterval) -> Real:
                     chain.append(RInterval(cur.lo + third, cur.hi))
                 else:
                     chain.append(RInterval(cur.lo, cur.hi - third))
-            return chain[steps]
+            a, b = chain[steps].lo, chain[steps].hi
+        return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
     return Real(fn, name=f"of_cut({locator.name})")
 
@@ -398,7 +394,7 @@ def add(x: Real, y: Real) -> Real:
         blo, bhi, bd = y._get(_power_of_two(k))
         return _round_out(alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd, k)
 
-    return Real(fn, name=lambda: f"({x.name}+{y.name})", pairs=True)
+    return Real(fn, name=lambda: f"({x.name}+{y.name})")
 
 
 def neg(x: Real) -> Real:
@@ -406,7 +402,7 @@ def neg(x: Real) -> Real:
         lo, hi, den = x._get(eps)
         return -hi, -lo, den
 
-    return Real(fn, name=lambda: f"(-{x.name})", pairs=True)
+    return Real(fn, name=lambda: f"(-{x.name})")
 
 
 def sub(x: Real, y: Real) -> Real:
@@ -425,7 +421,7 @@ def scale(x: Real, c) -> Real:
         lo, hi = (lo * cn, hi * cn) if cn > 0 else (hi * cn, lo * cn)
         return _round_out(lo, hi, den * cd, _grid(eps))
 
-    return Real(fn, name=lambda: f"({c}*{x.name})", pairs=True)
+    return Real(fn, name=lambda: f"({c}*{x.name})")
 
 
 def mul(x: Real, y: Real) -> Real:
@@ -442,7 +438,7 @@ def mul(x: Real, y: Real) -> Real:
         products = alo * blo, alo * bhi, ahi * blo, ahi * bhi
         return _round_out(min(products), max(products), ad * bd, _grid(eps))
 
-    return Real(fn, name=lambda: f"({x.name}*{y.name})", pairs=True)
+    return Real(fn, name=lambda: f"({x.name}*{y.name})")
 
 
 def _magnitude_bound(x: Real) -> tuple[int, int]:
@@ -476,7 +472,7 @@ def inv(x: Real, delta) -> Real:
         # 1/hi and 1/lo over hn * ln, positive: both ends have the witness's sign
         return _round_out(hd * ln, ld * hn, hn * ln, _grid(eps))
 
-    return Real(fn, name=lambda: f"inv({x.name};{delta})", pairs=True)
+    return Real(fn, name=lambda: f"inv({x.name};{delta})")
 
 
 def find_apartness(x: Real, eps_floor) -> Fraction | None:
@@ -526,7 +522,7 @@ def limit(seq: ConvergentSeq) -> Real:
         s = _power_of_two(k)
         return _round_out(*_pad(*seq.terms(seq.modulus(Fraction(*s)))._get(s), k - 1), k)
 
-    return Real(fn, name="limit", pairs=True)
+    return Real(fn, name="limit")
 
 
 # series terms: a Real for each index, or exact (t_0, ratio), t_k = t_{k-1} a/d
@@ -567,7 +563,7 @@ def partial_sum(terms: Terms, n: int, growth: int = 0) -> Real:
             lo, hi = lo + l, hi + h
         return lo, hi, den
 
-    return Real(fn, name=lambda: f"partial_sum({n})", pairs=True)
+    return Real(fn, name=lambda: f"partial_sum({n})")
 
 
 def _walk(terms: Terms, n: int, k: int, growth: int) -> Answer:
@@ -642,7 +638,7 @@ def sum_series(
         n = index(Fraction(*_power_of_two(k - 2)))
         return _round_out(*_pad(*_walk(terms, n, -k, growth), k - 2), k)
 
-    return Real(fn, name="series", pairs=True)
+    return Real(fn, name="series")
 
 
 def exp_rational(q) -> Real:
@@ -679,7 +675,7 @@ def exp_real(x: Real) -> Real:
         _, hi, hd = exp_rational(Fraction(ahi, ad))._get(e)
         return _round_out(lo * hd, hi * ld, ld * hd, _grid(eps))
 
-    return Real(fn, name=lambda: f"exp({x.name})", pairs=True)
+    return Real(fn, name=lambda: f"exp({x.name})")
 
 
 def _factorial_tail(b: int) -> Callable[[int, Fraction], bool]:
@@ -816,30 +812,23 @@ def finite_subcover(domain: RInterval, cover: Sequence[RInterval]) -> list[RInte
     At each step the frontier point must lie strictly inside some member;
     the member reaching furthest right is chosen, the first in input order
     among equals.  If no member contains the frontier, that rational point
-    is an uncovered-point certificate.
+    is an uncovered-point certificate.  The frontier only moves right, so
+    one sweep over the members sorted by left end suffices: a member
+    starting left of the frontier contains it exactly when it ends right of
+    it, and the furthest-reaching one is a running best.
     """
-    picks = _sweep(domain.lo, domain.hi, [iv.lo for iv in cover], [iv.hi for iv in cover])
-    return [cover[i] for i in picks]
-
-
-def _sweep(start, end, los: Sequence, his: Sequence) -> list[int]:
-    """The indices of the members (los[i], his[i]) that finite_subcover picks
-    for the closed domain [start, end], on any ordered endpoints.  The
-    frontier only moves right, so one sweep over the members sorted by left
-    end suffices: a member starting left of the frontier contains it exactly
-    when it ends right of it, and the furthest-reaching one is a running best."""
-    order = sorted(range(len(los)), key=los.__getitem__)
-    chosen: list[int] = []
-    reach, best, j, pos = start, -1, 0, start
-    while pos <= end:
-        while j < len(order) and los[order[j]] < pos:
+    order = sorted(range(len(cover)), key=lambda i: cover[i].lo)
+    chosen: list[RInterval] = []
+    reach, best, j, pos = domain.lo, -1, 0, domain.lo
+    while pos <= domain.hi:
+        while j < len(order) and cover[order[j]].lo < pos:
             i = order[j]
-            if his[i] > reach or his[i] == reach and i < best:
-                reach, best = his[i], i
+            if cover[i].hi > reach or cover[i].hi == reach and i < best:
+                reach, best = cover[i].hi, i
             j += 1
         if reach <= pos:
             raise UncoveredPointError(pos)
-        chosen.append(best)
+        chosen.append(cover[best])
         pos = reach
     return chosen
 
@@ -865,4 +854,4 @@ def limit_at_zero(
         q = delta / 2
         return _round_out(*_pad(*f(q, q / 2)._get(_power_of_two(k)), k - 1), k)
 
-    return Real(fn, name="limit_at_zero", pairs=True)
+    return Real(fn, name="limit_at_zero")

@@ -551,6 +551,21 @@ def finite_subcover_oracle(domain, cover):
     return chosen
 
 
+def fraction_real(fn, name="real") -> xreal.Real:
+    """A Real whose fn is asked at the Fraction n/d and answers an RInterval
+    or an integer triple, read into the triple xreal.Real expects."""
+
+    def at_pair(eps: tuple[int, int]) -> xreal.Answer:
+        ans = fn(Fraction(*eps))
+        if isinstance(ans, xreal.RInterval):
+            a, b = ans.lo, ans.hi
+            return (a.numerator * b.denominator, b.numerator * a.denominator,
+                    a.denominator * b.denominator)
+        return ans
+
+    return xreal.Real(at_pair, name)
+
+
 def geometric_index_oracle(r: Fraction, eps: Fraction) -> int:
     """Smallest n with |r|^(n+1) / (1 - |r|) <= eps, stepping n by one on
     the integer powers of |r|'s numerator and denominator."""
@@ -601,7 +616,7 @@ def partial_sum_oracle(terms, n: int) -> xreal.Real:
             lo, hi = lo + f - (r == 0), hi + f + 1
         return xreal.RInterval(lo * per, hi * per)
 
-    return xreal.Real(fn, name=lambda: f"partial_sum_oracle({n})")
+    return fraction_real(fn, lambda: f"partial_sum_oracle({n})")
 
 
 def exact_series_oracle(terms, tail_bound, tail_index) -> xreal.Real:
@@ -654,7 +669,7 @@ def fixed_point_sum_oracle(terms, n: int, growth: int = 0) -> xreal.Real:
             lo, hi = lo + l, hi + u
         return xreal.RInterval(Fraction(lo - 1, 1 << p), Fraction(hi + 1, 1 << p))
 
-    return xreal.Real(fn, name=lambda: f"fixed_point_sum_oracle({n})")
+    return fraction_real(fn, lambda: f"fixed_point_sum_oracle({n})")
 
 
 def walk_oracle(terms, n: int, k: int, growth: int) -> xreal.Answer:
@@ -729,12 +744,13 @@ def fold_oracle(node) -> Fraction:
 # The combinators of xreal as they were in Fraction arithmetic, before their
 # answers became integer triples: each answer is an RInterval of Fractions,
 # rounded out onto the grid snap_oracle(eps/4) by Fraction floor and ceiling.
-# None of them calls an xreal combinator; xreal.Real only caches and checks.
+# None of them calls an xreal combinator; fraction_real only reads, caches
+# and checks.
 
 
 def rat_oracle(q) -> xreal.Real:
     q = Fraction(q)
-    return xreal.Real(lambda eps: xreal.RInterval(q - eps / 3, q + eps / 3))
+    return fraction_real(lambda eps: xreal.RInterval(q - eps / 3, q + eps / 3))
 
 
 def round_out_oracle(lo: Fraction, hi: Fraction, eps: Fraction) -> xreal.RInterval:
@@ -748,7 +764,7 @@ def add_oracle(x: xreal.Real, y: xreal.Real) -> xreal.Real:
         a, b = x.approx(s), y.approx(s)
         return round_out_oracle(a.lo + b.lo, a.hi + b.hi, eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def neg_oracle(x: xreal.Real) -> xreal.Real:
@@ -756,7 +772,7 @@ def neg_oracle(x: xreal.Real) -> xreal.Real:
         a = x.approx(eps)
         return xreal.RInterval(-a.hi, -a.lo)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def scale_oracle(x: xreal.Real, c) -> xreal.Real:
@@ -769,7 +785,7 @@ def scale_oracle(x: xreal.Real, c) -> xreal.Real:
         lo, hi = sorted((a.lo * c, a.hi * c))
         return round_out_oracle(lo, hi, eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def magnitude_bound_oracle(x: xreal.Real) -> Fraction:
@@ -788,7 +804,7 @@ def mul_oracle(x: xreal.Real, y: xreal.Real) -> xreal.Real:
         products = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
         return round_out_oracle(min(products), max(products), eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def inv_oracle(x: xreal.Real, delta) -> xreal.Real:
@@ -804,7 +820,7 @@ def inv_oracle(x: xreal.Real, delta) -> xreal.Real:
         hi = min(got.hi, witness.hi)
         return round_out_oracle(1 / hi, 1 / lo, eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def limit_oracle(seq: xreal.ConvergentSeq) -> xreal.Real:
@@ -813,7 +829,7 @@ def limit_oracle(seq: xreal.ConvergentSeq) -> xreal.Real:
         inner = seq.terms(seq.modulus(s)).approx(s)
         return round_out_oracle(inner.lo - s / 2, inner.hi + s / 2, eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def real_terms_sum_oracle(terms, n: int) -> xreal.Real:
@@ -828,7 +844,7 @@ def real_terms_sum_oracle(terms, n: int) -> xreal.Real:
             lo, hi = lo + got.lo // per, hi - (-got.hi // per)
         return xreal.RInterval(lo * per, hi * per)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def sum_series_oracle(terms, tail_within, tail_index, growth: int = 0) -> xreal.Real:
@@ -853,7 +869,7 @@ def sum_series_oracle(terms, tail_within, tail_index, growth: int = 0) -> xreal.
         got = walk.approx(s)
         return round_out_oracle(got.lo - s / 4, got.hi + s / 4, eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def factorial_tail_within(b: int):
@@ -881,7 +897,7 @@ def exp_real_oracle(x: xreal.Real) -> xreal.Real:
         return round_out_oracle(exp_series_oracle(a.lo).approx(e).lo,
                                 exp_series_oracle(a.hi).approx(e).hi, eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def limit_at_zero_oracle(f, limit_modulus) -> xreal.Real:
@@ -892,7 +908,7 @@ def limit_at_zero_oracle(f, limit_modulus) -> xreal.Real:
         inner = f(q, q / 2).approx(snap_oracle(eps / 4))
         return round_out_oracle(inner.lo - m, inner.hi + m, eps)
 
-    return xreal.Real(fn)
+    return fraction_real(fn)
 
 
 def factorial_tail_index_oracle(b: int):

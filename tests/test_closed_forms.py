@@ -531,6 +531,14 @@ def _check_strong_relation(s, pairs):
 
 
 class TestStrongRatherBelow:
+    def test_the_strong_and_complete_forms_are_the_plain_functions(self):
+        # they collapse on a finite carrier, so each name is its plain form
+        assert coverspace.strongly_rather_below is coverspace.rather_below
+        assert coverspace.is_strongly_regular is coverspace.satisfies_cr
+        assert cauchy.is_filter_strongly_regular is cauchy.is_filter_regular
+        assert cauchy.is_complete is cauchy.is_separated
+        assert cauchy.strong_completion is cauchy.completion
+
     def test_every_pair_exhaustive(self):
         for s in PRECOVERS_4:
             subsets = all_subsets(s.carrier)

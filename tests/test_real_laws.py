@@ -2,7 +2,8 @@
 number, each of whose answers must overlap (Chen, Cheung & Yiu, metamorphic
 testing, HKUST-CS98-01, 1998).  The overlap and containment tests below are
 written on Fractions here and share no code with the integer fast paths
-they check: the series walk, the apartness probes, the rational fold."""
+they check: the series walk, the apartness probes, the rational fold,
+the triple of a cut's answer."""
 
 import random
 from fractions import Fraction as F
@@ -82,3 +83,19 @@ class TestRealLaws:
             for eps in PRECISIONS:
                 lo, hi = _text(f"limit(geometric; {r.numerator}/{r.denominator})", eps)
                 assert lo < target < hi, (r, eps)
+
+    def test_a_cut_and_back_overlaps_the_value(self):
+        # real_of_cut(cut_of_real(x), seed) for a seed that is an answer of
+        # x at precision 1, so x lies strictly inside it: rationals, exps of
+        # rationals and quotients through inv, each down to 1e-30
+        qs = _rationals(255, 24, 6, 11)
+        values = [xreal.real_of_rat(q) for q in qs[:8]]
+        values += [xreal.exp_rational(q / 3) for q in qs[8:16]]
+        for a, b in zip(qs[16::2], qs[17::2]):
+            below = xreal.exp_rational(b / 4)
+            apart = xreal.find_apartness(below, F(1, 2**60))
+            values.append(xreal.mul(xreal.real_of_rat(a), xreal.inv(below, apart)))
+        for x in values:
+            back = xreal.real_of_cut(xreal.cut_of_real(x), x.approx(1))
+            for eps in PRECISIONS[:4]:
+                assert _overlap(_interval(back, eps), _interval(x, eps)), (x, eps)

@@ -17,7 +17,6 @@ from coverlab.xreal import (
     ConvergentSeq,
     InvariantError,
     RInterval,
-    Real,
     Side,
     TailBoundError,
     UncoveredPointError,
@@ -64,6 +63,7 @@ from helpers import (
     find_apartness_oracle,
     finite_subcover_oracle,
     fixed_point_sum_oracle,
+    fraction_real,
     geometric_index_oracle,
     geometric_oracle,
     inv_oracle,
@@ -125,7 +125,7 @@ class TestRealOfRat:
 
     def test_invariant_enforced(self):
         bad = real_of_rat(0)
-        bad._fn = lambda eps: interval(0, 1)
+        bad._fn = lambda eps: (0, 1, 1)
         with pytest.raises(InvariantError):
             bad.approx(F(1, 2))
 
@@ -139,16 +139,16 @@ class TestRealOfRat:
         ]:
             for touch in touching:  # at the narrowest answer's upper, then lower end
                 answers = iter([first, touch])
-                x = Real(lambda eps: next(answers))
+                x = fraction_real(lambda eps: next(answers))
                 x.approx(1)
                 with pytest.raises(InvariantError, match="disjoint"):
                     x.approx(F(1, 2))
             answers = iter([first, meeting])
-            y = Real(lambda eps: next(answers))
+            y = fraction_real(lambda eps: next(answers))
             assert y.approx(1) == interval(0, 1) and y.approx(2) == interval("1/2", 1)
-        assert Real(lambda eps: (0, 10**9, 10**9)).approx(1) == interval(0, 1)
+        assert fraction_real(lambda eps: (0, 10**9, 10**9)).approx(1) == interval(0, 1)
         with pytest.raises(InvariantError, match="wider"):
-            Real(lambda eps: (0, 10**9 + 1, 10**9)).approx(1)
+            fraction_real(lambda eps: (0, 10**9 + 1, 10**9)).approx(1)
 
 
 class TestTrisection:
@@ -285,7 +285,7 @@ class TestFieldOps:
         # factors that answer at exactly the width asked for leave the
         # product no slack: each factor's precision must be the halved one
         def full_width(c):
-            return Real(lambda e: RInterval(c - e / 2, c + e / 2))
+            return fraction_real(lambda e: RInterval(c - e / 2, c + e / 2))
 
         rng = random.Random(83)
         for _ in range(300):
@@ -789,7 +789,7 @@ class TestPrecisionPairs:
 
     def test_approx_and_the_combinators_share_one_key(self):
         asked = []
-        x = Real(lambda eps: (asked.append(eps), RInterval(F(1, 3) - eps / 3, F(1, 3) + eps / 3))[1])
+        x = fraction_real(lambda eps: (asked.append(eps), RInterval(F(1, 3) - eps / 3, F(1, 3) + eps / 3))[1])
         add(x, x).approx(1)  # asks x once at 2^-2, the grid of 1
         for eps in (F(1, 4), F(2, 8), "0.25", "1/4"):
             x.approx(eps)
@@ -1588,7 +1588,7 @@ class TestEvaluationWorkBudget:
         for x in (self._walk(), self._walk()):
             x.approx(eps)
         x, y = self._walk(), self._walk()
-        nested = Real(lambda e: (x.approx(e), y.approx(e))[1])
+        nested = fraction_real(lambda e: (x.approx(e), y.approx(e))[1])
         with pytest.raises(SeriesBudgetError, match="after 305100 in this evaluation"):
             nested.approx(eps)
 
